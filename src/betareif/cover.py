@@ -982,10 +982,9 @@ def reifenberg_flat_map(space: NormedSpace, Spts, k: int, chi: float = 0.01,
     sampled beta_inf above delta) raises ValueError."""
     S = np.atleast_2d(np.asarray(Spts, dtype=float))
     alpha = space.smoothness_power()
-    i0 = int(np.argmin(space.norms(S)))
-    base_pt = S[i0]
     in_unit = space.norms(S) <= 1.0
     S1 = S[in_unit] if in_unit.any() else S
+    i0 = int(np.argmin(space.norms(S1)))    # the min-norm point of S lies in S1
     # resolution: stop once scales fall below the sample spacing
     nn = _nearest_neighbor_scale(space, S1)
     certified = 0.0
@@ -996,35 +995,40 @@ def reifenberg_flat_map(space: NormedSpace, Spts, k: int, chi: float = 0.01,
             break
         stage_scales.append(r)
         r *= chi
+    scales = [1.0] + stage_scales
+    # one net per scale and one beta_inf per (S1 index, scale), shared by
+    # the certification, the stage planes and the Q bound
+    nets = {rr: _farthest_net(space, S1, 2.0 * rr / 5.0) for rr in scales}
+    betas = {}
+
+    def beta_at(j, rr):
+        if (j, rr) not in betas:
+            betas[j, rr] = beta_inf(space, S, S1[j], rr, k)
+        return betas[j, rr]
+
     # certify flatness on capped net samples at every used scale (plus the top)
     cert_cap = 200
-    for rr in [1.0] + stage_scales:
-        net = _farthest_net(space, S1, 2.0 * rr / 5.0)[:cert_cap]
-        for j in net:
-            bi = beta_inf(space, S, S1[j], rr, k)
+    for rr in scales:
+        for j in nets[rr][:cert_cap]:
+            bi = beta_at(j, rr)
             certified = max(certified, bi.value)
             if bi.value > delta * (1 + 1e-9):
                 raise ValueError(
                     f"flatness certification failed: beta_inf {bi.value:.3g} > delta {delta:.3g} "
                     f"at scale {rr}")
-    top = beta_inf(space, S, base_pt, 1.0, k)
-    T0 = top.plane
+    T0 = beta_at(i0, 1.0).plane
     sigmas = []
     for rr in stage_scales:
-        net = _farthest_net(space, S1, 2.0 * rr / 5.0)
-        centers = S1[net]
-        planes = []
-        for j in net:
-            bi = beta_inf(space, S, S1[j], rr, k)
-            planes.append(bi.plane)
-        sigmas.append(build_sigma(space, centers, rr, planes, k))
+        net = nets[rr]
+        planes = [beta_at(j, rr).plane for j in net]
+        sigmas.append(build_sigma(space, S1[net], rr, planes, k))
     # beta_inf Dini sums for the Q bound
     q_meas = 0.0
     step = max(len(S1) // 64, 1)
     for j in range(0, len(S1), step):
         tot = 0.0
-        for rr in [1.0] + stage_scales:
-            tot += beta_inf(space, S, S1[j], rr, k).value ** alpha * math.log(1 / chi)
+        for rr in scales:
+            tot += beta_at(j, rr).value ** alpha * math.log(1 / chi)
         q_meas = max(q_meas, tot)
     rng = np.random.default_rng(seed)
     coefs = rng.uniform(-0.9, 0.9, size=(2 * pair_count, max(k, 1)))

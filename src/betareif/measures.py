@@ -275,6 +275,10 @@ def beta_inf(space: NormedSpace, S, x, r: float, k: int) -> BetaInfResult:
     neighborhood of an affine k-plane; the returned plane is re-anchored
     at x (the factor-2 convention of the V_inf planes absorbs this when
     x lies in S)."""
+    if k >= space.dim:
+        raise ValueError("k must be < dim")
+    if r <= 0:
+        raise ValueError("r must be positive")
     x = np.asarray(x, dtype=float)
     S = np.atleast_2d(np.asarray(S, dtype=float))
     d = space.norms(S - x[None, :])
@@ -294,6 +298,23 @@ def beta_inf(space: NormedSpace, S, x, r: float, k: int) -> BetaInfResult:
     return BetaInfResult(val / r, affine_plane(space, x, basis_n))
 
 
+_GRID_ANGLES = 2000
+_BLOCK_ENTRIES = 1 << 18    # 2 MB of float64 per projection block
+
+
+def _grid_halfwidths(space, rel, phis):
+    """halfwidth(phi) of `_beta_inf_exact_2d` at every angle of phis, as
+    array operations over blocks of angles, so the (atoms x angles)
+    projection stays at most _BLOCK_ENTRIES entries whatever the atom count."""
+    U = np.stack([np.cos(phis), np.sin(phis)], axis=1)
+    width = np.empty(len(phis))
+    step = max(1, _BLOCK_ENTRIES // len(rel))
+    for lo in range(0, len(phis), step):
+        proj = rel @ U[lo:lo + step].T
+        width[lo:lo + step] = proj.max(axis=0) - proj.min(axis=0)
+    return 0.5 * width / space.dual_norms(U)
+
+
 def _beta_inf_exact_2d(space, pts, x):
     """Exact angle+offset search for lines in the plane: for a normal
     a(phi), the optimal offset centers the interval of <a, z-x>."""
@@ -302,10 +323,9 @@ def _beta_inf_exact_2d(space, pts, x):
         a = np.array([math.cos(phi), math.sin(phi)])
         s = rel @ a
         return 0.5 * (s.max() - s.min()) / space.dual_norm(a)
-    grid = np.linspace(0.0, math.pi, 2000, endpoint=False)
-    vals = [halfwidth(phi) for phi in grid]
-    i = int(np.argmin(vals))
-    lo, hi = grid[i] - math.pi / 2000, grid[i] + math.pi / 2000
+    grid = np.linspace(0.0, math.pi, _GRID_ANGLES, endpoint=False)
+    i = int(np.argmin(_grid_halfwidths(space, rel, grid)))
+    lo, hi = grid[i] - math.pi / _GRID_ANGLES, grid[i] + math.pi / _GRID_ANGLES
     gr = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c, dd = b - gr * (b - a), a + gr * (b - a)

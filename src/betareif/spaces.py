@@ -89,13 +89,17 @@ class NormedSpace:
         return m * ((A / safe[..., None]) ** self.p).sum(axis=-1) ** (1.0 / self.p)
 
     def dual_norm(self, phi) -> float:
+        return float(self.dual_norms(phi))
+
+    def dual_norms(self, Phi) -> np.ndarray:
+        """l^q norms (q the dual exponent) along the last axis of Phi."""
         q = self.q
-        phi = np.asarray(phi, dtype=float)
+        A = np.abs(np.asarray(Phi, dtype=float))
         if q == math.inf:
-            return float(np.abs(phi).max())
+            return A.max(axis=-1)
         if q == 1.0:
-            return float(np.abs(phi).sum())
-        return float((np.abs(phi) ** q).sum() ** (1.0 / q))
+            return A.sum(axis=-1)
+        return (A ** q).sum(axis=-1) ** (1.0 / q)
 
     # -- duality map ----------------------------------------------------
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from betareif.curves import SnowflakeSpec, snowflake
 from betareif.measures import PointMeasure
 from betareif.spaces import NormedSpace
 
@@ -46,3 +47,15 @@ def graph_measure_200(kappa=0.01, n_clusters=66, side=0.09, R=0.85):
     g = kappa * (U * U + V * V) / 2.0
     pts = np.stack([U, V, g], axis=1)
     return PointMeasure(pts, np.ones(200) * (math.pi * R * R / 200))
+
+
+def snowflake_sample(etas, depth, max_pts):
+    """Vertices of the plane-bump snowflake, centered and scaled by 2.4,
+    thinned by a stride to at most max_pts."""
+    sp = SnowflakeSpec("plane_bump", 2.0, tuple(etas), depth)
+    verts = np.array(snowflake(sp))
+    V = (verts - [0.5, 0.0]) * 2.4
+    if len(V) > max_pts:
+        stride = int(np.ceil(len(V) / max_pts))
+        V = V[::stride]
+    return V

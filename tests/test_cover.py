@@ -7,12 +7,13 @@ from betareif.cover import (CoverConfig, build_sigma, classify_ball,
                             covering_lemma, default_theta, main_packing,
                             partition_of_unity, reifenberg_flat_map,
                             sigma_apply, squash_report, tilting_report)
-from betareif.curves import SnowflakeSpec, dirac_example, snowflake
+from betareif.curves import dirac_example
 from betareif.geometry import affine_plane, graph_check, make_projection
 from betareif.measures import PointMeasure, beta
 from betareif.spaces import NormedSpace
 
 from conftest import gamma2_sample, graph_measure_200
+from conftest import snowflake_sample as _snowflake_sample
 
 
 # -- partition of unity -------------------------------------------------------
@@ -333,16 +334,6 @@ def test_reifenberg_certification_failure(l2_plane):
         reifenberg_flat_map(l2_plane, S, 1, chi=1 / 3, delta=0.02, max_depth=2)
 
 
-def _snowflake_sample(etas, depth, max_pts):
-    sp = SnowflakeSpec("plane_bump", 2.0, tuple(etas), depth)
-    verts = np.array(snowflake(sp))
-    V = (verts - [0.5, 0.0]) * 2.4
-    if len(V) > max_pts:
-        stride = int(np.ceil(len(V) / max_pts))
-        V = V[::stride]
-    return V
-
-
 def test_reifenberg_snowflake_bilipschitz_and_trend(l2_plane):
     # summable-eta flake: distortion <= exp(c Q^alpha) with the fitted c;
     # constant-eta flake: the tau-image length (a distortion lower bound)
@@ -371,6 +362,33 @@ def test_reifenberg_snowflake_bilipschitz_and_trend(l2_plane):
     assert rep.q_alpha is not None and rep.q_alpha > 0
     assert rep.lip_constant_fit is not None
     assert rep.distortion <= math.exp(rep.lip_constant_fit * rep.q_alpha) + 1e-9
+
+
+def test_reifenberg_flat_map_computes_each_beta_and_net_once(l2_plane, monkeypatch):
+    # certification, the stage planes and the Q bound share one net per
+    # scale and one beta_inf per (center, scale)
+    from betareif import cover
+    beta_keys, net_seps = [], []
+    real_beta_inf, real_net = cover.beta_inf, cover._farthest_net
+
+    def counting_beta_inf(space, S, x, r, k):
+        beta_keys.append((np.asarray(x, dtype=float).tobytes(), r))
+        return real_beta_inf(space, S, x, r, k)
+
+    def counting_net(space, pts, sep):
+        net_seps.append(sep)
+        return real_net(space, pts, sep)
+
+    monkeypatch.setattr(cover, "beta_inf", counting_beta_inf)
+    monkeypatch.setattr(cover, "_farthest_net", counting_net)
+    S = _snowflake_sample([0.08] * 12, 4, 2200)
+    stages, rep = reifenberg_flat_map(l2_plane, S, 1, chi=1 / 3, delta=0.2,
+                                      max_depth=7, pair_count=120)
+    assert len(beta_keys) == len(set(beta_keys)) == 171
+    assert len(net_seps) == len(set(net_seps)) == len(stages) + 1
+    assert 0.9 <= rep.holder_exponent <= 1.01
+    assert rep.certified_delta <= 0.2
+    assert rep.distortion == pytest.approx(1.0037366092148736, rel=1e-9)
 
 
 def test_tau_cauchy_small_movement():

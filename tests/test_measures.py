@@ -163,6 +163,67 @@ def test_beta_inf_empty(l2_plane):
     assert res.empty and res.value == 0.0
 
 
+def test_beta_inf_rejects_nonpositive_radius(l2_plane):
+    for r in (0.0, -1.0):
+        with pytest.raises(ValueError):
+            beta_inf(l2_plane, [[0.1, 0.0]], [0, 0], r, 1)
+
+
+def test_beta_inf_rejects_k_at_least_dim(l2_plane):
+    for k in (2, 3):
+        with pytest.raises(ValueError):
+            beta_inf(l2_plane, [[0.1, 0.0]], [0, 0], 1.0, k)
+
+
+def _halfwidth(space, rel, phi):
+    a = np.array([math.cos(phi), math.sin(phi)])
+    s = rel @ a
+    return 0.5 * (s.max() - s.min()) / space.dual_norm(a)
+
+
+def _brute_beta_inf_2d(space, S, x, r, n_angles=20000):
+    """Scalar 20,000-angle grid plus golden refinement, for lines in the plane."""
+    x = np.asarray(x, dtype=float)
+    rel = S[space.norms(S - x) <= r] - x
+    grid = np.linspace(0.0, math.pi, n_angles, endpoint=False)
+    i = int(np.argmin([_halfwidth(space, rel, phi) for phi in grid]))
+    a, b = grid[i] - math.pi / n_angles, grid[i] + math.pi / n_angles
+    gr = (math.sqrt(5.0) - 1.0) / 2.0
+    for _ in range(80):
+        c, d = b - gr * (b - a), a + gr * (b - a)
+        if _halfwidth(space, rel, c) < _halfwidth(space, rel, d):
+            b = d
+        else:
+            a = c
+    return _halfwidth(space, rel, (a + b) / 2) / r
+
+
+def _flat_sets(seed):
+    """Seeded 2-D sets: thin rotated strips of 5 and 300 atoms (300 atoms
+    make the vectorized grid run in more than one angle block)."""
+    rng = np.random.default_rng(seed)
+    for m in (5, 300):
+        P = rng.uniform(-1.0, 1.0, (m, 2)) * [1.0, 0.15]
+        th = rng.uniform(0.0, math.pi)
+        R = np.array([[math.cos(th), -math.sin(th)], [math.sin(th), math.cos(th)]])
+        yield P @ R.T
+
+
+@pytest.mark.parametrize("p", [1.0, 4 / 3, 2.0, 4.0, math.inf])
+def test_beta_inf_2d_grid_matches_scalar_oracle(p):
+    from betareif.measures import _GRID_ANGLES, _grid_halfwidths
+    space = NormedSpace(2, p)
+    grid = np.linspace(0.0, math.pi, _GRID_ANGLES, endpoint=False)
+    for S in _flat_sets(seed=17):
+        x, r = S[0], 1.5
+        rel = S[space.norms(S - x) <= r] - x
+        vals = _grid_halfwidths(space, rel, grid)
+        ref = np.array([_halfwidth(space, rel, phi) for phi in grid])
+        np.testing.assert_allclose(vals, ref, rtol=1e-14, atol=0.0)
+        res = beta_inf(space, S, x, r, 1)
+        assert res.value == pytest.approx(_brute_beta_inf_2d(space, S, x, r), rel=1e-9)
+
+
 def test_beta_inf_reifenberg_flat_sample(l2_plane):
     # a delta-flat sample keeps beta_inf <= delta at all tested (x, r)
     delta = 0.05
