@@ -45,8 +45,6 @@ class RunConfig:
     fmt: str
 
     def __post_init__(self):
-        if not (0 < self.chi < 1):
-            raise _ValidationError(f"chi must lie in (0, 1), got {self.chi}")
         if self.alpha != "auto":
             try:
                 self.alpha = float(self.alpha)
@@ -176,6 +174,18 @@ def _space_from_args(args, default_space):
     return default_space
 
 
+def _check_args(args, space):
+    """Bounds of the analysis flags that argparse's types do not give."""
+    if not (0 <= args.k < space.dim):
+        raise _ValidationError(f"k must satisfy 0 <= k < dim = {space.dim}, got {args.k}")
+    if not (0 < args.chi < 1):
+        raise _ValidationError(f"chi must lie in (0, 1), got {args.chi}")
+    if args.command == "beta" and not (0 < args.r_lo < args.r_hi):
+        raise _ValidationError(f"need 0 < r_lo < r_hi, got r_lo={args.r_lo}, r_hi={args.r_hi}")
+    if args.command == "pack" and not (args.M >= 0):
+        raise _ValidationError(f"M must be >= 0, got {args.M}")
+
+
 def run(argv) -> int:
     ap = _build_parser()
     try:
@@ -197,6 +207,7 @@ def _dispatch(args) -> int:
     if cmd == "beta":
         space0, mu, _rs = _load_measure(args.input)
         space = _space_from_args(args, space0)
+        _check_args(args, space)
         alpha = space.smoothness_power() if args.alpha == "auto" else float(args.alpha)
         if args.atom is not None:
             prof = dini_profile(space, mu, mu.points[args.atom], args.r_lo,
@@ -205,9 +216,9 @@ def _dispatch(args) -> int:
                    else profile_csv(prof).encode())
             return 0
         lines = ["atom,scale,beta,beta_alpha,cumulative"]
-        for i in range(len(mu)):
-            prof = dini_profile(space, mu, mu.points[i], args.r_lo, args.r_hi,
+        profiles = dini_profile(space, mu, mu.points, args.r_lo, args.r_hi,
                                 args.k, alpha, args.chi, seed=args.seed)
+        for i, prof in enumerate(profiles):
             for r, bval, ba, cum in prof.rows():
                 lines.append(f"{i}," + ",".join(f"{v:.12g}" for v in (r, bval, ba, cum)))
         _write(args.out, ("\n".join(lines) + "\n").encode())
@@ -216,6 +227,7 @@ def _dispatch(args) -> int:
     if cmd in ("cover", "pack"):
         space0, mu, rs = _load_measure(args.input)
         space = _space_from_args(args, space0)
+        _check_args(args, space)
         rc = RunConfig(cmd, args.input, args.out, space, args.k, args.alpha,
                        args.chi, args.delta, args.theta, args.max_depth,
                        args.seed, args.format)
@@ -243,8 +255,7 @@ def _dispatch(args) -> int:
             sub = SnowflakeSpec(mode, p, etas, d)
             lengths.append({"depth": d, "length": polyline_length(snowflake(sub), p)})
         if isinstance(verts[0], RademacherVector):
-            A = verts.matrix if hasattr(verts, "matrix") else \
-                np.stack([v.coefficients for v in verts])
+            A = verts.matrix
             vout = A.tolist()
             diffs = np.diff(A, axis=0)
             dts = np.diff(A[:, 0])
@@ -294,6 +305,7 @@ def _dispatch(args) -> int:
     if cmd == "goodball":
         space0, mu, _rs = _load_measure(args.input)
         space = _space_from_args(args, space0)
+        _check_args(args, space)
         center = json.loads(args.center) if args.center else [0.0] * space.dim
         lab = classify_ball(space, mu, center, args.r, args.k, args.chi, args.theta)
         doc = lab.to_dict()

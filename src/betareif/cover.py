@@ -17,7 +17,8 @@ from . import constants as C
 from .geometry import (AffinePlane, AlmostProjection, affine_plane,
                        _euclid_orthonormal, distances_to_affine,
                        grassmann_distance, graph_check, make_projection)
-from .measures import PointMeasure, best_plane, beta, beta_inf, dini_profile
+from .measures import (PointMeasure, _distance_blocks, best_plane, beta,
+                       beta_inf, dini_profile)
 from .spaces import NormedSpace
 
 __all__ = [
@@ -567,12 +568,9 @@ def _covering_normalized(space, mu, rs, k, cfg):
     origin = np.zeros(space.dim)
 
     # Dini precheck per atom: int_{r_s}^{2} beta^alpha dr/r at grid chi
-    measured = 0.0
-    for idx in range(len(mu)):
-        lo = max(rs[idx], chi**cfg.max_depth)
-        prof = dini_profile(space, mu, mu.points[idx], lo, 2.0, k, alpha, chi,
-                            seed=cfg.seed + idx)
-        measured = max(measured, prof.dini_sum)
+    profiles = dini_profile(space, mu, mu.points, np.maximum(rs, chi**cfg.max_depth),
+                            2.0, k, alpha, chi, seed=cfg.seed + np.arange(len(mu)))
+    measured = max((prof.dini_sum for prof in profiles), default=0.0)
     measured_delta = measured ** (1.0 / alpha) if measured > 0 else 0.0
     delta = cfg.delta if cfg.delta is not None else max(measured_delta, 1e-12)
     if measured_delta > delta * (1 + 1e-9):
@@ -580,7 +578,7 @@ def _covering_normalized(space, mu, rs, k, cfg):
 
     top = classify_ball(space, mu, origin, 1.0, k, chi, theta)
     if top.kind == "bad":
-        leftover = _leftover(space, mu, rs, [], [(origin, 1.0)], [], None, 0.0)
+        leftover = _leftover(space, mu, rs, [], [(origin, 1.0)], [], 0.0)
         item = {"early_exit": "top ball is bad"}
         return CoverResult([], [top], [], leftover, 1.0, 1.0,
                            0.0, [], ledger, item, True, False, flags,
@@ -683,7 +681,7 @@ def _covering_normalized(space, mu, rs, k, cfg):
 
     # final accounting
     leftover = _leftover(space, mu, rs, kept_orig, [(b.center, b.radius) for b in bad_out],
-                         goods, None, chi ** len(stages))
+                         goods, chi ** len(stages))
     packing = sum(r**k for _, r in kept_orig) + sum(b.radius**k for b in bad_out)
     packing_all = packing + sum(rg**k for (_, rg, _) in goods)
     excess_mass = float(mu.weights[excess].sum())
@@ -764,7 +762,7 @@ def _stage_report(space, index, scale, new_goods, new_bads, new_orig,
                        radius_ok, packing, shift_ok, labelled)
 
 
-def _leftover(space, mu, rs, kept_orig, bad_balls, goods, _unused, r_last):
+def _leftover(space, mu, rs, kept_orig, bad_balls, goods, r_last):
     """mu(B_1(0) \\ F) with F the good-part (radius-restricted), original
     balls, and radius-restricted bad balls."""
     in_unit = space.norms(mu.points) <= 1.0
@@ -882,7 +880,7 @@ def main_packing(space: NormedSpace, mu: PointMeasure, S, r_s, k: int,
     else:
         bads = [(np.zeros(space.dim), 1.0, lab)]
     lv_left = _leftover(space, mu_s, rs, kept_all,
-                        [(c, r) for (c, r, _) in bads], [], None, 0.0)
+                        [(c, r) for (c, r, _) in bads], [], 0.0)
     levels.append(_packing_level(space, 0, kept_all, bads, lv_left, k, flags))
     valid = True
     for level in range(1, budget + 1):
@@ -927,7 +925,7 @@ def main_packing(space: NormedSpace, mu: PointMeasure, S, r_s, k: int,
                     new_bads.append((bb.center, bb.radius, bb))
         bads = new_bads
         lv_left = _leftover(space, mu_s, rs, kept_all,
-                            [(c, r) for (c, r, _) in bads], [], None, 0.0)
+                            [(c, r) for (c, r, _) in bads], [], 0.0)
         levels.append(_packing_level(space, level, kept_all, bads, lv_left, k, flags))
     if bads:
         flags.append("recursion budget exhausted with bad balls remaining")
@@ -1059,6 +1057,8 @@ def _nearest_neighbor_scale(space, S, cap: int = 512):
     idx = np.arange(len(S))
     if len(S) > cap:
         idx = np.linspace(0, len(S) - 1, cap).astype(int)
-    D = space.norms(S[idx][:, None, :] - S[None, :, :])
-    D[D <= 0] = np.inf
-    return float(np.median(D.min(axis=1)))
+    nearest = np.empty(len(idx))
+    for rows, D in _distance_blocks(space, S[idx], S):
+        D[D <= 0] = np.inf
+        nearest[rows] = D.min(axis=1)
+    return float(np.median(nearest))

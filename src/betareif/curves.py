@@ -88,16 +88,6 @@ def _sign_patterns(bits: int) -> np.ndarray:
     return np.where(idx & 1, -1.0, 1.0)
 
 
-def _tent(t: float, level: int) -> float:
-    """Triangular bump of level j >= 2: unit slope on the middle third of
-    each parameter third at scale 3^(1-j), apex height 3^(1-j)/2."""
-    L = 3.0 ** (1 - level)
-    u = (t / L) % 3.0
-    if 1.0 <= u <= 2.0:
-        return L * min(u - 1.0, 2.0 - u)
-    return 0.0
-
-
 def snowflake(spec: SnowflakeSpec):
     """Generate the snowflake polyline.
 

@@ -45,9 +45,6 @@ class PointMeasure:
     def __len__(self) -> int:
         return len(self.weights)
 
-    def scaled(self, factor: float) -> "PointMeasure":
-        return PointMeasure(self.points, self.weights * factor)
-
     def subset(self, mask) -> "PointMeasure":
         return PointMeasure(self.points[mask].reshape(-1, self.points.shape[1]),
                             self.weights[mask])
@@ -56,12 +53,6 @@ class PointMeasure:
         """mu of the closed ball B_r(center)."""
         d = space.norms(self.points - np.asarray(center, dtype=float)[None, :])
         return float(self.weights[d <= r].sum())
-
-    def pushforward(self, center, r: float) -> "PointMeasure":
-        """mu_{x,r}: A -> r^-k-normalized rescaling is handled by the caller;
-        this maps atoms z to (z - center)/r keeping weights."""
-        c = np.asarray(center, dtype=float)
-        return PointMeasure((self.points - c[None, :]) / r, self.weights)
 
     def to_json(self, space: NormedSpace) -> dict:
         return {"space": space.to_descriptor(),
@@ -299,7 +290,22 @@ def beta_inf(space: NormedSpace, S, x, r: float, k: int) -> BetaInfResult:
 
 
 _GRID_ANGLES = 2000
-_BLOCK_ENTRIES = 1 << 18    # 2 MB of float64 per projection block
+_BLOCK_ENTRIES = 1 << 18    # 2 MB of float64 per block
+
+
+def _row_blocks(rows: int, row_entries: int):
+    """Slices of range(rows), each of at most _BLOCK_ENTRIES entries when a
+    row holds row_entries of them (and of at least one row)."""
+    step = max(1, _BLOCK_ENTRIES // max(row_entries, 1))
+    return [slice(lo, lo + step) for lo in range(0, rows, step)]
+
+
+def _distance_blocks(space, X, P):
+    """(rows, table) pairs: the distances ||P_j - x_i|| for the rows i of X
+    in one block, as the (block x |P|) table.  Each block's differences
+    hold at most _BLOCK_ENTRIES entries, whatever the sizes of X and P."""
+    for rows in _row_blocks(len(X), P.size):
+        yield rows, space.norms(P[None, :, :] - X[rows, None, :])
 
 
 def _grid_halfwidths(space, rel, phis):
@@ -308,10 +314,9 @@ def _grid_halfwidths(space, rel, phis):
     projection stays at most _BLOCK_ENTRIES entries whatever the atom count."""
     U = np.stack([np.cos(phis), np.sin(phis)], axis=1)
     width = np.empty(len(phis))
-    step = max(1, _BLOCK_ENTRIES // len(rel))
-    for lo in range(0, len(phis), step):
-        proj = rel @ U[lo:lo + step].T
-        width[lo:lo + step] = proj.max(axis=0) - proj.min(axis=0)
+    for rows in _row_blocks(len(phis), len(rel)):
+        proj = rel @ U[rows].T
+        width[rows] = proj.max(axis=0) - proj.min(axis=0)
     return 0.5 * width / space.dual_norms(U)
 
 
@@ -364,25 +369,49 @@ def _minimax_refine(space, base, basis, pts, iters: int = 200):
     return v[:n], v[n:].reshape(k, n)
 
 
-def dini_profile(space: NormedSpace, mu: PointMeasure, x, r_lo: float,
-                 r_hi: float, k: int, alpha: float, chi: float,
-                 seed: int = 0) -> DiniProfile:
+def dini_profile(space: NormedSpace, mu: PointMeasure, x, r_lo, r_hi: float,
+                 k: int, alpha: float, chi: float, seed=0):
     """Left-endpoint geometric-grid quadrature of int beta^alpha dr/r on
-    scales r_j = r_hi * chi^j down to r_lo."""
-    if not (0 < r_lo < r_hi):
+    scales r_j = r_hi * chi^j down to r_lo.
+
+    x is one center, giving a DiniProfile, or an (m, n) stack of centers,
+    giving a list of m profiles; r_lo and seed are then a scalar or one
+    value per center.  A ball holding at most one atom has beta 0 (the atom
+    lies on every k-plane through it), so only balls with two or more atoms
+    fit a plane, with seed + 1000 j at scale j."""
+    X = np.asarray(x, dtype=float)
+    centers = np.atleast_2d(X)
+    m = len(centers)
+    lo = np.broadcast_to(np.asarray(r_lo, dtype=float), (m,))
+    seeds = np.broadcast_to(np.asarray(seed), (m,))
+    if not ((0 < lo) & (lo < r_hi)).all():
         raise ValueError("need 0 < r_lo < r_hi")
     if not (0 < chi < 1):
         raise ValueError("need 0 < chi < 1")
-    scales = []
+    if m == 0:
+        return []
+    floors = lo * (1 - 1e-12)
+    floor = floors.min()
+    grid = []
     r = float(r_hi)
-    while r >= r_lo * (1 - 1e-12):
-        scales.append(r)
+    while r >= floor:
+        grid.append(r)
         r *= chi
-    scales = np.asarray(scales)
-    betas = np.array([beta(space, mu, x, rj, k, seed=seed + 1000 * j)
-                      for j, rj in enumerate(scales)])
-    dini = float((betas**alpha).sum() * math.log(1.0 / chi))
-    return DiniProfile(np.asarray(x, dtype=float), scales, betas, alpha, chi, dini)
+    grid = np.asarray(grid)
+    n_scales = (grid[None, :] >= floors[:, None]).sum(axis=1)
+    atoms = np.empty((m, len(grid)), dtype=np.int64)
+    for rows, D in _distance_blocks(space, centers, mu.points):
+        atoms[rows] = (D[:, :, None] <= grid[None, None, :]).sum(axis=1)
+    log = math.log(1.0 / chi)
+    profiles = []
+    for i, c in enumerate(centers):
+        scales = grid[:n_scales[i]]
+        betas = np.array([beta(space, mu, c, rj, k, seed=int(seeds[i]) + 1000 * j)
+                          if atoms[i, j] > 1 else 0.0
+                          for j, rj in enumerate(scales)])
+        dini = float((betas**alpha).sum() * log)
+        profiles.append(DiniProfile(c, scales, betas, alpha, chi, dini))
+    return profiles[0] if X.ndim == 1 else profiles
 
 
 def density_report(space: NormedSpace, mu: PointMeasure, x, scales,

@@ -29,9 +29,6 @@ class Functional:
     def __call__(self, x) -> float:
         return float(np.dot(self.coefficients, np.asarray(x, dtype=float)))
 
-    def pair_many(self, X) -> np.ndarray:
-        return np.asarray(X, dtype=float) @ self.coefficients
-
 
 @dataclass(frozen=True)
 class NormedSpace:

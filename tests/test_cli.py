@@ -115,6 +115,21 @@ def test_exit_code_on_unknown_flag():
     assert run(["beta", "x.json", "--bogus"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["beta", "--r-lo", "0"],
+    ["beta", "--r-lo", "3"],
+    ["beta", "--chi", "1.5"],
+    ["cover", "--k", "3"],
+    ["cover", "--k", "-1"],
+    ["pack", "--M", "-1"],
+])
+def test_exit_code_on_out_of_range_flag(planar_json, argv, capsys):
+    # planar_json lives in R^3, so k = 3 is out of range
+    code = run([argv[0], planar_json] + argv[1:])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_exit_code_on_missing_file():
     assert run(["beta", "/nonexistent/measure.json"]) == 2
 

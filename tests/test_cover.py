@@ -364,6 +364,22 @@ def test_reifenberg_snowflake_bilipschitz_and_trend(l2_plane):
     assert rep.distortion <= math.exp(rep.lip_constant_fit * rep.q_alpha) + 1e-9
 
 
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0, math.inf])
+def test_nearest_neighbor_scale_blocked_matches_full_table(p):
+    # 512 sampled rows against 700 atoms in R^2 span several distance blocks;
+    # the repeated atoms exercise the zero-distance exclusion
+    from betareif.cover import _nearest_neighbor_scale
+    from betareif.measures import _BLOCK_ENTRIES
+    space = NormedSpace(2, p)
+    S = np.random.default_rng(5).uniform(-1.0, 1.0, (700, 2))
+    S[600:] = S[:100]
+    idx = np.linspace(0, len(S) - 1, 512).astype(int)
+    assert len(idx) * S.size > 2 * _BLOCK_ENTRIES
+    D = space.norms(S[idx][:, None, :] - S[None, :, :])
+    D[D <= 0] = np.inf
+    assert _nearest_neighbor_scale(space, S) == float(np.median(D.min(axis=1)))
+
+
 def test_reifenberg_flat_map_computes_each_beta_and_net_once(l2_plane, monkeypatch):
     # certification, the stage planes and the Q bound share one net per
     # scale and one beta_inf per (center, scale)

@@ -4,12 +4,18 @@ and says why; a pin is never updated to hide a change."""
 
 import hashlib
 import json
+import math
 
+import numpy as np
 import pytest
 
-from betareif.cover import reifenberg_flat_map
+from betareif.cli import run
+from betareif.cover import CoverConfig, main_packing, reifenberg_flat_map
+from betareif.measures import PointMeasure
+from betareif.report import emit_report
+from betareif.spaces import NormedSpace
 
-from conftest import snowflake_sample
+from conftest import graph_measure_200, snowflake_sample
 
 FLAT_MAP_SNOWFLAKE_D4 = {
     "distortion": 1.0037366092148736,
@@ -19,6 +25,12 @@ FLAT_MAP_SNOWFLAKE_D4 = {
 }
 FLAT_MAP_SNOWFLAKE_D4_SHA256 = (
     "cf569f41bb8147f488011c34ddcc13b1f2f87876381152b68ce8be01b1c77823")
+PACK_GRAPH_MEASURE_SHA256 = (
+    "8c2ea7182cd568023e99502b39da211f78b6dd6d76bf045dcd5bbdc9ccab5862")
+BETA_CSV_L4_SADDLE_SHA256 = (
+    "7c27ceeb81cc35db12c886306efbea70ca2ba588f118f721938d6a798c67d99b")
+COVER_L4_SADDLE_SHA256 = (
+    "ad77d8238ddf052f1f0d46c70e04682737be4ed2cc4d53b7de26d441f6c6dc53")
 
 
 def test_flat_map_snowflake_depth4_golden(l2_plane):
@@ -30,3 +42,58 @@ def test_flat_map_snowflake_depth4_golden(l2_plane):
         assert doc[key] == pytest.approx(want, rel=1e-9), key
     blob = json.dumps(doc, sort_keys=True).encode()
     assert hashlib.sha256(blob).hexdigest() == FLAT_MAP_SNOWFLAKE_D4_SHA256
+
+
+def l4_saddle_21():
+    """21 atoms in seven golden-angle triples on the saddle 0.001(u^2-v^2)
+    in (R^3, l^4), total mass 2."""
+    golden = math.pi * (3 - math.sqrt(5))
+    idx = np.arange(7) + 0.5
+    rr = 0.85 * np.sqrt(idx / 7)
+    cu, cv = rr * np.cos(idx * golden), rr * np.sin(idx * golden)
+    side = 0.095
+    offs = np.array([[0.0, side / math.sqrt(3)],
+                     [side / 2, -side / (2 * math.sqrt(3))],
+                     [-side / 2, -side / (2 * math.sqrt(3))]])
+    U = (cu[:, None] + offs[None, :, 0]).ravel()
+    V = (cv[:, None] + offs[None, :, 1]).ravel()
+    g = 0.001 * (U * U - V * V)
+    return PointMeasure(np.stack([U, V, g], axis=1), np.full(21, 2.0 / 21))
+
+
+@pytest.fixture
+def l4_saddle_json(tmp_path):
+    path = tmp_path / "l4_saddle.json"
+    path.write_text(json.dumps(l4_saddle_21().to_json(NormedSpace(3, 4))))
+    return str(path)
+
+
+def _cli_sha256(argv, out):
+    code = run(argv + ["--out", str(out)])
+    return code, hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+def test_beta_csv_l4_saddle_golden(l4_saddle_json, tmp_path):
+    # scales 2, 0.2, 0.02: descent at 2 and 0.2, single-atom balls at 0.02
+    code, sha = _cli_sha256(["beta", l4_saddle_json, "--k", "2", "--r-lo", "0.02",
+                             "--seed", "5"], tmp_path / "beta.csv")
+    assert code == 0
+    assert sha == BETA_CSV_L4_SADDLE_SHA256
+
+
+def test_cover_l4_saddle_golden(l4_saddle_json, tmp_path):
+    code, sha = _cli_sha256(["cover", l4_saddle_json, "--k", "2", "--chi", "0.1",
+                             "--delta", "0.15", "--max-depth", "2"],
+                            tmp_path / "cover.json")
+    assert code == 0
+    assert sha == COVER_L4_SADDLE_SHA256
+
+
+def test_pack_graph_measure_golden():
+    # the setup of test_cover.test_main_packing_graph_measure
+    mu = graph_measure_200(kappa=0.01)
+    res = main_packing(NormedSpace(3, 2), mu, np.arange(200), np.zeros(200), 2,
+                       M=0.01, cfg=CoverConfig(chi=0.1, delta=0.1, max_depth=3),
+                       budget=2)
+    blob = emit_report(res, "json")
+    assert hashlib.sha256(blob).hexdigest() == PACK_GRAPH_MEASURE_SHA256

@@ -287,6 +287,62 @@ def test_dini_profile_validation(l2_plane):
         dini_profile(l2_plane, mu, [0, 0], 0.1, 1.0, 1, 2.0, 1.5)
 
 
+def _cloud_with_sparse_balls(seed):
+    """Seeded atoms in R^3 about 3 apart: a tight quadruple, a tight pair and
+    two lone atoms.  The centers (a far point, a lone atom, a pair atom and
+    a quadruple atom) have balls with no atom, one atom, two atoms and four
+    atoms at the scales 0.5 * 0.3^j.  The quadruple atom's r_lo of 0.4
+    keeps it to the top scale, so a profile runs one slow descent fit."""
+    rng = np.random.default_rng(seed)
+    sites = np.array([[0.0, 0.0, 0.0], [3.0, 0.0, 0.0], [0.0, 3.0, 0.0],
+                      [0.0, 0.0, 3.0]]) + rng.uniform(-0.5, 0.5, (4, 3))
+    pts = np.concatenate([sites[:1] + rng.normal(0.0, 0.03, (4, 3)),
+                          sites[1:2] + rng.normal(0.0, 0.03, (2, 3)), sites[2:]])
+    mu = PointMeasure(pts, rng.uniform(0.5, 1.5, len(pts)))
+    centers = np.stack([[-3.0, -3.0, -3.0], pts[6], pts[4], pts[0]])
+    return mu, centers, np.array([0.01, 0.01, 0.05, 0.4])
+
+
+@pytest.mark.parametrize("p", [1.0, 4 / 3, 2.0, 3.0, 4.0, math.inf])
+@pytest.mark.parametrize("k", [1, 2])
+def test_dini_profile_batch_matches_per_scale_beta(p, k):
+    space = NormedSpace(3, p)
+    mu, centers, r_lo = _cloud_with_sparse_balls(seed=11)
+    seeds = 7 + np.arange(len(centers))
+    chi, alpha = 0.3, 2.0
+    profiles = dini_profile(space, mu, centers, r_lo, 0.5, k, alpha, chi, seed=seeds)
+    assert len(profiles) == len(centers)
+    sizes = set()
+    for i, prof in enumerate(profiles):
+        scales, r = [], 0.5
+        while r >= r_lo[i] * (1 - 1e-12):
+            scales.append(r)
+            r *= chi
+        assert prof.scales.tolist() == scales
+        for j, rj in enumerate(prof.scales):
+            atoms = int((space.norms(mu.points - centers[i]) <= rj).sum())
+            sizes.add(atoms)
+            if atoms <= 1:
+                assert prof.betas[j] == 0.0
+            else:
+                assert prof.betas[j] == beta(space, mu, centers[i], rj, k,
+                                             seed=int(seeds[i]) + 1000 * j)
+    assert {0, 1, 2, 4} <= sizes
+    for i in (1, 2):
+        one = dini_profile(space, mu, centers[i], r_lo[i], 0.5, k, alpha, chi,
+                           seed=int(seeds[i]))
+        assert one.scales.tolist() == profiles[i].scales.tolist()
+        assert one.betas.tolist() == profiles[i].betas.tolist()
+        assert one.dini_sum == profiles[i].dini_sum
+
+
+def test_dini_profile_batch_edge_cases(l2_plane):
+    mu = dirac_example(0.1)
+    assert dini_profile(l2_plane, mu, np.zeros((0, 2)), 0.1, 2.0, 1, 2.0, 0.5) == []
+    with pytest.raises(ValueError):
+        dini_profile(l2_plane, mu, mu.points, [0.1, 0.1, 0.0, 0.1, 0.1], 2.0, 1, 2.0, 0.5)
+
+
 def test_density_report_unit_atom(l2_plane):
     mu = PointMeasure([[0.3, 0.3]], [1.0])
     lo, hi = density_report(l2_plane, mu, [0.3, 0.3], [1.0, 0.5, 0.1], 0)
