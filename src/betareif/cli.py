@@ -180,6 +180,11 @@ def _check_args(args, space):
         raise _ValidationError(f"k must satisfy 0 <= k < dim = {space.dim}, got {args.k}")
     if not (0 < args.chi < 1):
         raise _ValidationError(f"chi must lie in (0, 1), got {args.chi}")
+    if args.command in ("cover", "pack", "goodball") and args.chi > 0.1:
+        # classify_ball's good-ball conditions need chi <= 1/10
+        raise _ValidationError(f"{args.command} needs chi in (0, 1/10], got {args.chi}")
+    if args.command in ("cover", "pack") and args.max_depth < 0:
+        raise _ValidationError(f"max-depth must be >= 0, got {args.max_depth}")
     if args.command == "beta" and not (0 < args.r_lo < args.r_hi):
         raise _ValidationError(f"need 0 < r_lo < r_hi, got r_lo={args.r_lo}, r_hi={args.r_hi}")
     if args.command == "pack" and not (args.M >= 0):

@@ -263,7 +263,15 @@ def projection_kind(space: NormedSpace, k: int) -> str:
 def build_sigma(space: NormedSpace, centers, r: float, planes, k: int) -> SigmaMap:
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
     kind = projection_kind(space, k)
-    projections = [make_projection(space, pl, kind) for pl in planes]
+    # make_projection reads only the plane's basis: equal bases share one
+    # projection (ball centres of one atom cluster get the same fitted plane)
+    by_basis = {}
+    projections = []
+    for pl in planes:
+        key = pl.basis.tobytes()
+        if key not in by_basis:
+            by_basis[key] = make_projection(space, pl, kind)
+        projections.append(by_basis[key])
     return SigmaMap(float(r), centers, list(planes), projections,
                     partition_of_unity(centers, r, space))
 
@@ -742,11 +750,9 @@ def _stage_report(space, index, scale, new_goods, new_bads, new_orig,
     overlap = 0
     if sigma is not None and len(track):
         overlap = sigma.pou.overlap_count(track)
-        for (g, rg, fit) in new_goods:
+        for (g, rg, fit), pj in zip(new_goods, sigma.projections):
             nearby = track[space.norms(track - g[None, :]) <= 2.0 * rg]
             if len(nearby) >= 2:
-                kind = projection_kind(space, k)
-                pj = make_projection(space, fit.plane, kind)
                 _, hh, ll = graph_check(space, nearby, fit.plane, pj)
                 h = max(h, hh / rg)
                 lip = max(lip, ll)

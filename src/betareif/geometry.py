@@ -183,6 +183,8 @@ def _dists_to_flat_batch(space, base, rows, Z):
     if k == 0:
         return space.norms(W), np.repeat(base[None, :], len(Z), axis=0)
     p = space.p
+    if k == n - 1 and p != 2.0:
+        return _dists_hyperplane(space, base, rows, Z)
     M = rows.T                                   # (n, k)
     # Euclidean solution is exact for p = 2 and the Newton start otherwise.
     G = rows @ rows.T
@@ -190,8 +192,6 @@ def _dists_to_flat_batch(space, base, rows, Z):
     if p == 2.0:
         feet = base[None, :] + lam @ rows
         return space.norms(Z - feet), feet
-    if k == n - 1 and 1.0 <= p:
-        return _dists_hyperplane(space, base, rows, Z)
     if p == 1.0 or p == math.inf:
         if k == 1:
             return _dists_line_golden(space, base, rows, Z)

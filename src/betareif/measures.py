@@ -38,6 +38,8 @@ class PointMeasure:
             raise ValueError("points/weights length mismatch")
         if len(w) and w.min() <= 0:
             raise ValueError("weights must be positive")
+        if not (np.isfinite(pts).all() and np.isfinite(w).all()):
+            raise ValueError("coordinates and weights must be finite")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "total_mass", float(w.sum()))
@@ -214,10 +216,11 @@ def _rand_rotation(rng, n):
 
 
 def _descend(space, base, basis, pts, w, iters):
-    F = _objective(space, base, basis, pts, w)
+    # (d, feet) always belong to the current (base, basis)
+    d, feet = _dists_to_flat_batch(space, base, basis, pts)
+    F = float((w * d * d).sum())
     step = 0.5
     for _ in range(iters):
-        d, feet = _dists_to_flat_batch(space, base, basis, pts)
         R = pts - feet
         nr = np.maximum(space.norms(R), 1e-30)
         p = space.p
@@ -244,9 +247,10 @@ def _descend(space, base, basis, pts, w, iters):
             if np.linalg.matrix_rank(nB, tol=1e-10) < len(nB):
                 t *= 0.5
                 continue
-            nF = _objective(space, nb, nB, pts, w)
+            nd, nfeet = _dists_to_flat_batch(space, nb, nB, pts)
+            nF = float((w * nd * nd).sum())
             if nF < F - 1e-15:
-                base, basis, F = nb, nB, nF
+                base, basis, F, d, feet = nb, nB, nF, nd, nfeet
                 step = min(t * 2.0, 1e3)
                 improved = True
                 break

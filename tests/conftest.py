@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -59,3 +60,27 @@ def snowflake_sample(etas, depth, max_pts):
         stride = int(np.ceil(len(V) / max_pts))
         V = V[::stride]
     return V
+
+
+def l4_saddle_21():
+    """21 atoms in seven golden-angle triples on the saddle 0.001(u^2-v^2)
+    in (R^3, l^4), total mass 2."""
+    golden = math.pi * (3 - math.sqrt(5))
+    idx = np.arange(7) + 0.5
+    rr = 0.85 * np.sqrt(idx / 7)
+    cu, cv = rr * np.cos(idx * golden), rr * np.sin(idx * golden)
+    side = 0.095
+    offs = np.array([[0.0, side / math.sqrt(3)],
+                     [side / 2, -side / (2 * math.sqrt(3))],
+                     [-side / 2, -side / (2 * math.sqrt(3))]])
+    U = (cu[:, None] + offs[None, :, 0]).ravel()
+    V = (cv[:, None] + offs[None, :, 1]).ravel()
+    g = 0.001 * (U * U - V * V)
+    return PointMeasure(np.stack([U, V, g], axis=1), np.full(21, 2.0 / 21))
+
+
+@pytest.fixture
+def l4_saddle_json(tmp_path):
+    path = tmp_path / "l4_saddle.json"
+    path.write_text(json.dumps(l4_saddle_21().to_json(NormedSpace(3, 4))))
+    return str(path)

@@ -122,12 +122,47 @@ def test_exit_code_on_unknown_flag():
     ["cover", "--k", "3"],
     ["cover", "--k", "-1"],
     ["pack", "--M", "-1"],
+    ["cover", "--k", "2", "--chi", "0.5"],
+    ["pack", "--k", "2", "--chi", "0.11"],
+    ["goodball", "--k", "2", "--chi", "0.5"],
+    ["cover", "--k", "2", "--max-depth", "-1"],
+    ["pack", "--k", "2", "--max-depth", "-1"],
 ])
 def test_exit_code_on_out_of_range_flag(planar_json, argv, capsys):
     # planar_json lives in R^3, so k = 3 is out of range
     code = run([argv[0], planar_json] + argv[1:])
     assert code == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("cmd", ["cover", "pack"])
+def test_max_depth_zero_runs(planar_json, tmp_path, cmd):
+    out = tmp_path / "out.json"
+    assert run([cmd, planar_json, "--k", "2", "--max-depth", "0", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())
+
+
+def _six_atom_json(tmp_path, field, value):
+    pts = np.array([[0.0, 0.0, 0.0], [0.1, 0.0, 0.0], [0.0, 0.1, 0.0],
+                    [-0.1, 0.0, 0.0], [0.0, -0.1, 0.0], [0.05, 0.05, 0.0]])
+    doc = PointMeasure(pts, np.full(6, 1 / 6)).to_json(NormedSpace(3, 2))
+    if field == "x":
+        doc["atoms"][2]["x"][2] = value
+    else:
+        doc["atoms"][2]["w"] = value
+    path = tmp_path / "bad_measure.json"
+    path.write_text(json.dumps(doc))      # NaN and Infinity tokens
+    return str(path)
+
+
+@pytest.mark.parametrize("field,value", [("x", math.nan), ("x", math.inf),
+                                         ("w", math.nan), ("w", math.inf)])
+@pytest.mark.parametrize("cmd", ["cover", "beta"])
+def test_exit_code_on_non_finite_measure(tmp_path, capsys, cmd, field, value):
+    path = _six_atom_json(tmp_path, field, value)
+    assert run([cmd, path, "--k", "2", "--out", str(tmp_path / "out")]) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_exit_code_on_missing_file():

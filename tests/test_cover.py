@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from betareif import cover
+from betareif.cli import run
 from betareif.cover import (CoverConfig, build_sigma, classify_ball,
                             covering_lemma, default_theta, main_packing,
                             partition_of_unity, reifenberg_flat_map,
@@ -476,6 +478,44 @@ def test_covering_l4_graph_hahn_banach_path():
     assert res.tau_stages[0].projections[0].kind == "hahn_banach"
     assert res.item_checks["item4_disjoint"]
     assert res.leftover_mass <= 0.2
+
+
+def test_covering_builds_one_projection_per_distinct_plane(l4_saddle_json, tmp_path,
+                                                           monkeypatch):
+    # the seven atom triples of the saddle give seven exact-fit planes for
+    # the 21 stage-1 good balls; each Hahn-Banach projection is built once
+    built, sigmas, checked = [], [], []
+    make_projection, build_sigma, graph_check = (
+        cover.make_projection, cover.build_sigma, cover.graph_check)
+
+    def counting_make_projection(space, V, kind):
+        built.append(V)
+        return make_projection(space, V, kind)
+
+    def recording_build_sigma(*args):
+        sigmas.append(build_sigma(*args))
+        return sigmas[-1]
+
+    def recording_graph_check(space, points, plane, proj):
+        checked.append(proj)
+        return graph_check(space, points, plane, proj)
+
+    monkeypatch.setattr(cover, "make_projection", counting_make_projection)
+    monkeypatch.setattr(cover, "build_sigma", recording_build_sigma)
+    monkeypatch.setattr(cover, "graph_check", recording_graph_check)
+    assert run(["cover", l4_saddle_json, "--k", "2", "--chi", "0.1", "--delta", "0.15",
+                "--max-depth", "2", "--out", str(tmp_path / "cover.json")]) == 0
+    distinct = sum(len({pl.basis.tobytes() for pl in sg.planes}) for sg in sigmas)
+    assert sum(len(sg.planes) for sg in sigmas) == 21
+    assert len(built) == distinct == 7
+    assert {pj.kind for sg in sigmas for pj in sg.projections} == {"hahn_banach"}
+    for sg in sigmas:
+        for pa, ja in zip(sg.planes, sg.projections):
+            for pb, jb in zip(sg.planes, sg.projections):
+                assert (ja is jb) == (pa.basis.tobytes() == pb.basis.tobytes())
+    assert checked
+    shared = [pj for sg in sigmas for pj in sg.projections]
+    assert all(any(pj is q for q in shared) for pj in checked)
 
 
 def test_covering_off_unit_frame_denormalization():

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from betareif.constants import c1, c2, c3, stability_constant
-from betareif.geometry import (affine_plane, distance_to_affine,
+from betareif.geometry import (_dists_hyperplane, _dists_to_flat_batch,
+                               affine_plane, distance_to_affine,
                                distances_to_affine, general_position_margin,
                                grassmann_distance, graph_check,
                                hausdorff_distance, make_projection,
@@ -536,3 +537,17 @@ def test_projection_report_has_residuals(l2_plane):
     rep = make_projection(l2_plane, pl, "orthogonal").report()
     assert set(rep) == {"kind", "op_norm_estimate", "residuals"}
     assert rep["residuals"] <= 1e-12
+
+
+@pytest.mark.parametrize("p", [1.0, 4 / 3, 3.0, 4.0, math.inf])
+@pytest.mark.parametrize("n", [2, 3])
+def test_codimension_one_batch_is_hyperplane_formula(p, n):
+    space = NormedSpace(n, p)
+    rng = np.random.default_rng(n)
+    base = rng.standard_normal(n)
+    rows = rng.standard_normal((n - 1, n))
+    Z = rng.standard_normal((40, n))
+    d, feet = _dists_to_flat_batch(space, base, rows, Z)
+    d_h, feet_h = _dists_hyperplane(space, base, rows, Z)
+    assert np.array_equal(d, d_h)
+    assert np.array_equal(feet, feet_h)

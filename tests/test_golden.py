@@ -4,14 +4,12 @@ and says why; a pin is never updated to hide a change."""
 
 import hashlib
 import json
-import math
 
 import numpy as np
 import pytest
 
 from betareif.cli import run
 from betareif.cover import CoverConfig, main_packing, reifenberg_flat_map
-from betareif.measures import PointMeasure
 from betareif.report import emit_report
 from betareif.spaces import NormedSpace
 
@@ -31,6 +29,16 @@ BETA_CSV_L4_SADDLE_SHA256 = (
     "7c27ceeb81cc35db12c886306efbea70ca2ba588f118f721938d6a798c67d99b")
 COVER_L4_SADDLE_SHA256 = (
     "ad77d8238ddf052f1f0d46c70e04682737be4ed2cc4d53b7de26d441f6c6dc53")
+GOODBALL_L4_SADDLE_SHA256 = {
+    "good": "cfc964418b19c486cb6ede8fa35a4fa39e1be81bf0a1e3c53e3329c1b7589271",
+    "bad": "9cb4ed908505a07fe1a2b59c7b81f5854b39d3ea7981c5dc44759f4ca71fd86c",
+}
+SNOWFLAKE_SHA256 = {
+    "rademacher": "1f7421bba2463fba8bf0f290fe70824b0716b5d3446f17f2e4c0aacc886ecf23",
+    "plane": "6cc047c9896d974c04edc986956fd8864c23db3a7f3e2ee23db5ecc82e0a2ce0",
+}
+NOPOWERGAIN_SHA256 = (
+    "6cdcce518f4df3fe43301b792abac3cd06d33921c28dd5a9d23f2f32ad602a46")
 
 
 def test_flat_map_snowflake_depth4_golden(l2_plane):
@@ -42,30 +50,6 @@ def test_flat_map_snowflake_depth4_golden(l2_plane):
         assert doc[key] == pytest.approx(want, rel=1e-9), key
     blob = json.dumps(doc, sort_keys=True).encode()
     assert hashlib.sha256(blob).hexdigest() == FLAT_MAP_SNOWFLAKE_D4_SHA256
-
-
-def l4_saddle_21():
-    """21 atoms in seven golden-angle triples on the saddle 0.001(u^2-v^2)
-    in (R^3, l^4), total mass 2."""
-    golden = math.pi * (3 - math.sqrt(5))
-    idx = np.arange(7) + 0.5
-    rr = 0.85 * np.sqrt(idx / 7)
-    cu, cv = rr * np.cos(idx * golden), rr * np.sin(idx * golden)
-    side = 0.095
-    offs = np.array([[0.0, side / math.sqrt(3)],
-                     [side / 2, -side / (2 * math.sqrt(3))],
-                     [-side / 2, -side / (2 * math.sqrt(3))]])
-    U = (cu[:, None] + offs[None, :, 0]).ravel()
-    V = (cv[:, None] + offs[None, :, 1]).ravel()
-    g = 0.001 * (U * U - V * V)
-    return PointMeasure(np.stack([U, V, g], axis=1), np.full(21, 2.0 / 21))
-
-
-@pytest.fixture
-def l4_saddle_json(tmp_path):
-    path = tmp_path / "l4_saddle.json"
-    path.write_text(json.dumps(l4_saddle_21().to_json(NormedSpace(3, 4))))
-    return str(path)
 
 
 def _cli_sha256(argv, out):
@@ -97,3 +81,32 @@ def test_pack_graph_measure_golden():
                        budget=2)
     blob = emit_report(res, "json")
     assert hashlib.sha256(blob).hexdigest() == PACK_GRAPH_MEASURE_SHA256
+
+
+@pytest.mark.parametrize("kind,argv", [
+    ("good", ["--r", "1.0"]),
+    ("bad", ["--r", "0.1", "--center", "[0.3, 0.2, 0.0]"]),
+])
+def test_goodball_l4_saddle_golden(l4_saddle_json, tmp_path, kind, argv):
+    code, sha = _cli_sha256(["goodball", l4_saddle_json, "--k", "2"] + argv,
+                            tmp_path / "goodball.json")
+    assert code == 0
+    assert json.loads((tmp_path / "goodball.json").read_text())["kind"] == kind
+    assert sha == GOODBALL_L4_SADDLE_SHA256[kind]
+
+
+@pytest.mark.parametrize("mode,argv", [
+    ("rademacher", ["--p", "3", "--eta", "const:0.05", "--depth", "6"]),
+    ("plane", ["--p", "4", "--mode", "plane", "--eta", "geom:0.5", "--depth", "5"]),
+])
+def test_snowflake_golden(tmp_path, mode, argv):
+    code, sha = _cli_sha256(["snowflake"] + argv, tmp_path / "snowflake.json")
+    assert code == 0
+    assert sha == SNOWFLAKE_SHA256[mode]
+
+
+def test_nopowergain_golden(tmp_path):
+    code, sha = _cli_sha256(["nopowergain", "--eps", "0.02"],
+                            tmp_path / "nopowergain.json")
+    assert code == 0
+    assert sha == NOPOWERGAIN_SHA256

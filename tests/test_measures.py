@@ -16,6 +16,12 @@ def test_point_measure_validation():
         PointMeasure([[0, 0]], [0.0])
     with pytest.raises(ValueError):
         PointMeasure([[0, 0], [1, 1]], [1.0])
+    for points, weights in [([[0, math.nan], [1, 0]], [1.0, 1.0]),
+                            ([[0, 0], [-math.inf, 0]], [1.0, 1.0]),
+                            ([[0, 0], [1, 0]], [1.0, math.inf]),
+                            ([[0, 0], [1, 0]], [math.nan, 1.0])]:
+        with pytest.raises(ValueError, match="finite"):
+            PointMeasure(points, weights)
     mu = PointMeasure([[0, 0], [1, 0]], [1.0, 2.0])
     assert mu.total_mass == 3.0
 
@@ -427,3 +433,30 @@ def test_beta_inf_dim3():
     mask = s.norms(S - S[7]) <= 1.0
     d = distances_to_affine(s, res.plane, S[mask])
     assert (d <= 2 * res.value * 1.0 + 1e-9).all()
+
+
+# a 5-atom ball off every 2-plane, with its descent fit pinned bit for bit
+_P5 = [[0.0, 0.0, 0.0], [0.3, 0.1, 0.02], [-0.2, 0.25, -0.03],
+       [0.1, -0.3, 0.04], [-0.15, -0.1, -0.05]]
+_W5 = [1.0, 0.5, 2.0, 1.5, 0.75]
+_BEST_PLANE_5 = {
+    3.0: (0.035919298867679215, 0.0012901960311456615, 1.360773705668268,
+          [-0.03695651357474637, 0.004347823519593724, -0.004782666015159858],
+          [[-0.5688249686453101, 0.933776422497274, -0.12060841845626272],
+           [0.9297336328302324, 0.5800352550262571, 0.10586179402619554]]),
+    4.0: (0.03507950119891734, 0.001230571404364843, 1.558680977365358,
+          [-0.03695653346443499, 0.004347829708561012, -0.004782527385888531],
+          [[-0.5897173379619289, 0.9682186637643203, -0.12584917086290093],
+           [0.9652909033403728, 0.6023283499280392, 0.11074771759505163]]),
+}
+
+
+@pytest.mark.parametrize("p", [3.0, 4.0])
+def test_best_plane_descent_pinned(p):
+    res = best_plane(NormedSpace(3, p), PointMeasure(_P5, _W5), np.zeros(3), 1.0, 2,
+                     seed=3)
+    b, objective, factor, base, basis = _BEST_PLANE_5[p]
+    assert res.certified_factor > 1.0    # not the exact-fit shortcut
+    assert (res.beta, res.objective, res.certified_factor) == (b, objective, factor)
+    assert res.plane.base.tolist() == base
+    assert res.plane.basis.tolist() == basis
