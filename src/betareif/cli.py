@@ -233,6 +233,10 @@ def _dispatch(args) -> int:
         space0, mu, rs = _load_measure(args.input)
         space = _space_from_args(args, space0)
         _check_args(args, space)
+        bad = rs[~((0 <= rs) & (rs < 1))]       # NaN fails both tests
+        if len(bad):
+            # the covering runs on the unit ball, whose radius bounds r_s
+            raise _ValidationError(f"per-atom r_s must satisfy 0 <= r_s < 1, got {bad[0]}")
         rc = RunConfig(cmd, args.input, args.out, space, args.k, args.alpha,
                        args.chi, args.delta, args.theta, args.max_depth,
                        args.seed, args.format)

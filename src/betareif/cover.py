@@ -535,6 +535,10 @@ def covering_lemma(space: NormedSpace, mu: PointMeasure, S, r_s, k: int,
     r_s_arr = np.asarray(r_s, dtype=float).reshape(-1)
     if len(r_s_arr) != len(S):
         raise ValueError("r_s must align with S")
+    if not np.isfinite(r_s_arr).all():
+        raise ValueError("r_s must be finite")
+    if (r_s_arr < 0).any():
+        raise ValueError("r_s must be >= 0")
     if (r_s_arr >= radius).any():
         raise ValueError("r_s < ball radius required")
     # normalize to the unit ball at the origin
@@ -1003,36 +1007,37 @@ def reifenberg_flat_map(space: NormedSpace, Spts, k: int, chi: float = 0.01,
     # one net per scale and one beta_inf per (S1 index, scale), shared by
     # the certification, the stage planes and the Q bound
     nets = {rr: _farthest_net(space, S1, 2.0 * rr / 5.0) for rr in scales}
-    betas = {}
-
-    def beta_at(j, rr):
-        if (j, rr) not in betas:
-            betas[j, rr] = beta_inf(space, S, S1[j], rr, k)
-        return betas[j, rr]
-
-    # certify flatness on capped net samples at every used scale (plus the top)
     cert_cap = 200
+    samples = range(0, len(S1), max(len(S1) // 64, 1))    # Q-bound centers
+    betas = {}
     for rr in scales:
+        # the indices read at this scale, in one batched call
+        idx = set(nets[rr] if rr in stage_scales else nets[rr][:cert_cap])
+        idx.update(samples)
+        if rr == 1.0:
+            idx.add(i0)
+        idx = sorted(idx)
+        betas.update(((j, rr), b) for j, b in zip(idx, beta_inf(space, S, S1[idx], rr, k)))
+        # certify flatness on the capped net samples, scale by scale
         for j in nets[rr][:cert_cap]:
-            bi = beta_at(j, rr)
+            bi = betas[j, rr]
             certified = max(certified, bi.value)
             if bi.value > delta * (1 + 1e-9):
                 raise ValueError(
                     f"flatness certification failed: beta_inf {bi.value:.3g} > delta {delta:.3g} "
                     f"at scale {rr}")
-    T0 = beta_at(i0, 1.0).plane
+    T0 = betas[i0, 1.0].plane
     sigmas = []
     for rr in stage_scales:
         net = nets[rr]
-        planes = [beta_at(j, rr).plane for j in net]
+        planes = [betas[j, rr].plane for j in net]
         sigmas.append(build_sigma(space, S1[net], rr, planes, k))
     # beta_inf Dini sums for the Q bound
     q_meas = 0.0
-    step = max(len(S1) // 64, 1)
-    for j in range(0, len(S1), step):
+    for j in samples:
         tot = 0.0
         for rr in scales:
-            tot += beta_at(j, rr).value ** alpha * math.log(1 / chi)
+            tot += betas[j, rr].value ** alpha * math.log(1 / chi)
         q_meas = max(q_meas, tot)
     rng = np.random.default_rng(seed)
     coefs = rng.uniform(-0.9, 0.9, size=(2 * pair_count, max(k, 1)))

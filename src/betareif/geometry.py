@@ -440,23 +440,30 @@ def grassmann_distance(space: NormedSpace, V: AffinePlane, W: AffinePlane,
 
 def _golden_line_dist(space, v, w):
     """max over +-v of min over s in [-1,1] of ||v - s w|| (convex in s)."""
-    def dist(sgn):
-        f = lambda s: space.norm(sgn * v - s * w)
-        a, b = -1.0, 1.0
-        gr = (math.sqrt(5.0) - 1.0) / 2.0
-        c, d = b - gr * (b - a), a + gr * (b - a)
-        fc, fd = f(c), f(d)
-        for _ in range(80):
-            if fc < fd:
-                b, d, fd = d, c, fc
-                c = b - gr * (b - a)
-                fc = f(c)
-            else:
-                a, c, fc = c, d, fd
-                d = a + gr * (b - a)
-                fd = f(d)
-        return min(fc, fd)
-    return max(dist(1.0), dist(-1.0))
+    V = np.stack([v, -v])
+    _a, _b, fc, fd = _golden_section(
+        lambda s: space.norms(V - s[:, None] * w[None, :]), [-1.0, -1.0], [1.0, 1.0], 80)
+    return float(np.minimum(fc, fd).max())
+
+
+def _golden_section(f, a, b, iters: int):
+    """Golden-section search on the brackets [a_i, b_i], one convex problem
+    per row: f maps one point per row to the rows' values.  Each iteration
+    evaluates f only at the fresh point of every row, so each row repeats
+    the scalar recurrence bit for bit.  Returns the final brackets (a, b)
+    and the values (fc, fd) at their two interior points."""
+    gr = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = np.array(a, dtype=float), np.array(b, dtype=float)
+    c, d = b - gr * (b - a), a + gr * (b - a)
+    fc, fd = f(c), f(d)
+    for _ in range(iters):
+        left = fc < fd          # the minimum lies in [a, d]
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        x = np.where(left, b - gr * (b - a), a + gr * (b - a))
+        fx = f(x)
+        c, d, fc, fd = (np.where(left, x, d), np.where(left, c, x),
+                        np.where(left, fx, fd), np.where(left, fc, fx))
+    return a, b, fc, fd
 
 
 # ---------------------------------------------------------------------------

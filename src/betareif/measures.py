@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constants import norm_equivalence
-from .geometry import (AffinePlane, _dists_to_flat_batch, affine_plane,
-                       distances_to_affine)
+from .geometry import (AffinePlane, _dists_to_flat_batch, _golden_section,
+                       affine_plane, distances_to_affine)
 from .spaces import NormedSpace
 
 __all__ = [
@@ -265,25 +265,35 @@ def beta(space: NormedSpace, mu: PointMeasure, x, r: float, k: int,
     return best_plane(space, mu, x, r, k, seed=seed).beta
 
 
-def beta_inf(space: NormedSpace, S, x, r: float, k: int) -> BetaInfResult:
+def beta_inf(space: NormedSpace, S, x, r: float, k: int):
     """sup-norm beta: minimal delta with S cap B_r(x) inside the delta*r
     neighborhood of an affine k-plane; the returned plane is re-anchored
     at x (the factor-2 convention of the V_inf planes absorbs this when
-    x lies in S)."""
+    x lies in S).
+
+    x is one center, giving a BetaInfResult, or an (m, n) stack of centers,
+    giving a list of m results."""
     if k >= space.dim:
         raise ValueError("k must be < dim")
     if r <= 0:
         raise ValueError("r must be positive")
-    x = np.asarray(x, dtype=float)
+    X = np.asarray(x, dtype=float)
+    centers = np.atleast_2d(X)
     S = np.atleast_2d(np.asarray(S, dtype=float))
+    if space.dim == 2 and k == 1:
+        results = _beta_inf_lines_2d(space, S, centers, r)
+    else:
+        results = [_beta_inf_one(space, S, c, r, k) for c in centers]
+    return results[0] if X.ndim == 1 else results
+
+
+def _beta_inf_one(space, S, x, r, k):
+    """beta_inf at one center x, for every (dim, k) but (2, 1): a best-plane
+    start refined by Nelder-Mead on the largest distance."""
     d = space.norms(S - x[None, :])
     pts = S[d <= r]
     if len(pts) == 0:
         return BetaInfResult(0.0, _degenerate_plane(space, x, k), empty=True)
-    if space.dim == 2 and k == 1:
-        val, direction = _beta_inf_exact_2d(space, pts, x)
-        plane = affine_plane(space, x, direction[None, :])
-        return BetaInfResult(val / r, plane)
     counting = PointMeasure(pts, np.ones(len(pts)))
     init = best_plane(space, counting, x, r, k, seed=1)
     base, basis = init.plane.base, init.plane.basis
@@ -312,45 +322,74 @@ def _distance_blocks(space, X, P):
         yield rows, space.norms(P[None, :, :] - X[rows, None, :])
 
 
-def _grid_halfwidths(space, rel, phis):
-    """halfwidth(phi) of `_beta_inf_exact_2d` at every angle of phis, as
-    array operations over blocks of angles, so the (atoms x angles)
-    projection stays at most _BLOCK_ENTRIES entries whatever the atom count."""
-    U = np.stack([np.cos(phis), np.sin(phis)], axis=1)
-    width = np.empty(len(phis))
-    for rows in _row_blocks(len(phis), len(rel)):
-        proj = rel @ U[rows].T
-        width[rows] = proj.max(axis=0) - proj.min(axis=0)
-    return 0.5 * width / space.dual_norms(U)
-
-
-def _beta_inf_exact_2d(space, pts, x):
-    """Exact angle+offset search for lines in the plane: for a normal
-    a(phi), the optimal offset centers the interval of <a, z-x>."""
-    rel = pts - x[None, :]
-    def halfwidth(phi):
-        a = np.array([math.cos(phi), math.sin(phi)])
-        s = rel @ a
-        return 0.5 * (s.max() - s.min()) / space.dual_norm(a)
+def _beta_inf_lines_2d(space, S, X, r):
+    """Exact angle+offset search for lines in the plane, at every center of
+    X: for a normal a(phi), the optimal offset centers the interval of
+    <a, z-x>, so beta_inf * r is the least half-width of that interval over
+    phi.  A 2000-angle grid brackets each center's minimizer, and one
+    golden-section run refines all the brackets."""
+    inside = np.empty((len(X), len(S)), dtype=bool)
+    for rows, D in _distance_blocks(space, X, S):
+        inside[rows] = D <= r
+    counts = inside.sum(axis=1)
+    out = [BetaInfResult(0.0, _degenerate_plane(space, x, 1), empty=True)
+           if c == 0 else None for x, c in zip(X, counts)]
+    full = np.flatnonzero(counts)
+    if len(full) == 0:
+        return out
+    # each ball's atoms relative to its center, padded to a common count
+    # with copies of its last atom, which move no max or min
+    REL = np.empty((len(full), counts.max(), 2))
+    for row, i in enumerate(full):
+        rel = S[inside[i]] - X[i][None, :]
+        REL[row] = rel[np.minimum(np.arange(REL.shape[1]), len(rel) - 1)]
     grid = np.linspace(0.0, math.pi, _GRID_ANGLES, endpoint=False)
-    i = int(np.argmin(_grid_halfwidths(space, rel, grid)))
-    lo, hi = grid[i] - math.pi / _GRID_ANGLES, grid[i] + math.pi / _GRID_ANGLES
-    gr = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c, dd = b - gr * (b - a), a + gr * (b - a)
-    fc, fd = halfwidth(c), halfwidth(dd)
-    for _ in range(60):
-        if fc < fd:
-            b, dd, fd = dd, c, fc
-            c = b - gr * (b - a)
-            fc = halfwidth(c)
-        else:
-            a, c, fc = c, dd, fd
-            dd = a + gr * (b - a)
-            fd = halfwidth(dd)
+    best = np.empty(len(REL))
+    for rows, H in _grid_halfwidth_blocks(space, REL, grid):
+        best[rows] = grid[np.argmin(H, axis=1)]
+    a, b, _fc, _fd = _golden_section(lambda phi: _halfwidths(space, REL, phi),
+                                     best - math.pi / _GRID_ANGLES,
+                                     best + math.pi / _GRID_ANGLES, 60)
     phi = (a + b) / 2
-    direction = np.array([-math.sin(phi), math.cos(phi)])
-    return halfwidth(phi), direction
+    vals = _halfwidths(space, REL, phi)
+    for row, i in enumerate(full):
+        direction = np.array([-math.sin(phi[row]), math.cos(phi[row])])
+        out[i] = BetaInfResult(vals[row] / r, affine_plane(space, X[i], direction[None, :]))
+    return out
+
+
+def _grid_halfwidth_blocks(space, REL, phis):
+    """(rows, table) pairs: the half-widths of `_halfwidths` for the rows
+    of REL in one block at every angle of phis, as array operations.  Each
+    (rows x atoms x angles) projection holds at most _BLOCK_ENTRIES
+    entries, and so does each table, whatever the sizes."""
+    U = np.stack([np.cos(phis), np.sin(phis)], axis=1)
+    dn = space.dual_norms(U)
+    for rows in _row_blocks(len(REL), REL.shape[1] * len(phis)):
+        R = REL[rows]
+        width = np.empty((len(R), len(phis)))
+        for cols in _row_blocks(len(phis), R.shape[0] * R.shape[1]):
+            width[:, cols] = np.ptp(R @ U[cols].T, axis=1)
+        width *= 0.5
+        width /= dn
+        yield rows, width
+
+
+def _halfwidths(space, REL, phis):
+    """Half the width of the interval of <a_i, z> over the atoms z of row i
+    of REL, per dual norm of a_i = (cos phi_i, sin phi_i).  The operations
+    are those of one row at a time, so each row's value is the same to the
+    bit whatever the stack: math.cos and math.sin, a stacked matrix-vector
+    product, and the root of the dual norm taken per element (an array
+    power can differ from it by an ulp)."""
+    A = np.stack([[math.cos(t) for t in phis], [math.sin(t) for t in phis]], axis=1)
+    s = (REL @ A[:, :, None])[:, :, 0]
+    q = space.q
+    if q == 1.0 or q == math.inf:
+        dn = space.dual_norms(A)
+    else:
+        dn = np.array([t ** (1.0 / q) for t in (np.abs(A) ** q).sum(axis=1)])
+    return 0.5 * np.ptp(s, axis=1) / dn
 
 
 def _minimax_refine(space, base, basis, pts, iters: int = 200):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from betareif.cli import run
+from betareif.cover import covering_lemma
 from betareif.curves import dirac_example
 from betareif.measures import PointMeasure
 from betareif.report import emit_report, to_jsonable
@@ -149,7 +150,7 @@ def _six_atom_json(tmp_path, field, value):
     if field == "x":
         doc["atoms"][2]["x"][2] = value
     else:
-        doc["atoms"][2]["w"] = value
+        doc["atoms"][2][field] = value
     path = tmp_path / "bad_measure.json"
     path.write_text(json.dumps(doc))      # NaN and Infinity tokens
     return str(path)
@@ -163,6 +164,25 @@ def test_exit_code_on_non_finite_measure(tmp_path, capsys, cmd, field, value):
     assert run([cmd, path, "--k", "2", "--out", str(tmp_path / "out")]) == 2
     assert "finite" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("r_s", [1.5, math.nan, -1.0])
+@pytest.mark.parametrize("cmd", ["cover", "pack"])
+def test_exit_code_on_out_of_range_r_s(tmp_path, capsys, cmd, r_s):
+    path = _six_atom_json(tmp_path, "r_s", r_s)
+    assert run([cmd, path, "--k", "2", "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("error: per-atom r_s")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("r_s,message", [(1.5, "ball radius"), (math.nan, "finite"),
+                                         (math.inf, "finite"), (-1.0, ">= 0")])
+def test_covering_lemma_rejects_out_of_range_r_s(r_s, message):
+    rs = np.zeros(6)
+    rs[2] = r_s
+    mu = PointMeasure(np.random.default_rng(0).uniform(-0.5, 0.5, (6, 3)), np.ones(6))
+    with pytest.raises(ValueError, match=message):
+        covering_lemma(NormedSpace(3, 2), mu, np.arange(6), rs, 2)
 
 
 def test_exit_code_on_missing_file():

@@ -384,13 +384,15 @@ def test_nearest_neighbor_scale_blocked_matches_full_table(p):
 
 def test_reifenberg_flat_map_computes_each_beta_and_net_once(l2_plane, monkeypatch):
     # certification, the stage planes and the Q bound share one net per
-    # scale and one beta_inf per (center, scale)
+    # scale and one batched beta_inf call per scale, with every (center,
+    # scale) pair in exactly one call
     from betareif import cover
-    beta_keys, net_seps = [], []
+    call_scales, beta_keys, net_seps = [], [], []
     real_beta_inf, real_net = cover.beta_inf, cover._farthest_net
 
     def counting_beta_inf(space, S, x, r, k):
-        beta_keys.append((np.asarray(x, dtype=float).tobytes(), r))
+        call_scales.append(r)
+        beta_keys.extend((row.tobytes(), r) for row in np.asarray(x, dtype=float))
         return real_beta_inf(space, S, x, r, k)
 
     def counting_net(space, pts, sep):
@@ -402,6 +404,7 @@ def test_reifenberg_flat_map_computes_each_beta_and_net_once(l2_plane, monkeypat
     S = _snowflake_sample([0.08] * 12, 4, 2200)
     stages, rep = reifenberg_flat_map(l2_plane, S, 1, chi=1 / 3, delta=0.2,
                                       max_depth=7, pair_count=120)
+    assert len(call_scales) == len(set(call_scales)) == len(stages) + 1
     assert len(beta_keys) == len(set(beta_keys)) == 171
     assert len(net_seps) == len(set(net_seps)) == len(stages) + 1
     assert 0.9 <= rep.holder_exponent <= 1.01

@@ -221,6 +221,49 @@ def test_grassmann_dim_mismatch():
     assert grassmann_distance(s, V, W) == 1.0
 
 
+def _scalar_golden_line_dist(space, v, w):
+    """The scalar recurrence of the line case of grassmann_distance: max
+    over +-v of 80 golden-section steps on s -> ||v - s w||, s in [-1, 1]."""
+    def dist(sgn):
+        f = lambda s: space.norm(sgn * v - s * w)
+        a, b = -1.0, 1.0
+        gr = (math.sqrt(5.0) - 1.0) / 2.0
+        c, d = b - gr * (b - a), a + gr * (b - a)
+        fc, fd = f(c), f(d)
+        for _ in range(80):
+            if fc < fd:
+                b, d, fd = d, c, fc
+                c = b - gr * (b - a)
+                fc = f(c)
+            else:
+                a, c, fc = c, d, fd
+                d = a + gr * (b - a)
+                fd = f(d)
+        return min(fc, fd)
+    return max(dist(1.0), dist(-1.0))
+
+
+@pytest.mark.parametrize("p", [1.0, 4 / 3, 3.0, 4.0, math.inf])
+def test_grassmann_lines_match_scalar_golden_search(p):
+    # the batched golden-section search with +-v as two rows repeats the
+    # scalar recurrence bit for bit
+    from betareif.geometry import _golden_line_dist
+    rng = np.random.default_rng(31)
+    for n in (2, 3):
+        s = NormedSpace(n, p)
+        for _ in range(8):
+            A = rng.standard_normal((1, n))
+            B = A + rng.choice([0.02, 0.5]) * rng.standard_normal((1, n))
+            V = affine_plane(s, np.zeros(n), A)
+            W = affine_plane(s, np.zeros(n), B)
+            v = V.basis[0] / s.norm(V.basis[0])
+            w = W.basis[0] / s.norm(W.basis[0])
+            assert _golden_line_dist(s, v, w) == _scalar_golden_line_dist(s, v, w)
+            assert _golden_line_dist(s, w, v) == _scalar_golden_line_dist(s, w, v)
+            assert grassmann_distance(s, V, W) == max(_scalar_golden_line_dist(s, v, w),
+                                                      _scalar_golden_line_dist(s, w, v))
+
+
 def test_grassmann_net_matches_exact_hilbert():
     # the generic net path against the exact principal-angle path
     s = NormedSpace(3, 2)

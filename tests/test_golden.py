@@ -23,6 +23,14 @@ FLAT_MAP_SNOWFLAKE_D4 = {
 }
 FLAT_MAP_SNOWFLAKE_D4_SHA256 = (
     "cf569f41bb8147f488011c34ddcc13b1f2f87876381152b68ce8be01b1c77823")
+FLAT_MAP_SNOWFLAKE_D6 = {
+    "distortion": 1.0443837929664406,
+    "holder_exponent": 0.9984449752487858,
+    "q_alpha": 0.005490038074503392,
+    "certified_delta": 0.03800690408893685,
+}
+FLAT_MAP_SNOWFLAKE_D6_SHA256 = (
+    "f18c34effd35609d55d1a0585989946c40408fb67b19d04b00252458fa666db6")
 PACK_GRAPH_MEASURE_SHA256 = (
     "8c2ea7182cd568023e99502b39da211f78b6dd6d76bf045dcd5bbdc9ccab5862")
 BETA_CSV_L4_SADDLE_SHA256 = (
@@ -41,15 +49,28 @@ NOPOWERGAIN_SHA256 = (
     "6cdcce518f4df3fe43301b792abac3cd06d33921c28dd5a9d23f2f32ad602a46")
 
 
-def test_flat_map_snowflake_depth4_golden(l2_plane):
-    S = snowflake_sample([0.08] * 12, 4, 2200)
-    _stages, rep = reifenberg_flat_map(l2_plane, S, 1, chi=1 / 3, delta=0.2,
+def _flat_map_report(space, depth):
+    S = snowflake_sample([0.08] * 12, depth, 2200)
+    _stages, rep = reifenberg_flat_map(space, S, 1, chi=1 / 3, delta=0.2,
                                        max_depth=7, pair_count=120)
-    doc = rep.to_dict()
+    return rep.to_dict()
+
+
+def test_flat_map_snowflake_depth4_golden(l2_plane):
+    doc = _flat_map_report(l2_plane, 4)
     for key, want in FLAT_MAP_SNOWFLAKE_D4.items():
         assert doc[key] == pytest.approx(want, rel=1e-9), key
     blob = json.dumps(doc, sort_keys=True).encode()
     assert hashlib.sha256(blob).hexdigest() == FLAT_MAP_SNOWFLAKE_D4_SHA256
+
+
+def test_flat_map_snowflake_depth6_golden(l2_plane):
+    # 1,025 atoms: large beta_inf stacks whose grids span several blocks
+    doc = _flat_map_report(l2_plane, 6)
+    for key, want in FLAT_MAP_SNOWFLAKE_D6.items():
+        assert doc[key] == pytest.approx(want, rel=1e-9), key
+    blob = json.dumps(doc, sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == FLAT_MAP_SNOWFLAKE_D6_SHA256
 
 
 def _cli_sha256(argv, out):

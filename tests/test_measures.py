@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from betareif.curves import dirac_example
-from betareif.measures import (PointMeasure, best_plane, beta, beta_inf,
-                               density_report, dini_profile, restrict)
+from betareif.geometry import affine_plane
+from betareif.measures import (BetaInfResult, PointMeasure, best_plane, beta,
+                               beta_inf, density_report, dini_profile, restrict)
 from betareif.spaces import NormedSpace
 
 from conftest import gamma2_sample
@@ -217,17 +218,100 @@ def _flat_sets(seed):
 
 @pytest.mark.parametrize("p", [1.0, 4 / 3, 2.0, 4.0, math.inf])
 def test_beta_inf_2d_grid_matches_scalar_oracle(p):
-    from betareif.measures import _GRID_ANGLES, _grid_halfwidths
+    from betareif.measures import _GRID_ANGLES, _grid_halfwidth_blocks
     space = NormedSpace(2, p)
     grid = np.linspace(0.0, math.pi, _GRID_ANGLES, endpoint=False)
     for S in _flat_sets(seed=17):
         x, r = S[0], 1.5
         rel = S[space.norms(S - x) <= r] - x
-        vals = _grid_halfwidths(space, rel, grid)
+        [(_rows, vals)] = _grid_halfwidth_blocks(space, rel[None], grid)
         ref = np.array([_halfwidth(space, rel, phi) for phi in grid])
-        np.testing.assert_allclose(vals, ref, rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(vals[0], ref, rtol=1e-14, atol=0.0)
         res = beta_inf(space, S, x, r, 1)
         assert res.value == pytest.approx(_brute_beta_inf_2d(space, S, x, r), rel=1e-9)
+
+
+def _scalar_beta_inf_2d(space, S, x, r):
+    """One center at a time, the sup-beta search for lines in the plane as
+    the scalar code ran it: the 2000-angle grid of `rel @ U.T` blocks, the
+    bracket around its argmin, then 60 golden-section steps on the scalar
+    half-width.  Returns (value, direction); the direction is None for an
+    empty ball."""
+    from betareif.measures import _BLOCK_ENTRIES, _GRID_ANGLES
+    rel = S[space.norms(S - x[None, :]) <= r] - x[None, :]
+    if len(rel) == 0:
+        return 0.0, None
+    grid = np.linspace(0.0, math.pi, _GRID_ANGLES, endpoint=False)
+    U = np.stack([np.cos(grid), np.sin(grid)], axis=1)
+    width = np.empty(len(grid))
+    step = max(1, _BLOCK_ENTRIES // len(rel))
+    for lo in range(0, len(grid), step):
+        proj = rel @ U[lo:lo + step].T
+        width[lo:lo + step] = proj.max(axis=0) - proj.min(axis=0)
+    i = int(np.argmin(0.5 * width / space.dual_norms(U)))
+    a, b = grid[i] - math.pi / _GRID_ANGLES, grid[i] + math.pi / _GRID_ANGLES
+    gr = (math.sqrt(5.0) - 1.0) / 2.0
+    c, d = b - gr * (b - a), a + gr * (b - a)
+    fc, fd = _halfwidth(space, rel, c), _halfwidth(space, rel, d)
+    for _ in range(60):
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - gr * (b - a)
+            fc = _halfwidth(space, rel, c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + gr * (b - a)
+            fd = _halfwidth(space, rel, d)
+    phi = (a + b) / 2
+    return (_halfwidth(space, rel, phi) / r,
+            np.array([-math.sin(phi), math.cos(phi)]))
+
+
+@pytest.mark.parametrize("block_entries", [None, 1 << 15])
+@pytest.mark.parametrize("p", [1.0, 4 / 3, 2.0, 4.0, math.inf])
+def test_beta_inf_stack_matches_scalar_search(p, block_entries, monkeypatch):
+    # stacks mixing an empty ball, a one-atom ball, repeated centers and
+    # balls of the 5- and 300-atom sets; 2^15 entries split the grid over
+    # several centers per block (5 atoms) and several blocks per center
+    # (300 atoms)
+    from betareif import measures
+    if block_entries is not None:
+        monkeypatch.setattr(measures, "_BLOCK_ENTRIES", block_entries)
+    space = NormedSpace(2, p)
+    for S in _flat_sets(seed=17):
+        S = np.concatenate([S, [[4.0, 4.0]]])      # an isolated atom
+        X = np.concatenate([S[[0, len(S) // 2, 1, 0]],
+                            [[0.2, -0.1], [-5.0, -5.0], [4.3, 4.0]]])
+        for r in (1.5, 0.4):
+            res = beta_inf(space, S, X, r, 1)
+            assert len(res) == len(X)
+            for x, got in zip(X, res):
+                want, direction = _scalar_beta_inf_2d(space, S, x, r)
+                assert got.value == want
+                assert got.empty == (direction is None)
+                if direction is not None:
+                    plane = affine_plane(space, x, direction[None, :])
+                    assert np.array_equal(got.plane.basis, plane.basis)
+                    assert np.array_equal(got.plane.base, x)
+            assert res[5].empty and not res[6].empty
+            one = beta_inf(space, S, X[1], r, 1)
+            assert isinstance(one, BetaInfResult)
+            assert one.value == res[1].value
+            assert np.array_equal(one.plane.basis, res[1].plane.basis)
+    assert beta_inf(space, S, X[:0], 1.0, 1) == []
+
+
+def test_beta_inf_stack_other_dims_match_single_calls():
+    s = NormedSpace(3, 2)
+    ts = np.linspace(-0.8, 0.8, 15)
+    S = np.stack([ts, 0.02 * np.sin(3 * ts), np.zeros(15)], axis=1)
+    X = np.stack([S[7], S[3], [5.0, 5.0, 5.0]])
+    res = beta_inf(s, S, X, 1.0, 1)
+    assert [r.empty for r in res] == [False, False, True]
+    for x, got in zip(X, res):
+        one = beta_inf(s, S, x, 1.0, 1)
+        assert got.value == one.value
+        assert np.array_equal(got.plane.basis, one.plane.basis)
 
 
 def test_beta_inf_reifenberg_flat_sample(l2_plane):
