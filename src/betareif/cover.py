@@ -506,6 +506,21 @@ def _in_any_ball(space, pts, balls):
     return out
 
 
+def _near_planes(space, pts, goods, radius, thr):
+    """(near, off) masks over pts from one distance pass: a point is near
+    when it lies in some good ball B_radius(g) within thr of that ball's
+    plane, and off when it lies in one at distance >= thr from its plane."""
+    near = np.zeros(len(pts), dtype=bool)
+    off = np.zeros(len(pts), dtype=bool)
+    for (g, _rg, fit) in goods:
+        ball = np.flatnonzero(space.norms(pts - g[None, :]) <= radius)
+        if len(ball):
+            d = distances_to_affine(space, fit.plane, pts[ball])
+            near[ball[d < thr]] = True
+            off[ball[d >= thr]] = True
+    return near, off
+
+
 def _plane_grid(plane: AffinePlane, radius: float, per_side: int = 9):
     k = plane.k
     if k == 0:
@@ -621,23 +636,14 @@ def _covering_normalized(space, mu, rs, k, cfg):
     for i in range(cfg.max_depth):
         r_i = chi**i
         r_next = chi ** (i + 1)
-        # excess set
-        for (g, rg, fit) in goods:
-            near = space.norms(mu.points - g[None, :]) <= rg
-            if near.any():
-                d = distances_to_affine(space, fit.plane, mu.points[near])
-                sel = np.where(near)[0][d >= r_next / 30.0]
-                excess[sel] = True
+        # excess set: atoms of a good ball B_rg(g) off its plane (every good
+        # ball of this stage has rg = r_i)
+        near_good, off = _near_planes(space, mu.points, goods, r_i, r_next / 30.0)
+        excess |= off
         # original-ball Vitali selection
         cand_mask = (rs >= r_next) & (rs < r_i) & ~_in_any_ball(space, mu.points, retired)
-        near_good = np.zeros(len(mu), dtype=bool)
-        for (g, rg, fit) in goods:
-            m1 = space.norms(mu.points - g[None, :]) <= 1.5 * r_i
-            if m1.any():
-                d = distances_to_affine(space, fit.plane, mu.points[m1])
-                ok = np.where(m1)[0][d < r_next / 30.0]
-                near_good[ok] = True
-        cand = np.where(cand_mask & near_good)[0]
+        near_wide, _ = _near_planes(space, mu.points, goods, 1.5 * r_i, r_next / 30.0)
+        cand = np.where(cand_mask & near_wide)[0]
         keep = _vitali_keep(space, mu.points[cand], rs[cand])
         new_orig = [(mu.points[cand[j]], rs[cand[j]]) for j in keep]
         kept_orig.extend(new_orig)
@@ -645,14 +651,7 @@ def _covering_normalized(space, mu, rs, k, cfg):
         # net for good/bad classification; prior-stage excess may re-enter
         # whenever it sits near a current plane, as in the construction
         net_mask = (space.norms(mu.points) <= 1.0) & ~_in_any_ball(space, mu.points, retired_now)
-        near_good2 = np.zeros(len(mu), dtype=bool)
-        for (g, rg, fit) in goods:
-            m1 = space.norms(mu.points - g[None, :]) <= rg
-            if m1.any():
-                d = distances_to_affine(space, fit.plane, mu.points[m1])
-                ok = np.where(m1)[0][d < r_next / 30.0]
-                near_good2[ok] = True
-        net_cand = np.where(net_mask & near_good2)[0]
+        net_cand = np.where(net_mask & near_good)[0]
         net_idx = _farthest_net(space, mu.points[net_cand], 2.0 * r_next / 5.0)
         new_goods, new_bads = [], []
         for j in net_idx:

@@ -184,7 +184,8 @@ def _dists_to_flat_batch(space, base, rows, Z):
         return space.norms(W), np.repeat(base[None, :], len(Z), axis=0)
     p = space.p
     if k == n - 1 and p != 2.0:
-        return _dists_hyperplane(space, base, rows, Z)
+        d, feet = _dists_hyperplane(space, base[None, :], rows[None, :, :], Z)
+        return d[0], feet[0]
     M = rows.T                                   # (n, k)
     # Euclidean solution is exact for p = 2 and the Newton start otherwise.
     G = rows @ rows.T
@@ -236,32 +237,46 @@ def _dists_line_golden(space, base, rows, Z):
     return space.norms(Z - feet), feet
 
 
-def _dists_hyperplane(space, base, rows, Z):
-    """Codimension-1 fast path: d(z, H) = |<a, z-base>| / ||a||_q for the
-    Euclidean normal a, with the dual-extremal foot (least-l2 tie-break
-    for p in {1, inf})."""
-    n = space.dim
+def _dists_to_flats(space, bases, rows, Z):
+    """`_dists_to_flat_batch` for a stack of flats bases[i] + span(rows[i]),
+    bases (D, n) and rows (D, k, n): distances (D, m) and feet (D, m, n),
+    each flat's the same to the bit as its own call."""
+    k, n = rows.shape[1:]
+    if k == n - 1 and space.p != 2.0:
+        return _dists_hyperplane(space, bases, rows, Z)
+    d, feet = zip(*(_dists_to_flat_batch(space, b, B, Z) for b, B in zip(bases, rows)))
+    return np.array(d), np.array(feet)
+
+
+def _dists_hyperplane(space, bases, rows, Z):
+    """Codimension-1 fast path for a stack of hyperplanes bases[i] +
+    span(rows[i]), bases (D, n) and rows (D, n - 1, n): d(z, H) =
+    |<a, z-base>| / ||a||_q for the Euclidean normal a, with the
+    dual-extremal foot (least-l2 tie-break for p in {1, inf}).  Returns
+    distances (D, m) and feet (D, m, n).  Every operation acts on one plane
+    at a time, so each plane's values are those of a stack of one."""
     # normal = null space of the row span
     u, s, vt = np.linalg.svd(rows)
-    a = vt[-1]
-    s_val = (Z - base[None, :]) @ a
+    a = vt[:, -1]                                       # (D, n)
+    s_val = ((Z[None, :, :] - bases[:, None, :]) @ a[:, :, None])[:, :, 0]
+    A = np.abs(a)
     q = space.q
     if q == math.inf:           # p = 1: move along max-|a| coordinates, split ties
-        amax = np.abs(a).max()
-        ties = np.abs(a) >= amax * (1 - 1e-12)
-        w = np.zeros(n)
-        w[ties] = np.sign(a[ties]) / (ties.sum() * amax)
-        dq = amax
+        dq = A.max(axis=1)
+        ties = A >= dq[:, None] * (1 - 1e-12)
+        w = np.where(ties, np.sign(a) / (ties.sum(axis=1) * dq)[:, None], 0.0)
     elif q == 1.0:              # p = inf: move every supported coordinate
-        dq = np.abs(a).sum()
-        w = np.sign(a) / dq
+        dq = A.sum(axis=1)
+        w = np.sign(a) / dq[:, None]
     else:
-        dq = space.dual_norm(a)
-        w = np.sign(a) * np.abs(a) ** (q - 1.0)
-        w = w / max(space.norm(w), 1e-300)  # Hoelder-extremal unit direction
-    aw = float(a @ w)           # rescale so the foot lands exactly on the plane
-    feet = Z - np.outer(s_val / aw, w)
-    return np.abs(s_val) / dq, feet
+        # the root per element, as `space.dual_norm` takes it (an array
+        # power can differ from it by an ulp)
+        dq = np.array([t ** (1.0 / q) for t in (A ** q).sum(axis=1)])
+        w = np.sign(a) * A ** (q - 1.0)
+        w = w / np.maximum(space.norms(w), 1e-300)[:, None]  # Hoelder-extremal unit direction
+    aw = (a[:, None, :] @ w[:, :, None])[:, 0, 0]  # rescale so the foot lands exactly on the plane
+    feet = Z[None, :, :] - (s_val / aw[:, None])[:, :, None] * w[:, None, :]
+    return np.abs(s_val) / dq[:, None], feet
 
 
 def _dist_lp_linprog(space, M, w):

@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constants import norm_equivalence
-from .geometry import (AffinePlane, _dists_to_flat_batch, _golden_section,
-                       affine_plane, distances_to_affine)
+from .geometry import (AffinePlane, _dists_to_flat_batch, _dists_to_flats,
+                       _golden_section, affine_plane, distances_to_affine)
 from .spaces import NormedSpace
 
 __all__ = [
@@ -164,49 +164,67 @@ def best_plane(space: NormedSpace, mu: PointMeasure, x, r: float, k: int,
 
     Exact (weighted PCA) in the Hilbert case.  Otherwise: l^2 start, then
     envelope-gradient descent on (base, basis) with backtracking and
-    seeded multi-start; certified against the l^2 lower bound through the
-    norm-equivalence constant."""
+    seeded multi-start, the starts descending in lockstep; certified
+    against the l^2 lower bound through the norm-equivalence constant."""
     if k >= space.dim:
         raise ValueError("k must be < dim")
     if r <= 0:
         raise ValueError("r must be positive")
     x = np.asarray(x, dtype=float)
     pts, w = _ball_atoms(space, mu, x, r)
+    return _fit_seeds(space, pts, w, x, r, k, [seed], starts, iters)[0]
+
+
+def _fit_seeds(space, pts, w, x, r, k, seeds, starts=4, iters=60):
+    """best_plane's fit of the atoms (pts, w) of the ball B_r(x), one
+    BetaResult per seed.  The l^2 start does not depend on the seed, so it
+    descends once; the seeded starts of every seed descend with it in one
+    lockstep `_descend`, and each seed keeps its best in best_plane's order."""
     if len(w) == 0:
-        return BetaResult(0.0, _degenerate_plane(space, x, k), 1.0, 0.0, empty=True)
+        return [BetaResult(0.0, _degenerate_plane(space, x, k), 1.0, 0.0, empty=True)
+                for _ in seeds]
     c2, basis2, resid2 = _weighted_l2_plane(pts, w, k)
     if space.is_hilbert:
         plane = AffinePlane(c2, basis2, 1.0)
         betaval = math.sqrt(max(resid2, 0.0) / r ** (k + 2))
-        return BetaResult(betaval, plane, 1.0, resid2)
+        return [BetaResult(betaval, plane, 1.0, resid2) for _ in seeds]
     if resid2 <= 1e-24 * (1.0 + w.sum() * r * r):
         # the atoms fit a k-plane exactly; it is optimal under every norm
         F0 = _objective(space, c2, basis2, pts, w)
         plane = affine_plane(space, c2, basis2 / space.norms(basis2)[:, None])
-        return BetaResult(math.sqrt(max(F0, 0.0) / r ** (k + 2)), plane, 1.0, F0)
+        return [BetaResult(math.sqrt(max(F0, 0.0) / r ** (k + 2)), plane, 1.0, F0)
+                for _ in seeds]
 
-    best_base, best_basis = c2, basis2
-    best_F = _objective(space, c2, basis2, pts, w)
-    if best_F > 1e-28 * (1 + w.sum()):
-        rng = np.random.default_rng(seed)
-        for s in range(starts):
-            if s == 0:
-                base, basis = c2.copy(), basis2.copy()
-            else:
-                Q = _rand_rotation(rng, space.dim)
-                base, basis = c2.copy(), basis2 @ Q.T
-            base, basis, F = _descend(space, base, basis, pts, w, iters)
-            if F < best_F:
-                best_F, best_base, best_basis = F, base, basis
+    F0 = _objective(space, c2, basis2, pts, w)
+    # per seed, the candidates in best_plane's order: the l^2 plane, then
+    # its starts' descents (start 0, the unrotated one, shared by all seeds)
+    cands = [[(F0, c2, basis2)] for _ in seeds]
+    if F0 > 1e-28 * (1 + w.sum()) and starts > 0:
+        rows = [basis2]
+        for seed in seeds:
+            rng = np.random.default_rng(seed)
+            rows += [basis2 @ _rand_rotation(rng, space.dim).T for _s in range(1, starts)]
+        B, V, F = _descend(space, np.repeat(c2[None, :], len(rows), axis=0), np.array(rows),
+                           pts, w, iters)
+        per = starts - 1
+        for i, cand in enumerate(cands):
+            cand += [(float(F[j]), B[j], V[j]) for j in [0, *range(1 + i * per, 1 + (i + 1) * per)]]
     lower = resid2 / norm_equivalence(space.dim, space.p) ** 2 if space.p > 2 else resid2
     lower = max(lower, 0.0)
     if space.p < 2.0:
         lower = resid2    # ||v||_p >= ||v||_2 termwise
-    factor = best_F / lower if lower > 1e-300 else 1.0
-    basis_n = best_basis / space.norms(best_basis)[:, None]
-    plane = affine_plane(space, best_base, basis_n)
-    betaval = math.sqrt(max(best_F, 0.0) / r ** (k + 2))
-    return BetaResult(betaval, plane, float(max(factor, 1.0)), best_F)
+    out = []
+    for cand in cands:
+        best_F, best_base, best_basis = cand[0]
+        for F_j, base_j, basis_j in cand[1:]:
+            if F_j < best_F:
+                best_F, best_base, best_basis = F_j, base_j, basis_j
+        factor = best_F / lower if lower > 1e-300 else 1.0
+        basis_n = best_basis / space.norms(best_basis)[:, None]
+        plane = affine_plane(space, best_base, basis_n)
+        betaval = math.sqrt(max(best_F, 0.0) / r ** (k + 2))
+        out.append(BetaResult(betaval, plane, float(max(factor, 1.0)), best_F))
+    return out
 
 
 def _rand_rotation(rng, n):
@@ -216,48 +234,71 @@ def _rand_rotation(rng, n):
 
 
 def _descend(space, base, basis, pts, w, iters):
+    """Envelope-gradient descent with backtracking from each start (base[i],
+    basis[i]) of a stack, base (D, n) and basis (D, k, n), in lockstep.
+    Every round, each live descent computes its gradient if it has none
+    and then tests one backtracking trial; the trials' rank tests, distance
+    tables and objectives are stacked.  Each descent takes the steps it
+    would take alone.  Returns the final (base, basis, F) stacks."""
+    base, basis = base.copy(), basis.copy()
+    D, k, _n = basis.shape
     # (d, feet) always belong to the current (base, basis)
-    d, feet = _dists_to_flat_batch(space, base, basis, pts)
-    F = float((w * d * d).sum())
-    step = 0.5
-    for _ in range(iters):
-        R = pts - feet
-        nr = np.maximum(space.norms(R), 1e-30)
-        p = space.p
-        if p == math.inf or p == 1.0:
-            U = np.sign(R)      # subgradient direction of the norm
-            if p == math.inf:
-                U = np.zeros_like(R)
-                idx = np.argmax(np.abs(R), axis=1)
-                U[np.arange(len(R)), idx] = np.sign(R[np.arange(len(R)), idx])
-        else:
-            U = np.sign(R) * np.abs(R) ** (p - 1.0) / nr[:, None] ** (p - 1.0)
-        # envelope gradient of sum w d^2 wrt base and basis rows
-        gb = -2.0 * (w * d) @ U
-        lam = np.linalg.lstsq(basis.T, (feet - base[None, :]).T, rcond=None)[0].T
-        gB = -2.0 * np.einsum("m,m,mk,mn->kn", w, d, lam, U)
-        gnorm = math.sqrt((gb * gb).sum() + (gB * gB).sum())
-        if gnorm < 1e-12 * (1 + F):
-            break
-        t = step
-        improved = False
-        for _bt in range(25):
-            nb = base - t * gb
-            nB = basis - t * gB
-            if np.linalg.matrix_rank(nB, tol=1e-10) < len(nB):
-                t *= 0.5
+    d, feet = _dists_to_flats(space, base, basis, pts)
+    F = (w * d * d).sum(axis=1)
+    step = np.full(D, 0.5)
+    t = np.zeros(D)
+    gb, gB = np.zeros_like(base), np.zeros_like(basis)
+    grads = np.zeros(D, dtype=int)     # gradients taken
+    tries = np.zeros(D, dtype=int)     # backtracking trials since the last one
+    live = np.ones(D, dtype=bool)
+    fresh = np.ones(D, dtype=bool)     # needs a gradient
+    p = space.p
+    while True:
+        for i in np.flatnonzero(live & fresh):
+            if grads[i] == iters:
+                live[i] = False
                 continue
-            nd, nfeet = _dists_to_flat_batch(space, nb, nB, pts)
-            nF = float((w * nd * nd).sum())
-            if nF < F - 1e-15:
-                base, basis, F, d, feet = nb, nB, nF, nd, nfeet
-                step = min(t * 2.0, 1e3)
-                improved = True
-                break
-            t *= 0.5
-        if not improved:
-            break
-    return base, basis, F
+            grads[i] += 1
+            R = pts - feet[i]
+            nr = np.maximum(space.norms(R), 1e-30)
+            if p == math.inf or p == 1.0:
+                U = np.sign(R)      # subgradient direction of the norm
+                if p == math.inf:
+                    U = np.zeros_like(R)
+                    idx = np.argmax(np.abs(R), axis=1)
+                    U[np.arange(len(R)), idx] = np.sign(R[np.arange(len(R)), idx])
+            else:
+                U = np.sign(R) * np.abs(R) ** (p - 1.0) / nr[:, None] ** (p - 1.0)
+            # envelope gradient of sum w d^2 wrt base and basis rows
+            gb[i] = -2.0 * (w * d[i]) @ U
+            lam = np.linalg.lstsq(basis[i].T, (feet[i] - base[i][None, :]).T, rcond=None)[0].T
+            gB[i] = -2.0 * np.einsum("m,m,mk,mn->kn", w, d[i], lam, U)
+            gnorm = math.sqrt((gb[i] * gb[i]).sum() + (gB[i] * gB[i]).sum())
+            if gnorm < 1e-12 * (1 + F[i]):
+                live[i] = False
+                continue
+            t[i], tries[i], fresh[i] = step[i], 0, False
+        trial = np.flatnonzero(live)
+        if len(trial) == 0:
+            return base, basis, F
+        nb = base[trial] - t[trial, None] * gb[trial]
+        nB = basis[trial] - t[trial, None, None] * gB[trial]
+        full = np.linalg.matrix_rank(nB, tol=1e-10) == k
+        better = np.zeros(len(trial), dtype=bool)
+        if full.any():
+            nd, nfeet = _dists_to_flats(space, nb[full], nB[full], pts)
+            nF = (w * nd * nd).sum(axis=1)
+            take = nF < F[trial[full]] - 1e-15
+            better[full] = take
+            acc = trial[full][take]
+            base[acc], basis[acc], F[acc] = nb[full][take], nB[full][take], nF[take]
+            d[acc], feet[acc] = nd[take], nfeet[take]
+            step[acc] = np.minimum(t[acc] * 2.0, 1e3)
+            fresh[acc] = True
+        rej = trial[~better]
+        t[rej] *= 0.5
+        tries[rej] += 1
+        live[rej[tries[rej] == 25]] = False
 
 
 def beta(space: NormedSpace, mu: PointMeasure, x, r: float, k: int,
@@ -421,7 +462,9 @@ def dini_profile(space: NormedSpace, mu: PointMeasure, x, r_lo, r_hi: float,
     giving a list of m profiles; r_lo and seed are then a scalar or one
     value per center.  A ball holding at most one atom has beta 0 (the atom
     lies on every k-plane through it), so only balls with two or more atoms
-    fit a plane, with seed + 1000 j at scale j."""
+    fit a plane, with seed + 1000 j at scale j.  Balls of one scale that
+    hold the same atoms are fitted once, all their seeds together (see
+    `_fit_seeds`), so each distinct ball's starts descend in lockstep."""
     X = np.asarray(x, dtype=float)
     centers = np.atleast_2d(X)
     m = len(centers)
@@ -445,15 +488,25 @@ def dini_profile(space: NormedSpace, mu: PointMeasure, x, r_lo, r_hi: float,
     atoms = np.empty((m, len(grid)), dtype=np.int64)
     for rows, D in _distance_blocks(space, centers, mu.points):
         atoms[rows] = (D[:, :, None] <= grid[None, None, :]).sum(axis=1)
+    to_fit = (atoms > 1) & (np.arange(len(grid))[None, :] < n_scales[:, None])
+    # (scale, ball atoms) -> (atom mask, the centers whose ball that is)
+    groups: dict = {}
+    for i in np.flatnonzero(to_fit.any(axis=1)):
+        d = space.norms(mu.points - centers[i][None, :])   # as _ball_atoms has it
+        for j in np.flatnonzero(to_fit[i]):
+            mask = d <= grid[j]
+            groups.setdefault((j, mask.tobytes()), (mask, []))[1].append(i)
+    betas = np.zeros((m, len(grid)))
+    for (j, _key), (mask, members) in groups.items():
+        fits = _fit_seeds(space, mu.points[mask], mu.weights[mask], centers[members[0]],
+                          grid[j], k, [int(seeds[i]) + 1000 * int(j) for i in members])
+        betas[members, j] = [fit.beta for fit in fits]
     log = math.log(1.0 / chi)
     profiles = []
     for i, c in enumerate(centers):
-        scales = grid[:n_scales[i]]
-        betas = np.array([beta(space, mu, c, rj, k, seed=int(seeds[i]) + 1000 * j)
-                          if atoms[i, j] > 1 else 0.0
-                          for j, rj in enumerate(scales)])
-        dini = float((betas**alpha).sum() * log)
-        profiles.append(DiniProfile(c, scales, betas, alpha, chi, dini))
+        b = betas[i, :n_scales[i]]
+        dini = float((b**alpha).sum() * log)
+        profiles.append(DiniProfile(c, grid[:n_scales[i]], b, alpha, chi, dini))
     return profiles[0] if X.ndim == 1 else profiles
 
 

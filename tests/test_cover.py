@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from betareif import cover
+from betareif import cover, measures
 from betareif.cli import run
 from betareif.cover import (CoverConfig, build_sigma, classify_ball,
                             covering_lemma, default_theta, main_packing,
@@ -14,7 +14,7 @@ from betareif.geometry import affine_plane, graph_check, make_projection
 from betareif.measures import PointMeasure, beta
 from betareif.spaces import NormedSpace
 
-from conftest import gamma2_sample, graph_measure_200
+from conftest import gamma2_sample, graph_measure_200, l4_saddle_21
 from conftest import snowflake_sample as _snowflake_sample
 
 
@@ -386,7 +386,7 @@ def test_reifenberg_flat_map_computes_each_beta_and_net_once(l2_plane, monkeypat
     # certification, the stage planes and the Q bound share one net per
     # scale and one batched beta_inf call per scale, with every (center,
     # scale) pair in exactly one call
-    from betareif import cover
+    from betareif import cover, measures
     call_scales, beta_keys, net_seps = [], [], []
     real_beta_inf, real_net = cover.beta_inf, cover._farthest_net
 
@@ -519,6 +519,48 @@ def test_covering_builds_one_projection_per_distinct_plane(l4_saddle_json, tmp_p
     assert checked
     shared = [pj for sg in sigmas for pj in sg.projections]
     assert all(any(pj is q for q in shared) for pj in checked)
+
+
+def test_dini_precheck_descends_once_per_distinct_ball(l4_saddle_json, tmp_path,
+                                                       monkeypatch):
+    # every atom's top-scale ball holds all 21 atoms, and a fit per (atom,
+    # scale) ran four descents; the precheck now runs one lockstep descent
+    # per distinct (scale, atom set), stacking the l^2 start and three
+    # seeded starts per seed
+    stacks, inside = [], []
+    descend, dini_profile = measures._descend, cover.dini_profile
+
+    def recording_descend(space, base, basis, pts, w, iters):
+        if inside:
+            stacks.append(len(base))
+        return descend(space, base, basis, pts, w, iters)
+
+    def flagged_dini_profile(*args, **kwargs):
+        inside.append(True)
+        try:
+            return dini_profile(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(measures, "_descend", recording_descend)
+    monkeypatch.setattr(cover, "dini_profile", flagged_dini_profile)
+    assert run(["cover", l4_saddle_json, "--k", "2", "--chi", "0.1", "--delta", "0.15",
+                "--max-depth", "2", "--out", str(tmp_path / "cover.json")]) == 0
+    space, pts = NormedSpace(3, 4), l4_saddle_21().points
+    scales, r = [], 2.0
+    while r >= 0.1**2 * (1 - 1e-12):
+        scales.append(r)
+        r *= 0.1
+    # three atoms lie on a 2-plane; four or more of the saddle do not
+    members = {}
+    for c in pts:
+        d = space.norms(pts - c)
+        for j, rj in enumerate(scales):
+            if (d <= rj).sum() > 3:
+                key = (j, (d <= rj).tobytes())
+                members[key] = members.get(key, 0) + 1
+    assert sum(members.values()) > len(members) >= 1
+    assert sorted(stacks) == sorted(1 + 3 * c for c in members.values())
 
 
 def test_covering_off_unit_frame_denormalization():

@@ -5,7 +5,7 @@ import pytest
 
 from betareif.constants import c1, c2, c3, stability_constant
 from betareif.geometry import (_dists_hyperplane, _dists_to_flat_batch,
-                               affine_plane, distance_to_affine,
+                               _dists_to_flats, affine_plane, distance_to_affine,
                                distances_to_affine, general_position_margin,
                                grassmann_distance, graph_check,
                                hausdorff_distance, make_projection,
@@ -591,6 +591,68 @@ def test_codimension_one_batch_is_hyperplane_formula(p, n):
     rows = rng.standard_normal((n - 1, n))
     Z = rng.standard_normal((40, n))
     d, feet = _dists_to_flat_batch(space, base, rows, Z)
-    d_h, feet_h = _dists_hyperplane(space, base, rows, Z)
-    assert np.array_equal(d, d_h)
-    assert np.array_equal(feet, feet_h)
+    d_h, feet_h = _dists_hyperplane(space, base[None, :], rows[None, :, :], Z)
+    assert np.array_equal(d, d_h[0])
+    assert np.array_equal(feet, feet_h[0])
+
+
+def _hyperplane_one(space, base, rows, Z):
+    """The single-plane codimension-1 formula before planes were stacked."""
+    n = space.dim
+    _u, _s, vt = np.linalg.svd(rows)
+    a = vt[-1]
+    s_val = (Z - base[None, :]) @ a
+    q = space.q
+    if q == math.inf:
+        amax = np.abs(a).max()
+        ties = np.abs(a) >= amax * (1 - 1e-12)
+        w = np.zeros(n)
+        w[ties] = np.sign(a[ties]) / (ties.sum() * amax)
+        dq = amax
+    elif q == 1.0:
+        dq = np.abs(a).sum()
+        w = np.sign(a) / dq
+    else:
+        dq = space.dual_norm(a)
+        w = np.sign(a) * np.abs(a) ** (q - 1.0)
+        w = w / max(space.norm(w), 1e-300)
+    aw = float(a @ w)
+    return np.abs(s_val) / dq, Z - np.outer(s_val / aw, w)
+
+
+@pytest.mark.parametrize("p", [1.0, 4 / 3, 3.0, 4.0, math.inf])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_stacked_hyperplanes_match_single_planes(p, n):
+    space = NormedSpace(n, p)
+    rng = np.random.default_rng(10 * n + 1)
+    # the last plane's normal has two tied largest coordinates (p = 1 moves
+    # the foot along both)
+    tied = np.r_[1.0, 1.0, 0.5 ** np.arange(1, n - 1)]
+    rows = np.concatenate([rng.standard_normal((11, n - 1, n)),
+                           np.linalg.svd(tied[None, :])[2][None, 1:]])
+    bases = rng.standard_normal((len(rows), n))
+    Z = rng.standard_normal((30, n))
+    d, feet = _dists_hyperplane(space, bases, rows, Z)
+    d2, feet2 = _dists_to_flats(space, bases, rows, Z)
+    assert d.shape == (len(rows), len(Z)) and feet.shape == (len(rows), len(Z), n)
+    assert d.tobytes() == d2.tobytes() and feet.tobytes() == feet2.tobytes()
+    for i in range(len(rows)):
+        d1, feet1 = _dists_hyperplane(space, bases[i:i + 1], rows[i:i + 1], Z)
+        d0, feet0 = _hyperplane_one(space, bases[i], rows[i], Z)
+        assert d[i].tobytes() == d1[0].tobytes() == d0.tobytes()
+        assert feet[i].tobytes() == feet1[0].tobytes() == feet0.tobytes()
+    if p == 1.0:
+        moved = np.abs(Z - feet[-1]) > 0
+        assert moved[:, :2].all() and not moved[:, 2:].any()
+
+
+@pytest.mark.parametrize("p,k", [(4.0, 1), (math.inf, 1), (3.0, 0), (2.0, 2)])
+def test_stacked_flats_off_codimension_one_match_single_calls(p, k):
+    space = NormedSpace(3, p)
+    rng = np.random.default_rng(7)
+    bases, rows = rng.standard_normal((4, 3)), rng.standard_normal((4, k, 3))
+    Z = rng.standard_normal((6, 3))
+    d, feet = _dists_to_flats(space, bases, rows, Z)
+    for i in range(4):
+        d1, feet1 = _dists_to_flat_batch(space, bases[i], rows[i], Z)
+        assert d[i].tobytes() == d1.tobytes() and feet[i].tobytes() == feet1.tobytes()

@@ -3,10 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from betareif.constants import norm_equivalence
 from betareif.curves import dirac_example
-from betareif.geometry import affine_plane
-from betareif.measures import (BetaInfResult, PointMeasure, best_plane, beta,
-                               beta_inf, density_report, dini_profile, restrict)
+from betareif.geometry import _dists_to_flat_batch, affine_plane
+from betareif.measures import (BetaInfResult, BetaResult, PointMeasure, _ball_atoms,
+                               _degenerate_plane, _fit_seeds, _objective, _rand_rotation,
+                               _weighted_l2_plane, best_plane, beta, beta_inf,
+                               density_report, dini_profile, restrict)
 from betareif.spaces import NormedSpace
 
 from conftest import gamma2_sample
@@ -544,3 +547,123 @@ def test_best_plane_descent_pinned(p):
     assert (res.beta, res.objective, res.certified_factor) == (b, objective, factor)
     assert res.plane.base.tolist() == base
     assert res.plane.basis.tolist() == basis
+
+
+# the scalar multi-start descent that the lockstep batch replaced, kept as
+# the oracle of best_plane and _fit_seeds: one start at a time, one
+# backtracking trial per distance solve
+def _descend_scalar(space, base, basis, pts, w, iters):
+    d, feet = _dists_to_flat_batch(space, base, basis, pts)
+    F = float((w * d * d).sum())
+    step = 0.5
+    for _ in range(iters):
+        R = pts - feet
+        nr = np.maximum(space.norms(R), 1e-30)
+        p = space.p
+        if p == math.inf or p == 1.0:
+            U = np.sign(R)
+            if p == math.inf:
+                U = np.zeros_like(R)
+                idx = np.argmax(np.abs(R), axis=1)
+                U[np.arange(len(R)), idx] = np.sign(R[np.arange(len(R)), idx])
+        else:
+            U = np.sign(R) * np.abs(R) ** (p - 1.0) / nr[:, None] ** (p - 1.0)
+        gb = -2.0 * (w * d) @ U
+        lam = np.linalg.lstsq(basis.T, (feet - base[None, :]).T, rcond=None)[0].T
+        gB = -2.0 * np.einsum("m,m,mk,mn->kn", w, d, lam, U)
+        gnorm = math.sqrt((gb * gb).sum() + (gB * gB).sum())
+        if gnorm < 1e-12 * (1 + F):
+            break
+        t = step
+        improved = False
+        for _bt in range(25):
+            nb = base - t * gb
+            nB = basis - t * gB
+            if np.linalg.matrix_rank(nB, tol=1e-10) < len(nB):
+                t *= 0.5
+                continue
+            nd, nfeet = _dists_to_flat_batch(space, nb, nB, pts)
+            nF = float((w * nd * nd).sum())
+            if nF < F - 1e-15:
+                base, basis, F, d, feet = nb, nB, nF, nd, nfeet
+                step = min(t * 2.0, 1e3)
+                improved = True
+                break
+            t *= 0.5
+        if not improved:
+            break
+    return base, basis, F
+
+
+def _best_plane_scalar(space, mu, x, r, k, seed, starts, iters):
+    x = np.asarray(x, dtype=float)
+    pts, w = _ball_atoms(space, mu, x, r)
+    if len(w) == 0:
+        return BetaResult(0.0, _degenerate_plane(space, x, k), 1.0, 0.0, empty=True)
+    c2, basis2, resid2 = _weighted_l2_plane(pts, w, k)
+    if resid2 <= 1e-24 * (1.0 + w.sum() * r * r):
+        F0 = _objective(space, c2, basis2, pts, w)
+        plane = affine_plane(space, c2, basis2 / space.norms(basis2)[:, None])
+        return BetaResult(math.sqrt(max(F0, 0.0) / r ** (k + 2)), plane, 1.0, F0)
+    best_base, best_basis = c2, basis2
+    best_F = _objective(space, c2, basis2, pts, w)
+    if best_F > 1e-28 * (1 + w.sum()):
+        rng = np.random.default_rng(seed)
+        for s in range(starts):
+            if s == 0:
+                base, basis = c2.copy(), basis2.copy()
+            else:
+                Q = _rand_rotation(rng, space.dim)
+                base, basis = c2.copy(), basis2 @ Q.T
+            base, basis, F = _descend_scalar(space, base, basis, pts, w, iters)
+            if F < best_F:
+                best_F, best_base, best_basis = F, base, basis
+    lower = resid2 / norm_equivalence(space.dim, space.p) ** 2 if space.p > 2 else resid2
+    lower = max(lower, 0.0)
+    if space.p < 2.0:
+        lower = resid2
+    factor = best_F / lower if lower > 1e-300 else 1.0
+    basis_n = best_basis / space.norms(best_basis)[:, None]
+    plane = affine_plane(space, best_base, basis_n)
+    betaval = math.sqrt(max(best_F, 0.0) / r ** (k + 2))
+    return BetaResult(betaval, plane, float(max(factor, 1.0)), best_F)
+
+
+def _same_fit(a, b):
+    return ((a.beta, a.objective, a.certified_factor, a.empty)
+            == (b.beta, b.objective, b.certified_factor, b.empty)
+            and type(a.objective) is type(b.objective)
+            and a.plane.tau_margin == b.plane.tau_margin
+            and a.plane.base.tobytes() == b.plane.base.tobytes()
+            and a.plane.basis.tobytes() == b.plane.basis.tobytes())
+
+
+@pytest.mark.parametrize("p", [1.0, 4 / 3, 3.0, 4.0, math.inf])
+@pytest.mark.parametrize("n,k", [(2, 1), (3, 2), (3, 1)])
+def test_lockstep_descent_matches_scalar_oracle(p, n, k):
+    space = NormedSpace(n, p)
+    rng = np.random.default_rng(100 * n + k)
+    mu = PointMeasure(rng.uniform(-0.3, 0.3, (5, n)), rng.uniform(0.5, 1.5, 5))
+    x = np.zeros(n)
+    # line fits in R^3 take an iterative distance solve per trial: fewer steps
+    iters = 60 if k == n - 1 else 6
+    seeds = [0, 1, 2, 3]
+    fits = _fit_seeds(space, *_ball_atoms(space, mu, x, 1.0), x, 1.0, k, seeds, 4, iters)
+    assert len(fits) == len(seeds)
+    for seed, fit in zip(seeds, fits):
+        want = _best_plane_scalar(space, mu, x, 1.0, k, seed, 4, iters)
+        assert want.certified_factor > 1.0          # the descent path
+        assert _same_fit(fit, want)
+        assert _same_fit(best_plane(space, mu, x, 1.0, k, seed=seed, iters=iters), want)
+    for seed, starts, few in [(0, 1, iters), (1, 4, 3), (2, 1, 2)]:
+        want = _best_plane_scalar(space, mu, x, 1.0, k, seed, starts, few)
+        got = best_plane(space, mu, x, 1.0, k, seed=seed, starts=starts, iters=few)
+        assert _same_fit(got, want)
+    # a 2-atom ball fits exactly; a ball away from the atoms is empty
+    for centre in (mu.points[0], np.full(n, 5.0)):
+        r = float(np.sort(space.norms(mu.points - centre))[1]) if centre[0] < 5 else 1.0
+        want = _best_plane_scalar(space, mu, centre, r, k, 0, 4, iters)
+        assert _same_fit(best_plane(space, mu, centre, r, k, seed=0, iters=iters), want)
+        assert all(_same_fit(f, want) for f in
+                   _fit_seeds(space, *_ball_atoms(space, mu, centre, r), centre, r, k,
+                              seeds, 4, iters))
