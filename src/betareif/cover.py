@@ -496,14 +496,52 @@ def _farthest_net(space, pts, sep, order_idx=None):
     return chosen
 
 
+def _ball_arrays(balls, dim):
+    """The centers (B, dim) and radii (B,) of a list of (center, r) balls."""
+    C = np.array([c for c, _ in balls], dtype=float).reshape(len(balls), dim)
+    return C, np.array([r for _, r in balls], dtype=float)
+
+
+def _ball_table(space, pts, C, R):
+    """(balls x points) membership table of the balls (C[b], R[b]), filled
+    row block by row block.  Open-vs-closed is immaterial for retired
+    regions; the tolerance keeps boundary atoms from resurfacing through
+    float noise."""
+    table = np.empty((len(C), len(pts)), dtype=bool)
+    for rows, D in _distance_blocks(space, C, pts):
+        table[rows] = D < R[rows, None] * (1 + 1e-12)
+    return table
+
+
 def _in_any_ball(space, pts, balls):
     """Membership of each point in the union of closed balls (center, r)."""
-    out = np.zeros(len(pts), dtype=bool)
-    for c, r in balls:
-        out |= space.norms(pts - np.asarray(c)[None, :]) < r * (1 + 1e-12)
-        # open-vs-closed is immaterial for retired regions; tolerance keeps
-        # boundary atoms from resurfacing through float noise
-    return out
+    return _ball_table(space, pts, *_ball_arrays(balls, space.dim)).any(axis=0)
+
+
+def _disjoint(space, balls):
+    """Whether the 1/5-balls of the (center, r) balls are pairwise disjoint
+    (up to 1e-12), from one center-distance table."""
+    C, R = _ball_arrays(balls, space.dim)
+    for rows, D in _distance_blocks(space, C, C):
+        close = D < (R[rows, None] + R[None, :]) / 5.0 - 1e-12
+        if np.triu(close, rows.start + 1).any():
+            return False
+    return True
+
+
+def _radius_ok(space, mu, rs, excess, pool, checked):
+    """Radius control: inside each checked ball (center, r), the atoms with
+    r_s >= r are excess or lie in a ball of the pool other than the checked
+    ball itself (same center and radius)."""
+    PC, PR = _ball_arrays(pool, space.dim)
+    member = _ball_table(space, mu.points, PC, PR)
+    for c, r in checked:
+        c = np.asarray(c, dtype=float)
+        own = (PC == c[None, :]).all(axis=1) & (PR == r)
+        inside = space.norms(mu.points - c[None, :]) <= r
+        if (inside & (rs >= r) & ~excess & ~member[~own].any(axis=0)).any():
+            return False
+    return True
 
 
 def _near_planes(space, pts, goods, radius, thr):
@@ -721,28 +759,14 @@ def _covering_normalized(space, mu, rs, k, cfg):
 def _stage_report(space, index, scale, new_goods, new_bads, new_orig,
                   kept_orig, bad_out, prev_goods, sigma, track, mu, rs,
                   excess, retired, delta, k, cfg, flags):
-    balls = [(c, r) for c, r in kept_orig] + \
-            [(b.center, b.radius) for b in bad_out] + \
-            [(g, rg) for (g, rg, _) in new_goods]
-    disjoint = True
-    for a in range(len(balls)):
-        for b in range(a + 1, len(balls)):
-            ca, ra = balls[a]
-            cb, rb = balls[b]
-            if space.norm(np.asarray(ca) - np.asarray(cb)) < (ra + rb) / 5.0 - 1e-12:
-                disjoint = False
+    disjoint = _disjoint(space, [(c, r) for c, r in kept_orig]
+                         + [(b.center, b.radius) for b in bad_out]
+                         + [(g, rg) for (g, rg, _) in new_goods])
     # radius control: inside each new bad/good ball, originals with larger
     # radius must already be retired or excess (the ball itself excluded)
-    radius_ok = True
-    checked = [(b.center, b.radius) for b in new_bads] + \
-              [(g, rg) for (g, rg, _) in new_goods]
-    for c, r in checked:
-        others = [bl for bl in retired + new_orig
-                  if not (np.array_equal(np.asarray(bl[0]), np.asarray(c)) and bl[1] == r)]
-        inside = space.norms(mu.points - np.asarray(c)[None, :]) <= r
-        offenders = inside & (rs >= r) & ~excess & ~_in_any_ball(space, mu.points, others)
-        if offenders.any():
-            radius_ok = False
+    radius_ok = _radius_ok(space, mu, rs, excess, retired + new_orig,
+                           [(b.center, b.radius) for b in new_bads]
+                           + [(g, rg) for (g, rg, _) in new_goods])
     packing = sum(r**k for _, r in kept_orig) + \
         sum(b.radius**k for b in bad_out) + sum(scale**k for _ in new_goods)
     beta_max = max((fit.beta for (_, _, fit) in new_goods), default=0.0)

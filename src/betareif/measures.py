@@ -14,7 +14,7 @@ import numpy as np
 from .constants import norm_equivalence
 from .geometry import (AffinePlane, _dists_to_flat_batch, _dists_to_flats,
                        _golden_section, affine_plane, distances_to_affine)
-from .spaces import NormedSpace
+from .spaces import NormedSpace, real_number
 
 __all__ = [
     "PointMeasure", "BetaResult", "BetaInfResult", "DiniProfile",
@@ -64,12 +64,26 @@ class PointMeasure:
     @staticmethod
     def from_json(doc: dict) -> tuple[NormedSpace, "PointMeasure", np.ndarray]:
         """Returns (space, measure, r_s array); atoms may carry optional
-        per-atom radii "r_s" (default 0)."""
+        per-atom radii "r_s" (default 0).  A document of any other shape
+        than {"space": ..., "atoms": [{"x": [dim numbers], "w": number,
+        "r_s": number}, ...]} raises ValueError (KeyError for a missing
+        key)."""
+        if not isinstance(doc, dict):
+            raise ValueError("a measure must be a JSON object")
         space = NormedSpace.from_descriptor(doc["space"])
         atoms = doc["atoms"]
-        pts = np.array([a["x"] for a in atoms], dtype=float).reshape(-1, space.dim)
-        w = np.array([a["w"] for a in atoms], dtype=float)
-        rs = np.array([a.get("r_s", 0.0) for a in atoms], dtype=float)
+        if not isinstance(atoms, list) or not all(isinstance(a, dict) for a in atoms):
+            raise ValueError("atoms must be a list of objects")
+        pts = np.empty((len(atoms), space.dim))
+        w = np.empty(len(atoms))
+        rs = np.empty(len(atoms))
+        for i, a in enumerate(atoms):
+            x = a["x"]
+            if not isinstance(x, list) or len(x) != space.dim:
+                raise ValueError(f"atom {i}: x must be a list of {space.dim} numbers")
+            pts[i] = [real_number(v, f"atom {i}: x") for v in x]
+            w[i] = real_number(a["w"], f"atom {i}: w")
+            rs[i] = real_number(a.get("r_s", 0.0), f"atom {i}: r_s")
         return space, PointMeasure(pts, w), rs
 
 
@@ -196,9 +210,10 @@ def _fit_seeds(space, pts, w, x, r, k, seeds, starts=4, iters=60):
                 for _ in seeds]
 
     F0 = _objective(space, c2, basis2, pts, w)
-    # per seed, the candidates in best_plane's order: the l^2 plane, then
-    # its starts' descents (start 0, the unrotated one, shared by all seeds)
-    cands = [[(F0, c2, basis2)] for _ in seeds]
+    # per seed, the candidates in best_plane's order: the l^2 plane (key
+    # -1), then its starts' descents, keyed by their row j of the lockstep
+    # stack (row 0, the unrotated start, is shared by all seeds)
+    cands = [[(-1, F0, c2, basis2)] for _ in seeds]
     if F0 > 1e-28 * (1 + w.sum()) and starts > 0:
         rows = [basis2]
         for seed in seeds:
@@ -208,22 +223,25 @@ def _fit_seeds(space, pts, w, x, r, k, seeds, starts=4, iters=60):
                            pts, w, iters)
         per = starts - 1
         for i, cand in enumerate(cands):
-            cand += [(float(F[j]), B[j], V[j]) for j in [0, *range(1 + i * per, 1 + (i + 1) * per)]]
+            cand += [(j, float(F[j]), B[j], V[j])
+                     for j in [0, *range(1 + i * per, 1 + (i + 1) * per)]]
     lower = resid2 / norm_equivalence(space.dim, space.p) ** 2 if space.p > 2 else resid2
     lower = max(lower, 0.0)
     if space.p < 2.0:
         lower = resid2    # ||v||_p >= ||v||_2 termwise
+    planes = {}     # one affine_plane per winning candidate
     out = []
     for cand in cands:
-        best_F, best_base, best_basis = cand[0]
-        for F_j, base_j, basis_j in cand[1:]:
+        best_key, best_F, best_base, best_basis = cand[0]
+        for key_j, F_j, base_j, basis_j in cand[1:]:
             if F_j < best_F:
-                best_F, best_base, best_basis = F_j, base_j, basis_j
+                best_key, best_F, best_base, best_basis = key_j, F_j, base_j, basis_j
         factor = best_F / lower if lower > 1e-300 else 1.0
-        basis_n = best_basis / space.norms(best_basis)[:, None]
-        plane = affine_plane(space, best_base, basis_n)
+        if best_key not in planes:
+            basis_n = best_basis / space.norms(best_basis)[:, None]
+            planes[best_key] = affine_plane(space, best_base, basis_n)
         betaval = math.sqrt(max(best_F, 0.0) / r ** (k + 2))
-        out.append(BetaResult(betaval, plane, float(max(factor, 1.0)), best_F))
+        out.append(BetaResult(betaval, planes[best_key], float(max(factor, 1.0)), best_F))
     return out
 
 
@@ -485,10 +503,12 @@ def dini_profile(space: NormedSpace, mu: PointMeasure, x, r_lo, r_hi: float,
         r *= chi
     grid = np.asarray(grid)
     n_scales = (grid[None, :] >= floors[:, None]).sum(axis=1)
-    atoms = np.empty((m, len(grid)), dtype=np.int64)
-    for rows, D in _distance_blocks(space, centers, mu.points):
-        atoms[rows] = (D[:, :, None] <= grid[None, None, :]).sum(axis=1)
-    to_fit = (atoms > 1) & (np.arange(len(grid))[None, :] < n_scales[:, None])
+    # a ball holds two or more atoms when its second-nearest atom lies in it
+    second = np.full(m, np.inf)
+    if len(mu) >= 2:
+        for rows, D in _distance_blocks(space, centers, mu.points):
+            second[rows] = np.partition(D, 1, axis=1)[:, 1]
+    to_fit = (second[:, None] <= grid[None, :]) & (np.arange(len(grid))[None, :] < n_scales[:, None])
     # (scale, ball atoms) -> (atom mask, the centers whose ball that is)
     groups: dict = {}
     for i in np.flatnonzero(to_fit.any(axis=1)):
@@ -502,11 +522,14 @@ def dini_profile(space: NormedSpace, mu: PointMeasure, x, r_lo, r_hi: float,
                           grid[j], k, [int(seeds[i]) + 1000 * int(j) for i in members])
         betas[members, j] = [fit.beta for fit in fits]
     log = math.log(1.0 / chi)
-    profiles = []
-    for i, c in enumerate(centers):
-        b = betas[i, :n_scales[i]]
-        dini = float((b**alpha).sum() * log)
-        profiles.append(DiniProfile(c, grid[:n_scales[i]], b, alpha, chi, dini))
+    # each center's sum over its own scales, in groups of equal length:
+    # padding with zeros would change numpy's pairwise sums from 8 terms
+    dini = np.empty(m)
+    for n in np.unique(n_scales):
+        rows = n_scales == n
+        dini[rows] = (betas[rows, :n] ** alpha).sum(axis=1) * log
+    profiles = [DiniProfile(c, grid[:n], betas[i, :n], alpha, chi, float(dini[i]))
+                for i, (c, n) in enumerate(zip(centers, n_scales))]
     return profiles[0] if X.ndim == 1 else profiles
 
 

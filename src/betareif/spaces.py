@@ -19,6 +19,23 @@ def hilbert_modulus(t: float) -> float:
     return math.sqrt(1.0 + t * t) - 1.0
 
 
+def _reduce_last(ufunc, A):
+    """ufunc.reduce(A, axis=-1), one column at a time below 8 columns.
+
+    numpy adds fewer than 8 terms in order, so the column loop gives its
+    bits; from 8 terms it sums pairwise, so wider arrays keep the
+    reduction.  Maxima are exact in any order.  A 1-D A gives a numpy
+    scalar, as the reduction does: a power of a 0-d array can differ by
+    an ulp from the same power of a scalar."""
+    n = A.shape[-1]
+    if not 0 < n < 8:
+        return ufunc.reduce(A, axis=-1)
+    s = A[..., 0].copy()
+    for j in range(1, n):
+        ufunc(s, A[..., j], out=s)
+    return s[()]
+
+
 @dataclass(frozen=True)
 class Functional:
     """A dual vector acting by the standard pairing <phi, x> = sum phi_i x_i."""
@@ -70,20 +87,24 @@ class NormedSpace:
         return float(self.norms(self._check(x)[None, :])[0])
 
     def norms(self, X) -> np.ndarray:
-        """l^p norms of the rows of X.  General exponents rescale by the
-        max entry first, so tiny/huge vectors neither underflow nor
-        overflow in the power sum."""
+        """l^p norms along the last axis of X.  General exponents rescale
+        by the max entry first, so tiny/huge vectors neither underflow nor
+        overflow in the power sum.
+
+        Sums and maxima run column by column (`_reduce_last`): numpy is
+        slow at reducing a last axis of a few entries, and below 8 terms
+        it adds them in order, so the columns give the same bits."""
         X = np.asarray(X, dtype=float)
         if self.p == math.inf:
-            return np.abs(X).max(axis=-1)
+            return _reduce_last(np.maximum, np.abs(X))
         if self.p == 1.0:
-            return np.abs(X).sum(axis=-1)
+            return _reduce_last(np.add, np.abs(X))
         if self.p == 2.0:
-            return np.sqrt((X * X).sum(axis=-1))
+            return np.sqrt(_reduce_last(np.add, X * X))
         A = np.abs(X)
-        m = A.max(axis=-1)
+        m = _reduce_last(np.maximum, A)
         safe = np.where(m > 0, m, 1.0)
-        return m * ((A / safe[..., None]) ** self.p).sum(axis=-1) ** (1.0 / self.p)
+        return m * _reduce_last(np.add, (A / safe[..., None]) ** self.p) ** (1.0 / self.p)
 
     def dual_norm(self, phi) -> float:
         return float(self.dual_norms(phi))
@@ -93,10 +114,10 @@ class NormedSpace:
         q = self.q
         A = np.abs(np.asarray(Phi, dtype=float))
         if q == math.inf:
-            return A.max(axis=-1)
+            return _reduce_last(np.maximum, A)
         if q == 1.0:
-            return A.sum(axis=-1)
-        return (A ** q).sum(axis=-1) ** (1.0 / q)
+            return _reduce_last(np.add, A)
+        return _reduce_last(np.add, A ** q) ** (1.0 / q)
 
     # -- duality map ----------------------------------------------------
 
@@ -206,10 +227,27 @@ class NormedSpace:
 
     @classmethod
     def from_descriptor(cls, d: dict) -> "NormedSpace":
+        """The space of a descriptor {"dim": int, "norm": {"type": "lp",
+        "p": number or "inf"}}; ValueError (KeyError for a missing "dim")
+        on any other shape."""
+        if not isinstance(d, dict):
+            raise ValueError("space descriptor must be an object")
         norm = d.get("norm", {})
-        if norm.get("type") != "lp":
-            raise ValueError(f"unsupported norm type {norm.get('type')!r}")
+        if not isinstance(norm, dict) or norm.get("type") != "lp":
+            raise ValueError('norm must be {"type": "lp", "p": ...}')
+        dim = d["dim"]
+        if isinstance(dim, bool) or not isinstance(dim, int):
+            raise ValueError(f"dim must be an integer, got {dim!r}")
         p = norm.get("p")
-        if p == "inf":
-            p = math.inf
-        return cls(dim=int(d["dim"]), p=float(p))
+        return cls(dim=dim, p=math.inf if p == "inf" else real_number(p, "p"))
+
+
+def real_number(v, what: str) -> float:
+    """v as a float when it is a JSON number (booleans excluded), else
+    ValueError naming `what`."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ValueError(f"{what} must be a number, got {type(v).__name__}")
+    try:
+        return float(v)
+    except OverflowError:
+        raise ValueError(f"{what} is out of range") from None

@@ -1,8 +1,14 @@
+import contextlib
+import io
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from betareif.cli import run
 from betareif.cover import covering_lemma
@@ -219,3 +225,100 @@ def test_measure_json_roundtrip_idempotent(tmp_path):
     doc2 = to_jsonable(mu2.to_json(s2))
     assert doc1 == doc2
     assert (rs == 0).all()
+
+
+_NOT_NUMBER = st.one_of(st.booleans(), st.none(), st.text(max_size=3),
+                        st.lists(st.integers(-3, 3), max_size=2),
+                        st.dictionaries(st.text(max_size=2), st.integers(), max_size=1))
+_NOT_OBJECT = st.one_of(st.booleans(), st.none(), st.integers(), st.text(max_size=3),
+                        st.lists(st.integers(-3, 3), max_size=3))
+
+
+@st.composite
+def _malformed_measure(draw):
+    """A measure document with exactly one structural breach: a top-level
+    value, `space`, `dim`, `p`, `atoms`, one atom, or one atom's x, w or
+    r_s of the wrong JSON type or shape."""
+    dim = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 3))
+    p = draw(st.sampled_from([1, 2, 3.5, "inf"]))
+    doc = {"space": {"dim": dim, "norm": {"type": "lp", "p": p}},
+           "atoms": [{"x": draw(st.lists(st.floats(-0.5, 0.5), min_size=dim, max_size=dim)),
+                      "w": draw(st.floats(0.1, 2.0))} for _ in range(n)]}
+    atom = doc["atoms"][draw(st.integers(0, n - 1))]
+    breach = draw(st.sampled_from(["top", "space", "dim", "p", "atoms", "atom", "x_nested",
+                                   "x_length", "x_entry", "w", "r_s"]))
+    if breach == "top":
+        return draw(st.one_of(_NOT_OBJECT, st.just([doc])))
+    if breach == "space":
+        doc["space"] = draw(_NOT_OBJECT)
+    elif breach == "dim":
+        doc["space"]["dim"] = draw(st.one_of(_NOT_NUMBER, st.floats(allow_nan=False)))
+    elif breach == "p":
+        doc["space"]["norm"]["p"] = draw(_NOT_NUMBER.filter(lambda v: v != "inf"))
+    elif breach == "atoms":
+        doc["atoms"] = draw(st.one_of(_NOT_OBJECT.filter(lambda v: not isinstance(v, list)),
+                                      st.just(doc["atoms"][0])))
+    elif breach == "atom":
+        doc["atoms"][doc["atoms"].index(atom)] = draw(st.one_of(_NOT_OBJECT, st.just(atom["x"])))
+    elif breach == "x_nested":
+        atom["x"] = draw(st.sampled_from([[atom["x"]], [[v] for v in atom["x"]]]))
+    elif breach == "x_length":
+        atom["x"] = draw(st.sampled_from([atom["x"][:-1], atom["x"] + [0.0]]))
+    elif breach == "x_entry":
+        atom["x"][draw(st.integers(0, dim - 1))] = draw(_NOT_NUMBER)
+    else:
+        atom[breach] = draw(_NOT_NUMBER)
+    return doc
+
+
+def _two_atom_doc(**atom0):
+    doc = {"space": {"dim": 2, "norm": {"type": "lp", "p": 2}},
+           "atoms": [{"x": [0.0, 0.1], "w": 1.0}, {"x": [0.1, 0.0], "w": 1.0}]}
+    doc["atoms"][0].update(atom0)
+    return doc
+
+
+@pytest.mark.parametrize("doc", [
+    [_two_atom_doc()],
+    {"space": {"dim": 2, "norm": {"type": "lp", "p": 2}}, "atoms": 5},
+    {"space": {"dim": 2, "norm": {"type": "lp", "p": 2}}, "atoms": [[0.0, 0.1]]},
+    _two_atom_doc(x=[[0.0, 0.1]]),
+    _two_atom_doc(x=[0.1]),
+    _two_atom_doc(x=[True, 0.0]),
+    _two_atom_doc(w=True),
+    _two_atom_doc(r_s=False),
+    {"space": {"dim": 2.5, "norm": {"type": "lp", "p": 2}}, "atoms": [{"x": [0, 0], "w": 1}]},
+    {"space": {"dim": 2, "norm": {"type": "lp", "p": [2]}}, "atoms": []},
+    {"space": [2], "atoms": []},
+])
+@pytest.mark.parametrize("cmd", ["cover", "beta", "pack"])
+def test_structurally_malformed_measure_exits_2(tmp_path, capsys, cmd, doc):
+    path = tmp_path / "measure.json"
+    path.write_text(json.dumps(doc))
+    assert run([cmd, str(path), "--k", "1", "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "out").exists()
+
+
+@settings(max_examples=150, deadline=None)
+@given(_malformed_measure(), st.sampled_from(["cover", "beta", "pack"]))
+def test_malformed_measure_exits_2(doc, cmd):
+    # never a traceback with exit 1, never a report with "valid": true
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "measure.json"
+        path.write_text(json.dumps(doc))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = run([cmd, str(path), "--k", "0", "--out", str(Path(tmp) / "out")])
+        assert code == 2
+        assert err.getvalue().startswith("error: ")
+        assert not (Path(tmp) / "out").exists()
+
+
+@pytest.mark.parametrize("cmd", ["cover", "beta", "pack"])
+def test_empty_measure_file_runs(tmp_path, cmd):
+    doc = {"space": {"dim": 2, "norm": {"type": "lp", "p": 2}}, "atoms": []}
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps(doc))
+    assert run([cmd, str(path), "--k", "1", "--out", str(tmp_path / "out")]) == 0

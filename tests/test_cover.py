@@ -581,3 +581,88 @@ def test_covering_off_unit_frame_denormalization():
     out = res.tau_apply(pts[:3])
     assert np.isfinite(out).all()
     assert "item1_base_plane" in res.item_checks or "early_exit" in res.item_checks
+
+
+# -- ball tables ----------------------------------------------------------------
+# The per-ball loops that _in_any_ball and _stage_report's disjointness and
+# radius checks ran before the tables, kept as the oracle.
+
+def _in_any_ball_loop(space, pts, balls):
+    out = np.zeros(len(pts), dtype=bool)
+    for c, r in balls:
+        out |= space.norms(pts - np.asarray(c)[None, :]) < r * (1 + 1e-12)
+    return out
+
+
+def _disjoint_loop(space, balls):
+    disjoint = True
+    for a in range(len(balls)):
+        for b in range(a + 1, len(balls)):
+            ca, ra = balls[a]
+            cb, rb = balls[b]
+            if space.norm(np.asarray(ca) - np.asarray(cb)) < (ra + rb) / 5.0 - 1e-12:
+                disjoint = False
+    return disjoint
+
+
+def _radius_ok_loop(space, mu, rs, excess, pool, checked):
+    radius_ok = True
+    for c, r in checked:
+        others = [bl for bl in pool
+                  if not (np.array_equal(np.asarray(bl[0]), np.asarray(c)) and bl[1] == r)]
+        inside = space.norms(mu.points - np.asarray(c)[None, :]) <= r
+        offenders = inside & (rs >= r) & ~excess & ~_in_any_ball_loop(space, mu.points, others)
+        if offenders.any():
+            radius_ok = False
+    return radius_ok
+
+
+def _ball_case(seed, n):
+    """Atoms, r_s, an excess mask and a pool of balls in R^n.  Atom 0 lies
+    exactly on the boundary of pool ball 0; pool ball 1 is pool ball 2
+    again; balls 3 and 4 sit exactly on the 1/5 boundary of each other,
+    and ball 5 just inside that of ball 3.  The coordinates on these
+    boundaries are exact, so every distance to them is."""
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(-1.0, 1.0, (40, n))
+    rs = rng.uniform(0.0, 0.4, 40)
+    excess = rng.uniform(size=40) < 0.2
+    pool = [(rng.uniform(-1.0, 1.0, n), float(rng.uniform(0.05, 0.6))) for _ in range(12)]
+    e = np.eye(n)[0]
+    pts[0] = 0.25 * e
+    pool[0] = (np.zeros(n), 0.25)
+    pool[1] = pool[2]
+    t = (0.3 + 0.2) / 5.0 - 1e-12
+    pool[3] = (np.zeros(n), 0.3)
+    pool[4] = (t * e, 0.2)
+    pool[5] = (-np.nextafter(t, 0.0) * e, 0.2)
+    return PointMeasure(pts, np.ones(40)), rs, excess, pool
+
+
+@pytest.mark.parametrize("block_entries", [None, 7])
+@pytest.mark.parametrize("p", [1.0, 4 / 3, 2.0, 3.0, math.inf])
+@pytest.mark.parametrize("n", [2, 3])
+def test_ball_tables_match_per_ball_loops(p, n, block_entries, monkeypatch):
+    if block_entries is not None:
+        monkeypatch.setattr(measures, "_BLOCK_ENTRIES", block_entries)
+    space = NormedSpace(n, p)
+    outcomes = set()
+    for seed in range(12):
+        mu, rs, excess, pool = _ball_case(seed, n)
+        rng = np.random.default_rng(seed + 100)
+        assert space.norm(mu.points[0] - pool[0][0]) == pool[0][1]
+        for balls in (pool, pool[:1], [], pool[3:5], pool[3:6], pool[4:] + pool[:2]):
+            assert (cover._in_any_ball(space, mu.points, balls).tobytes()
+                    == _in_any_ball_loop(space, mu.points, balls).tobytes())
+            assert cover._disjoint(space, balls) == _disjoint_loop(space, balls)
+        assert cover._disjoint(space, pool[3:5]) and not cover._disjoint(space, pool[3:6])
+        # checked balls: pool balls (their own rows drop out, the duplicate
+        # drops both copies) and fresh balls
+        checked = [pool[j] for j in rng.choice(12, 3, replace=False)] + \
+            [(rng.uniform(-1.0, 1.0, n), float(rng.uniform(0.05, 0.5))) for _ in range(2)]
+        for chk in (checked, checked[:1], checked[3:], [pool[1]], [pool[0]], []):
+            for pl in (pool, pool[6:], []):
+                got = cover._radius_ok(space, mu, rs, excess, pl, chk)
+                assert got == _radius_ok_loop(space, mu, rs, excess, pl, chk)
+                outcomes.add(got)
+    assert outcomes == {True, False}

@@ -12,7 +12,7 @@ from betareif.measures import (BetaInfResult, BetaResult, PointMeasure, _ball_at
                                density_report, dini_profile, restrict)
 from betareif.spaces import NormedSpace
 
-from conftest import gamma2_sample
+from conftest import gamma2_sample, l4_saddle_21
 
 
 def test_point_measure_validation():
@@ -667,3 +667,120 @@ def test_lockstep_descent_matches_scalar_oracle(p, n, k):
         assert all(_same_fit(f, want) for f in
                    _fit_seeds(space, *_ball_atoms(space, mu, centre, r), centre, r, k,
                               seeds, 4, iters))
+
+
+def _dini_profile_count3d(space, mu, x, r_lo, r_hi, k, alpha, chi, seed=0):
+    """dini_profile as it was before the second-nearest test and the
+    grouped sums: the 3-D atom count per (center, scale) and one sum per
+    center, kept as the oracle."""
+    from betareif import measures
+    X = np.asarray(x, dtype=float)
+    centers = np.atleast_2d(X)
+    m = len(centers)
+    lo = np.broadcast_to(np.asarray(r_lo, dtype=float), (m,))
+    seeds = np.broadcast_to(np.asarray(seed), (m,))
+    floors = lo * (1 - 1e-12)
+    grid, r = [], float(r_hi)
+    while r >= floors.min():
+        grid.append(r)
+        r *= chi
+    grid = np.asarray(grid)
+    n_scales = (grid[None, :] >= floors[:, None]).sum(axis=1)
+    atoms = np.empty((m, len(grid)), dtype=np.int64)
+    for rows, D in measures._distance_blocks(space, centers, mu.points):
+        atoms[rows] = (D[:, :, None] <= grid[None, None, :]).sum(axis=1)
+    to_fit = (atoms > 1) & (np.arange(len(grid))[None, :] < n_scales[:, None])
+    groups = {}
+    for i in np.flatnonzero(to_fit.any(axis=1)):
+        d = space.norms(mu.points - centers[i][None, :])
+        for j in np.flatnonzero(to_fit[i]):
+            mask = d <= grid[j]
+            groups.setdefault((j, mask.tobytes()), (mask, []))[1].append(i)
+    betas = np.zeros((m, len(grid)))
+    for (j, _key), (mask, members) in groups.items():
+        fits = measures._fit_seeds(space, mu.points[mask], mu.weights[mask],
+                                   centers[members[0]], grid[j], k,
+                                   [int(seeds[i]) + 1000 * int(j) for i in members])
+        betas[members, j] = [fit.beta for fit in fits]
+    log = math.log(1.0 / chi)
+    profiles = []
+    for i, c in enumerate(centers):
+        b = betas[i, :n_scales[i]]
+        profiles.append(measures.DiniProfile(c, grid[:n_scales[i]], b, alpha, chi,
+                                    float((b**alpha).sum() * log)))
+    return profiles[0] if X.ndim == 1 else profiles
+
+
+def _dyadic_cloud():
+    """Atoms in R^2 on a parabola at the dyadic abscissae 2^-j (j = 0..11),
+    so that balls about the origin hold three or more non-collinear atoms
+    down to the finest scale, plus a far pair, a lone atom and an atom at
+    distance exactly 1/2 from the origin.  Centers: the origin, a pair
+    atom, the lone atom and a point with no atom nearby."""
+    t = 2.0 ** -np.arange(12)
+    pts = np.concatenate([np.stack([t, t * t], axis=1), [[0.0, 0.0], [-0.5, 0.0]],
+                          [[5.0, 5.0], [5.0, 5.0 + 2.0 ** -6]], [[-5.0, 5.0]]])
+    mu = PointMeasure(pts, 0.5 + (np.arange(len(pts)) % 3) / 4.0)
+    centers = np.array([[0.0, 0.0], [5.0, 5.0], [-5.0, 5.0], [0.0, -9.0], [0.5, 0.25]])
+    return mu, centers
+
+
+def _stand_in_fits(space, pts, w, x, r, k, seeds, starts=4, iters=60):
+    """A cheap stand-in for `_fit_seeds`: a beta that depends on the ball's
+    atoms, its scale and each seed."""
+    return [BetaResult(math.sqrt(w.sum() * r) * (1 + s % 5) / 7, None, 1.0, 0.0) for s in seeds]
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0, math.inf])
+@pytest.mark.parametrize("block_entries", [None, 5])
+def test_dini_profile_matches_3d_count_oracle(p, block_entries, monkeypatch):
+    # both sides fit through measures._fit_seeds; off the Hilbert case a
+    # stand-in replaces the descent, which other tests pin
+    from betareif import measures
+    if block_entries is not None:
+        monkeypatch.setattr(measures, "_BLOCK_ENTRIES", block_entries)
+    if p != 2.0:
+        monkeypatch.setattr(measures, "_fit_seeds", _stand_in_fits)
+    space = NormedSpace(2, p)
+    mu, centers = _dyadic_cloud()
+    # chi = 1/2 and r_hi = 1 make every scale a power of 2: the atom at
+    # (-1/2, 0) lies exactly on the ball B_{1/2}(0)
+    assert space.norm(mu.points[13] - centers[0]) == 0.5
+    alpha = 2.0 if p != 1.0 else 1.0
+    # one r_lo: the origin sums 12 scales (numpy's pairwise path); per-row
+    # r_lo: its 6 scales, all with nonzero betas, sit in a 12-scale grid,
+    # where a zero-padded sum would change their bits
+    for r_lo in (2.0 ** -11, np.array([2.0 ** -5, 2.0 ** -11, 0.3, 1e-3, 2.0 ** -4])):
+        for measure in (mu, mu.subset(np.arange(len(mu)) == 12),
+                        mu.subset(np.zeros(len(mu), dtype=bool))):
+            got = dini_profile(space, measure, centers, r_lo, 1.0, 1, alpha, 0.5, seed=3)
+            want = _dini_profile_count3d(space, measure, centers, r_lo, 1.0, 1, alpha, 0.5,
+                                         seed=3)
+            for a, b in zip(got, want, strict=True):
+                assert a.scales.tobytes() == b.scales.tobytes()
+                assert a.betas.tobytes() == b.betas.tobytes()
+                assert a.dini_sum == b.dini_sum
+    # the origin's profile sums 12 scales, the first 9 betas nonzero, so
+    # its sum takes numpy's pairwise path
+    full = dini_profile(space, mu, centers, 2.0 ** -11, 1.0, 1, alpha, 0.5, seed=3)
+    assert len(full[0].scales) == 12 and (full[0].betas[:9] > 0).all()
+    one = dini_profile(space, mu, centers[0], 2.0 ** -11, 1.0, 1, alpha, 0.5, seed=3)
+    assert one.dini_sum == full[0].dini_sum
+
+
+def test_fit_seeds_builds_one_plane_per_winning_candidate(monkeypatch):
+    # the top-scale precheck ball of the 21-atom l^4 saddle: its 21 seeds
+    # end on 8 distinct candidates, and each gets one affine_plane (the
+    # parent built 21)
+    from betareif import measures
+    space, mu = NormedSpace(3, 4), l4_saddle_21()
+    built = []
+    real = measures.affine_plane
+    monkeypatch.setattr(measures, "affine_plane",
+                        lambda *a: built.append(1) or real(*a))
+    x = np.zeros(3)
+    fits = _fit_seeds(space, mu.points, mu.weights, x, 2.0, 2, list(range(21)))
+    assert len(built) == len({id(f.plane) for f in fits}) == 8
+    for seed in (0, 7, 20):
+        assert _same_fit(fits[seed], _fit_seeds(space, mu.points, mu.weights, x, 2.0, 2,
+                                                [seed])[0])

@@ -170,3 +170,56 @@ def test_descriptor_roundtrip():
     for p in (2.0, 1.5, math.inf):
         s = NormedSpace(3, p)
         assert NormedSpace.from_descriptor(s.to_descriptor()) == s
+
+
+# The reductions norms and dual_norms used before they summed column by
+# column, kept as the oracle.
+def _old_norms(p, X):
+    X = np.asarray(X, dtype=float)
+    if p == math.inf:
+        return np.abs(X).max(axis=-1)
+    if p == 1.0:
+        return np.abs(X).sum(axis=-1)
+    if p == 2.0:
+        return np.sqrt((X * X).sum(axis=-1))
+    A = np.abs(X)
+    m = A.max(axis=-1)
+    safe = np.where(m > 0, m, 1.0)
+    return m * ((A / safe[..., None]) ** p).sum(axis=-1) ** (1.0 / p)
+
+
+def _old_dual_norms(q, Phi):
+    A = np.abs(np.asarray(Phi, dtype=float))
+    if q == math.inf:
+        return A.max(axis=-1)
+    if q == 1.0:
+        return A.sum(axis=-1)
+    return (A ** q).sum(axis=-1) ** (1.0 / q)
+
+
+def _norm_inputs(n, seed):
+    """1-D, (1, n), (m, n) and 3-D tables, with zero rows, mixed scales,
+    a Fortran-ordered copy and negative-stride views."""
+    rng = np.random.default_rng(seed)
+    M = rng.standard_normal((37, n)) * 10.0 ** rng.integers(-8, 9, (37, 1))
+    M[[3, 17]] = 0.0
+    M[5, 0] = -0.0
+    T = rng.standard_normal((5, 7, n))
+    return [M[0], M[3], M[1:2], M, T, np.asfortranarray(M), M[::-1, ::-1],
+            T[:, ::-2], np.asfortranarray(T)[::-1]]
+
+
+@pytest.mark.parametrize("p", [1.0, 4 / 3, 1.5, 2.0, 3.0, 4.0, math.inf])
+@pytest.mark.parametrize("n", range(1, 10))
+def test_columnwise_norms_match_axis_reductions(p, n):
+    space = NormedSpace(n, p)
+    for seed in range(3):
+        for X in _norm_inputs(n, seed):
+            for new, old in ((space.norms(X), _old_norms(p, X)),
+                             (space.dual_norms(X), _old_dual_norms(space.q, X))):
+                assert type(new) is type(old)
+                assert np.shape(new) == np.shape(old)
+                assert np.asarray(new).tobytes() == np.asarray(old).tobytes()
+    x = _norm_inputs(n, 0)[0]
+    assert isinstance(space.norms(x), np.float64)
+    assert space.norm(x) == float(_old_norms(p, x[None, :])[0])
