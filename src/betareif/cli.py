@@ -10,7 +10,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,37 +23,7 @@ from .measures import PointMeasure, dini_profile
 from .report import emit_report, profile_csv
 from .spaces import NormedSpace
 
-__all__ = ["main", "run", "RunConfig"]
-
-
-@dataclass
-class RunConfig:
-    """Resolved per-invocation configuration for the analysis commands."""
-
-    command: str
-    input_path: str | None
-    output_path: str | None
-    space: NormedSpace | None
-    k: int
-    alpha: float | str
-    chi: float
-    delta: float | None
-    theta: float | None
-    max_depth: int
-    seed: int
-    fmt: str
-
-    def __post_init__(self):
-        if self.alpha != "auto":
-            try:
-                self.alpha = float(self.alpha)
-            except (TypeError, ValueError):
-                raise _ValidationError(f"alpha must be 'auto' or a number, got {self.alpha!r}")
-
-    def cover_config(self) -> "CoverConfig":
-        return CoverConfig(chi=self.chi, delta=self.delta, alpha=self.alpha,
-                           theta=self.theta, max_depth=self.max_depth,
-                           seed=self.seed)
+__all__ = ["main", "run"]
 
 
 def _parse_space(text: str) -> NormedSpace:
@@ -174,8 +143,17 @@ def _space_from_args(args, default_space):
     return default_space
 
 
-def _check_args(args, space):
-    """Bounds of the analysis flags that argparse's types do not give."""
+def _check_args(args, space) -> float:
+    """Bounds of the analysis flags that argparse's types do not give.
+    Returns the resolved alpha."""
+    try:
+        alpha = CoverConfig(alpha=args.alpha).resolve_alpha(space)
+    except ValueError:
+        raise _ValidationError(f"alpha must be 'auto' or a finite number > 0, got {args.alpha!r}")
+    for name in ("delta", "theta"):
+        value = getattr(args, name)
+        if value is not None and not (math.isfinite(value) and value > 0):
+            raise _ValidationError(f"{name} must be a finite number > 0, got {value}")
     if not (0 <= args.k < space.dim):
         raise _ValidationError(f"k must satisfy 0 <= k < dim = {space.dim}, got {args.k}")
     if not (0 < args.chi < 1):
@@ -189,6 +167,7 @@ def _check_args(args, space):
         raise _ValidationError(f"need 0 < r_lo < r_hi, got r_lo={args.r_lo}, r_hi={args.r_hi}")
     if args.command == "pack" and not (args.M >= 0):
         raise _ValidationError(f"M must be >= 0, got {args.M}")
+    return alpha
 
 
 def run(argv) -> int:
@@ -212,8 +191,7 @@ def _dispatch(args) -> int:
     if cmd == "beta":
         space0, mu, _rs = _load_measure(args.input)
         space = _space_from_args(args, space0)
-        _check_args(args, space)
-        alpha = space.smoothness_power() if args.alpha == "auto" else float(args.alpha)
+        alpha = _check_args(args, space)
         if args.atom is not None:
             prof = dini_profile(space, mu, mu.points[args.atom], args.r_lo,
                                 args.r_hi, args.k, alpha, args.chi, seed=args.seed)
@@ -237,10 +215,8 @@ def _dispatch(args) -> int:
         if len(bad):
             # the covering runs on the unit ball, whose radius bounds r_s
             raise _ValidationError(f"per-atom r_s must satisfy 0 <= r_s < 1, got {bad[0]}")
-        rc = RunConfig(cmd, args.input, args.out, space, args.k, args.alpha,
-                       args.chi, args.delta, args.theta, args.max_depth,
-                       args.seed, args.format)
-        cfg = rc.cover_config()
+        cfg = CoverConfig(chi=args.chi, delta=args.delta, alpha=args.alpha,
+                          theta=args.theta, max_depth=args.max_depth, seed=args.seed)
         if cmd == "cover":
             res = covering_lemma(space, mu, np.arange(len(mu)), rs, args.k, cfg)
             _write(args.out, emit_report(res, "json"))

@@ -370,9 +370,14 @@ class CoverConfig:
     leftover_c: float | None = None # item-7 constant; None: proof chain value
 
     def resolve_alpha(self, space: NormedSpace) -> float:
+        """alpha, or the space's smoothness power for "auto"; anything but
+        "auto" or a finite number > 0 raises ValueError."""
         if self.alpha == "auto":
             return space.smoothness_power()
-        return float(self.alpha)
+        alpha = float(self.alpha)
+        if not (math.isfinite(alpha) and alpha > 0):
+            raise ValueError(f"alpha must be 'auto' or a finite number > 0, got {self.alpha!r}")
+        return alpha
 
     def ledger(self, space: NormedSpace, k: int) -> dict:
         return {

@@ -315,7 +315,13 @@ def _dist_newton_batch(space, M, W, lam, tol: float = _GRAD_TOL):
     """Damped Newton on f(lam) = sum |w - M lam|^p, batched over rows of W.
 
     Convex for p > 1; terminates when the gradient of the distance falls
-    below tol*(1 + ||w||) per sample or at the iteration cap."""
+    below tol*(1 + ||w||) per sample or at the iteration cap.
+
+    The backtracking line search takes the power sum of a row only after
+    its step moved, and keeps the value of every accepted row.  The
+    residuals W - lam @ M.T are still formed for all the rows of the
+    search at once: for k >= 2 a product over a subset of the rows can
+    differ from the same rows of the full product by an ulp."""
     p = space.p
     m = len(W)
     R = W - lam @ M.T
@@ -347,19 +353,24 @@ def _dist_newton_batch(space, M, W, lam, tol: float = _GRAD_TOL):
             step = -g
         f0 = (np.abs(Rs) ** p).sum(axis=1)
         t = np.ones(len(still))
-        lam_new = lam[still] + step
+        Ws, lam_s = W[still], lam[still]
+        lam_new = lam_s + step
+        fn = np.empty(len(still))
+        moved = np.ones(len(still), dtype=bool)     # not evaluated since its last move
         for _bt in range(40):
-            Rn = W[still] - lam_new @ M.T
-            fn = (np.abs(Rn) ** p).sum(axis=1)
+            Rn = Ws - lam_new @ M.T
+            fn[moved] = (np.abs(Rn[moved]) ** p).sum(axis=1)
             bad = fn > f0 - 1e-18
+            moved = bad
             if not bad.any():
                 break
             t[bad] *= 0.5
-            lam_new[bad] = lam[still][bad] + t[bad, None] * step[bad]
+            lam_new[bad] = lam_s[bad] + t[bad, None] * step[bad]
             if t.min() < 1e-12:
                 break
-        Rn = W[still] - lam_new @ M.T
-        fn = (np.abs(Rn) ** p).sum(axis=1)
+        if moved.any():
+            Rn = Ws - lam_new @ M.T
+            fn[moved] = (np.abs(Rn[moved]) ** p).sum(axis=1)
         stalled = (f0 - fn) <= 1e-14 * f0   # descent below float resolution
         take = fn <= f0
         lam[still[take]] = lam_new[take]

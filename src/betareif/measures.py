@@ -255,9 +255,11 @@ def _descend(space, base, basis, pts, w, iters):
     """Envelope-gradient descent with backtracking from each start (base[i],
     basis[i]) of a stack, base (D, n) and basis (D, k, n), in lockstep.
     Every round, each live descent computes its gradient if it has none
-    and then tests one backtracking trial; the trials' rank tests, distance
-    tables and objectives are stacked.  Each descent takes the steps it
-    would take alone.  Returns the final (base, basis, F) stacks."""
+    and then tests one backtracking trial; the gradients, the trials' rank
+    tests, distance tables and objectives are stacked.  Each descent takes
+    the steps it would take alone: every stacked operation acts on one
+    descent at a time, and only the foot coordinates take one `lstsq` per
+    descent.  Returns the final (base, basis, F) stacks."""
     base, basis = base.copy(), basis.copy()
     D, k, _n = basis.shape
     # (d, feet) always belong to the current (base, basis)
@@ -272,30 +274,33 @@ def _descend(space, base, basis, pts, w, iters):
     fresh = np.ones(D, dtype=bool)     # needs a gradient
     p = space.p
     while True:
-        for i in np.flatnonzero(live & fresh):
-            if grads[i] == iters:
-                live[i] = False
-                continue
-            grads[i] += 1
-            R = pts - feet[i]
-            nr = np.maximum(space.norms(R), 1e-30)
-            if p == math.inf or p == 1.0:
-                U = np.sign(R)      # subgradient direction of the norm
-                if p == math.inf:
-                    U = np.zeros_like(R)
-                    idx = np.argmax(np.abs(R), axis=1)
-                    U[np.arange(len(R)), idx] = np.sign(R[np.arange(len(R)), idx])
+        need = np.flatnonzero(live & fresh)
+        capped = grads[need] == iters
+        live[need[capped]] = False
+        need = need[~capped]
+        if len(need):
+            grads[need] += 1
+            R = pts[None, :, :] - feet[need]
+            if p == math.inf:       # subgradient direction of the norm
+                idx = np.argmax(np.abs(R), axis=2)[:, :, None]
+                U = np.zeros_like(R)
+                np.put_along_axis(U, idx, np.sign(np.take_along_axis(R, idx, axis=2)), axis=2)
+            elif p == 1.0:
+                U = np.sign(R)
             else:
-                U = np.sign(R) * np.abs(R) ** (p - 1.0) / nr[:, None] ** (p - 1.0)
+                nr = np.maximum(space.norms(R), 1e-30)
+                U = np.sign(R) * np.abs(R) ** (p - 1.0) / nr[:, :, None] ** (p - 1.0)
             # envelope gradient of sum w d^2 wrt base and basis rows
-            gb[i] = -2.0 * (w * d[i]) @ U
-            lam = np.linalg.lstsq(basis[i].T, (feet[i] - base[i][None, :]).T, rcond=None)[0].T
-            gB[i] = -2.0 * np.einsum("m,m,mk,mn->kn", w, d[i], lam, U)
-            gnorm = math.sqrt((gb[i] * gb[i]).sum() + (gB[i] * gB[i]).sum())
-            if gnorm < 1e-12 * (1 + F[i]):
-                live[i] = False
-                continue
-            t[i], tries[i], fresh[i] = step[i], 0, False
+            g = np.matmul((-2.0 * (w * d[need]))[:, None, :], U)[:, 0, :]
+            lam = np.array([np.linalg.lstsq(basis[i].T, (feet[i] - base[i][None, :]).T,
+                                            rcond=None)[0].T for i in need])
+            G = -2.0 * np.einsum("m,dm,dmk,dmn->dkn", w, d[need], lam, U)
+            gb[need], gB[need] = g, G
+            gnorm = np.sqrt((g * g).sum(axis=1) + (G * G).reshape(len(need), -1).sum(axis=1))
+            flat = gnorm < 1e-12 * (1 + F[need])
+            live[need[flat]] = False
+            go = need[~flat]
+            t[go], tries[go], fresh[go] = step[go], 0, False
         trial = np.flatnonzero(live)
         if len(trial) == 0:
             return base, basis, F

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from betareif.cli import run
-from betareif.cover import covering_lemma
+from betareif.cover import CoverConfig, covering_lemma
 from betareif.curves import dirac_example
 from betareif.measures import PointMeasure
 from betareif.report import emit_report, to_jsonable
@@ -140,6 +140,28 @@ def test_exit_code_on_out_of_range_flag(planar_json, argv, capsys):
     code = run([argv[0], planar_json] + argv[1:])
     assert code == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--alpha", "foo"), ("--alpha", "0"), ("--alpha", "-1"), ("--alpha", "nan"),
+    ("--alpha", "inf"), ("--delta", "-1"), ("--delta", "0"), ("--delta", "nan"),
+    ("--delta", "inf"), ("--theta", "-1"), ("--theta", "0"), ("--theta", "nan"),
+])
+@pytest.mark.parametrize("cmd", ["beta", "cover", "pack", "goodball"])
+def test_exit_code_on_bad_alpha_delta_theta(planar_json, tmp_path, capsys, cmd, flag, value):
+    out = tmp_path / "out"
+    assert run([cmd, planar_json, "--k", "2", flag, value, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {flag[2:]} must be")
+    assert not out.exists()
+
+
+def test_resolve_alpha_checks_its_value():
+    space = NormedSpace(3, 4)
+    assert CoverConfig().resolve_alpha(space) == 2.0
+    assert CoverConfig(alpha="1.5").resolve_alpha(space) == 1.5
+    for alpha in ("foo", "0", -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            CoverConfig(alpha=alpha).resolve_alpha(space)
 
 
 @pytest.mark.parametrize("cmd", ["cover", "pack"])

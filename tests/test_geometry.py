@@ -1,10 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from betareif.constants import c1, c2, c3, stability_constant
-from betareif.geometry import (_dists_hyperplane, _dists_to_flat_batch,
+from betareif.geometry import (_dist_newton_batch, _dists_hyperplane, _dists_to_flat_batch,
                                _dists_to_flats, affine_plane, distance_to_affine,
                                distances_to_affine, general_position_margin,
                                grassmann_distance, graph_check,
@@ -656,3 +657,121 @@ def test_stacked_flats_off_codimension_one_match_single_calls(p, k):
     for i in range(4):
         d1, feet1 = _dists_to_flat_batch(space, bases[i], rows[i], Z)
         assert d[i].tobytes() == d1.tobytes() and feet[i].tobytes() == feet1.tobytes()
+
+
+def _dist_newton_batch_full(space, M, W, lam, tol=1e-9, halvings=None):
+    """`_dist_newton_batch` as it was when every backtracking round took the
+    power sums of all its rows, kept as the oracle; `halvings` collects
+    each round's number of halvings."""
+    from betareif import geometry
+    p = space.p
+    m = len(W)
+    R = W - lam @ M.T
+    scale = 1.0 + space.norms(W)
+    active = np.ones(m, dtype=bool)
+    for _ in range(geometry._NEWTON_CAP):
+        if not active.any():
+            break
+        Ra = R[active]
+        S = np.sign(Ra) * np.abs(Ra) ** (p - 1.0)
+        G = -S @ M
+        nr = space.norms(Ra)
+        on_flat = nr <= 1e-12 * scale[active]
+        grad_d = G / np.maximum(nr, 1e-30)[:, None] ** (p - 1.0)
+        done = on_flat | (np.linalg.norm(grad_d, axis=1) <= tol * scale[active])
+        idx = np.where(active)[0]
+        active[idx[done]] = False
+        still = idx[~done]
+        if len(still) == 0:
+            break
+        Rs = R[still]
+        h = (p - 1.0) * np.abs(np.clip(np.abs(Rs), 1e-14, None)) ** (p - 2.0)
+        H = np.einsum("mi,ij,ik->mjk", h, M, M)
+        H += 1e-14 * np.eye(M.shape[1])[None, :, :]
+        g = -(np.sign(Rs) * np.abs(Rs) ** (p - 1.0)) @ M
+        try:
+            step = np.linalg.solve(H, -g[:, :, None])[:, :, 0]
+        except np.linalg.LinAlgError:
+            step = -g
+        f0 = (np.abs(Rs) ** p).sum(axis=1)
+        t = np.ones(len(still))
+        lam_new = lam[still] + step
+        for _bt in range(40):
+            Rn = W[still] - lam_new @ M.T
+            fn = (np.abs(Rn) ** p).sum(axis=1)
+            bad = fn > f0 - 1e-18
+            if not bad.any():
+                break
+            t[bad] *= 0.5
+            lam_new[bad] = lam[still][bad] + t[bad, None] * step[bad]
+            if t.min() < 1e-12:
+                break
+        if halvings is not None:
+            halvings.append(int(round(-math.log2(t.min()))))
+        Rn = W[still] - lam_new @ M.T
+        fn = (np.abs(Rn) ** p).sum(axis=1)
+        stalled = (f0 - fn) <= 1e-14 * f0
+        take = fn <= f0
+        lam[still[take]] = lam_new[take]
+        R[still[take]] = Rn[take]
+        active[still[stalled]] = False
+    if active.any():
+        warnings.warn("distance solver hit the iteration cap; returning best iterate",
+                      RuntimeWarning, stacklevel=2)
+    return lam
+
+
+def _newton_rows(rng, M, m):
+    """m rows about the flat span(M): a third of them at 1e-11 to 1e-2
+    from it, a tenth on it, one (the first, for m >= 3) at distance 1e-7
+    along its normal, the rest at random."""
+    n, k = M.shape
+    W = rng.standard_normal((m, n))
+    near = rng.random(m) < 0.3
+    W[near] = (rng.standard_normal((near.sum(), k)) @ M.T
+               + 10.0 ** rng.uniform(-11, -2, (near.sum(), 1))
+               * rng.standard_normal((near.sum(), n)))
+    on = rng.random(m) < 0.1
+    W[on] = rng.standard_normal((on.sum(), k)) @ M.T
+    if m >= 3:
+        W[0] = M @ rng.standard_normal(k) + 1e-7 * np.linalg.svd(M.T)[2][-1]
+    return W
+
+
+@pytest.mark.parametrize("p", [4 / 3, 1.5, 3.0, 4.0, 6.0])
+@pytest.mark.parametrize("n,k", [(2, 1), (3, 1), (4, 1), (4, 2), (5, 2), (5, 3)])
+def test_newton_batch_matches_full_backtrack_oracle(p, n, k):
+    space = NormedSpace(n, p)
+    rng = np.random.default_rng(int(10 * p) + 100 * n + k)
+    M = rng.standard_normal((n, k))
+    halvings = []
+    for m in (1, 2, 3, 17, 300):
+        W = _newton_rows(rng, M, m)
+        lam0 = np.linalg.lstsq(M, W.T, rcond=None)[0].T
+        with warnings.catch_warnings(record=True) as got_warned:
+            warnings.simplefilter("always")
+            got = _dist_newton_batch(space, M, W, lam0.copy())
+        with warnings.catch_warnings(record=True) as want_warned:
+            warnings.simplefilter("always")
+            want = _dist_newton_batch_full(space, M, W, lam0.copy(), halvings=halvings)
+        assert got.tobytes() == want.tobytes()
+        assert len(got_warned) == len(want_warned)
+    # the row at 1e-7 from the flat cannot descend: its round halves all
+    # 40 times while the other rows of its batch converge
+    assert max(halvings) == 40
+
+
+@pytest.mark.parametrize("p,n,k", [(4.0, 3, 1), (3.0, 5, 2), (4 / 3, 4, 2)])
+def test_newton_batch_cap_hit_warns_like_the_oracle(p, n, k, monkeypatch):
+    from betareif import geometry
+    monkeypatch.setattr(geometry, "_NEWTON_CAP", 2)
+    space = NormedSpace(n, p)
+    rng = np.random.default_rng(3)
+    M = rng.standard_normal((n, k))
+    W = _newton_rows(rng, M, 40)
+    lam0 = np.linalg.lstsq(M, W.T, rcond=None)[0].T
+    with pytest.warns(RuntimeWarning, match="iteration cap"):
+        got = _dist_newton_batch(space, M, W, lam0.copy())
+    with pytest.warns(RuntimeWarning, match="iteration cap"):
+        want = _dist_newton_batch_full(space, M, W, lam0.copy())
+    assert got.tobytes() == want.tobytes()

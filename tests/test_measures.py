@@ -5,9 +5,9 @@ import pytest
 
 from betareif.constants import norm_equivalence
 from betareif.curves import dirac_example
-from betareif.geometry import _dists_to_flat_batch, affine_plane
+from betareif.geometry import _dists_to_flat_batch, _dists_to_flats, affine_plane
 from betareif.measures import (BetaInfResult, BetaResult, PointMeasure, _ball_atoms,
-                               _degenerate_plane, _fit_seeds, _objective, _rand_rotation,
+                               _degenerate_plane, _descend, _fit_seeds, _objective, _rand_rotation,
                                _weighted_l2_plane, best_plane, beta, beta_inf,
                                density_report, dini_profile, restrict)
 from betareif.spaces import NormedSpace
@@ -667,6 +667,39 @@ def test_lockstep_descent_matches_scalar_oracle(p, n, k):
         assert all(_same_fit(f, want) for f in
                    _fit_seeds(space, *_ball_atoms(space, mu, centre, r), centre, r, k,
                               seeds, 4, iters))
+    # stacked gradient rounds start by start: on atoms that lie on the
+    # first start's plane, that start's gradient vanishes in the first
+    # round while the rotated starts go on; with few iterations the starts
+    # reach `iters` in different rounds
+    rng = np.random.default_rng(7)
+    base0, basis0 = np.full(n, 0.05), np.linalg.qr(rng.standard_normal((n, n)))[0][:k]
+    on_plane = base0 + rng.uniform(-0.4, 0.4, (6, k)) @ basis0
+    starts = [basis0] + [basis0 @ _rand_rotation(rng, n).T for _ in range(8)]
+    _assert_descend_matches_scalar(space, base0, starts, on_plane, rng.uniform(0.5, 1.5, 6),
+                                   (2, iters))
+    if p == math.inf and k == n - 1:
+        # atoms (u, -u, v) about a plane with normal along (1, -1, ...): the
+        # residuals' largest |coordinates| tie, and the first one wins
+        tied = np.zeros((5, n))
+        tied[:, 0] = rng.uniform(-0.3, 0.3, 5)
+        tied[:, 1] = -tied[:, 0]
+        tied[:, 2:] = rng.uniform(-0.3, 0.3, (5, n - 2))
+        plane = np.array([[1.0, 1.0, 0.0], [1.0, -1.0, 1.0]])[:k, :n]
+        _d, feet = _dists_to_flats(space, np.zeros((1, n)), plane[None], tied)
+        A = np.abs(tied - feet[0])
+        assert ((A == A.max(axis=1, keepdims=True)).sum(axis=1) >= 2).all() and A.max() > 0
+        starts = [plane] + [plane @ _rand_rotation(rng, n).T for _ in range(3)]
+        _assert_descend_matches_scalar(space, np.zeros(n), starts, tied,
+                                       rng.uniform(0.5, 1.5, 5), (2, iters))
+
+
+def _assert_descend_matches_scalar(space, base, starts, pts, w, iters_list):
+    for iters in iters_list:
+        B, V, F = _descend(space, np.repeat(base[None, :], len(starts), axis=0),
+                           np.array(starts), pts, w, iters)
+        for i, basis in enumerate(starts):
+            b, v, f = _descend_scalar(space, base, basis, pts, w, iters)
+            assert (B[i].tobytes(), V[i].tobytes(), F[i]) == (b.tobytes(), v.tobytes(), f)
 
 
 def _dini_profile_count3d(space, mu, x, r_lo, r_hi, k, alpha, chi, seed=0):
