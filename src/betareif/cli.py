@@ -20,7 +20,7 @@ from .curves import (SnowflakeSpec, no_power_gain_matrix, no_power_gain_witness,
                      snowflake, RademacherVector, euclidean_normal,
                      linear_graph_samples)
 from .measures import PointMeasure, dini_profile
-from .report import emit_report, profile_csv
+from .report import emit_report
 from .spaces import NormedSpace
 
 __all__ = ["main", "run"]
@@ -65,7 +65,6 @@ def _add_common(sp):
     sp.add_argument("--max-depth", type=int, default=6)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", default=None)
-    sp.add_argument("--format", choices=("json", "csv"), default="json")
 
 
 def _build_parser():
@@ -78,6 +77,8 @@ def _build_parser():
     b.add_argument("--atom", type=int, default=None, help="profile a single atom index")
     b.add_argument("--r-lo", type=float, default=1 / 16)
     b.add_argument("--r-hi", type=float, default=2.0)
+    b.add_argument("--format", choices=("json", "csv"), default="json",
+                   help="report of --atom (the all-atom table is always CSV)")
     _add_common(b)
 
     c = sub.add_parser("cover", help="run the covering lemma (JSON report)")
@@ -106,13 +107,11 @@ def _build_parser():
     m.add_argument("--samples", type=int, default=10000)
     m.add_argument("--seed", type=int, default=0)
     m.add_argument("--out", default=None)
-    m.add_argument("--format", choices=("json", "csv"), default="csv")
 
     n = sub.add_parser("nopowergain", help="det certificate + witness scan (JSON)")
     n.add_argument("--eps", type=float, default=0.02)
     n.add_argument("--grid-step", type=float, default=0.05)
     n.add_argument("--out", default=None)
-    n.add_argument("--format", choices=("json", "csv"), default="json")
 
     g = sub.add_parser("goodball", help="classify one ball (JSON)")
     g.add_argument("input")
@@ -195,8 +194,7 @@ def _dispatch(args) -> int:
         if args.atom is not None:
             prof = dini_profile(space, mu, mu.points[args.atom], args.r_lo,
                                 args.r_hi, args.k, alpha, args.chi, seed=args.seed)
-            _write(args.out, emit_report(prof, args.format) if args.format == "json"
-                   else profile_csv(prof).encode())
+            _write(args.out, emit_report(prof, args.format))
             return 0
         lines = ["atom,scale,beta,beta_alpha,cumulative"]
         profiles = dini_profile(space, mu, mu.points, args.r_lo, args.r_hi,

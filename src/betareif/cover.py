@@ -145,19 +145,13 @@ def classify_ball(space: NormedSpace, mu: PointMeasure, x, r: float, k: int,
     for _j in range(1, k + 1):
         hull_base = witnesses[0]
         hull_dirs = np.asarray(witnesses[1:]) - hull_base[None, :] if len(witnesses) > 1 else np.zeros((0, space.dim))
-        dists = _dists_to_affine_hull(space, hull_base, hull_dirs, cand)
+        dists = distances_to_affine(space, AffinePlane(hull_base, hull_dirs, 1.0), cand)
         i = int(np.argmax(dists))
         if dists[i] < 7.0 * chi * r:
             return BallLabel(x, r, "bad",
                              witness_plane=_witness_plane(space, hull_base, hull_dirs, k))
         witnesses.append(cand[i])
     return BallLabel(x, r, "good", witnesses=np.asarray(witnesses))
-
-
-def _dists_to_affine_hull(space, base, dirs, pts):
-    if len(dirs) == 0:
-        return space.norms(pts - base[None, :])
-    return distances_to_affine(space, AffinePlane(base, np.asarray(dirs), 1.0), pts)
 
 
 def _witness_plane(space, base, dirs, k):
@@ -465,15 +459,14 @@ class CoverResult:
         return out
 
 
-def _vitali_keep(space, centers, radii, order=None):
+def _vitali_keep(space, centers, radii):
     """Greedy Vitali: keep balls by descending radius (ties by index) whose
     1/5-balls stay disjoint from all kept 1/5-balls."""
     m = len(radii)
     if m == 0:
         return []
-    idx = sorted(range(m), key=lambda i: (-radii[i], i)) if order is None else order
     kept = []
-    for i in idx:
+    for i in sorted(range(m), key=lambda i: (-radii[i], i)):
         ok = True
         for j in kept:
             if space.norm(centers[i] - centers[j]) < (radii[i] + radii[j]) / 5.0 - 1e-12:
@@ -648,7 +641,7 @@ def _covering_normalized(space, mu, rs, k, cfg):
 
     top = classify_ball(space, mu, origin, 1.0, k, chi, theta)
     if top.kind == "bad":
-        leftover = _leftover(space, mu, rs, [], [(origin, 1.0)], [], 0.0)
+        leftover = _leftover(space, mu, rs, [], [(origin, 1.0)], [])
         item = {"early_exit": "top ball is bad"}
         return CoverResult([], [top], [], leftover, 1.0, 1.0,
                            0.0, [], ledger, item, True, False, flags,
@@ -735,7 +728,7 @@ def _covering_normalized(space, mu, rs, k, cfg):
 
     # final accounting
     leftover = _leftover(space, mu, rs, kept_orig, [(b.center, b.radius) for b in bad_out],
-                         goods, chi ** len(stages))
+                         goods)
     packing = sum(r**k for _, r in kept_orig) + sum(b.radius**k for b in bad_out)
     packing_all = packing + sum(rg**k for (_, rg, _) in goods)
     excess_mass = float(mu.weights[excess].sum())
@@ -800,7 +793,7 @@ def _stage_report(space, index, scale, new_goods, new_bads, new_orig,
                        radius_ok, packing, shift_ok, labelled)
 
 
-def _leftover(space, mu, rs, kept_orig, bad_balls, goods, r_last):
+def _leftover(space, mu, rs, kept_orig, bad_balls, goods):
     """mu(B_1(0) \\ F) with F the good-part (radius-restricted), original
     balls, and radius-restricted bad balls."""
     in_unit = space.norms(mu.points) <= 1.0
@@ -809,8 +802,7 @@ def _leftover(space, mu, rs, kept_orig, bad_balls, goods, r_last):
         covered |= space.norms(mu.points - np.asarray(c)[None, :]) < r
     for c, r in bad_balls:
         covered |= (space.norms(mu.points - np.asarray(c)[None, :]) <= r) & (rs < r)
-    for item in goods:
-        g, rg = (item[0], item[1]) if isinstance(item, tuple) else (item, r_last)
+    for g, rg, _fit in goods:
         covered |= (space.norms(mu.points - np.asarray(g)[None, :]) <= rg) & (rs < rg)
     return float(mu.weights[in_unit & ~covered].sum())
 
@@ -918,7 +910,7 @@ def main_packing(space: NormedSpace, mu: PointMeasure, S, r_s, k: int,
     else:
         bads = [(np.zeros(space.dim), 1.0, lab)]
     lv_left = _leftover(space, mu_s, rs, kept_all,
-                        [(c, r) for (c, r, _) in bads], [], 0.0)
+                        [(c, r) for (c, r, _) in bads], [])
     levels.append(_packing_level(space, 0, kept_all, bads, lv_left, k, flags))
     valid = True
     for level in range(1, budget + 1):
@@ -942,8 +934,7 @@ def main_packing(space: NormedSpace, mu: PointMeasure, S, r_s, k: int,
             S_b = [(pts[cand[j]], rs[cand[j]]) for j in keep]
             kept_all.extend(S_b)
             # net near the witness (k-1)-plane
-            d_to_L = distances_to_affine(space, L, pts) if L.k > 0 else \
-                space.norms(pts - L.base[None, :])
+            d_to_L = distances_to_affine(space, L, pts)
             nm = ((space.norms(pts - b_c[None, :]) <= b_r)
                   & (d_to_L <= 10 * chi * b_r) & (d_to_V <= chi * b_r / 30.0)
                   & ~_in_any_ball(space, pts, S_b))
@@ -963,7 +954,7 @@ def main_packing(space: NormedSpace, mu: PointMeasure, S, r_s, k: int,
                     new_bads.append((bb.center, bb.radius, bb))
         bads = new_bads
         lv_left = _leftover(space, mu_s, rs, kept_all,
-                            [(c, r) for (c, r, _) in bads], [], 0.0)
+                            [(c, r) for (c, r, _) in bads], [])
         levels.append(_packing_level(space, level, kept_all, bads, lv_left, k, flags))
     if bads:
         flags.append("recursion budget exhausted with bad balls remaining")

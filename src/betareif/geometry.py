@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog, minimize
 
-from .constants import DEFAULT_TAU, c3, norm_equivalence
-from .spaces import Functional, NormedSpace
+from .constants import DEFAULT_TAU, norm_equivalence
+from .spaces import NormedSpace
 
 __all__ = [
     "AffinePlane", "AlmostProjection", "affine_plane",
@@ -102,8 +102,8 @@ def general_position_margin(vectors, space: NormedSpace) -> float:
         prev = V[:i]
         if np.linalg.matrix_rank(np.vstack([prev, V[i]]), tol=1e-12) <= np.linalg.matrix_rank(prev, tol=1e-12):
             return 0.0
-        d, _ = _dist_to_flat(space, np.zeros(space.dim), prev, V[i])
-        margin = min(margin, d)
+        d, _ = _dists_to_flat_batch(space, np.zeros(space.dim), prev, V[i])
+        margin = min(margin, float(d[0]))
     return float(margin)
 
 
@@ -156,25 +156,9 @@ def _coefficient_directions(k: int, count: int) -> np.ndarray:
 # distance to affine flats
 # ---------------------------------------------------------------------------
 
-def _dist_to_flat(space, base, rows, z):
-    """min over lambda of ||z - base - lambda @ rows||, plus the foot.
-
-    Scalar path: for p in {1, inf} below codimension 1 this takes the LP
-    route with the least-l2 tie-break."""
-    z = np.asarray(z, dtype=float)
-    base = np.asarray(base, dtype=float)
-    rows = np.asarray(rows, dtype=float).reshape(-1, space.dim)
-    k, n = rows.shape
-    if (space.p == 1.0 or space.p == math.inf) and 0 < k < n - 1:
-        lam = _dist_lp_linprog(space, rows.T, z - base)
-        foot = base + lam @ rows
-        return space.norm(z - foot), foot
-    d, feet = _dists_to_flat_batch(space, base, rows, z[None, :])
-    return float(d[0]), feet[0]
-
-
 def _dists_to_flat_batch(space, base, rows, Z):
-    """Batched distance from the rows of Z to the flat base + span(rows)."""
+    """Batched distance from the rows of Z to the flat base + span(rows),
+    and the feet: the one routing table of the solvers, keyed on (p, k, n)."""
     Z = np.atleast_2d(np.asarray(Z, dtype=float))
     base = np.asarray(base, dtype=float)
     rows = np.asarray(rows, dtype=float).reshape(-1, space.dim)
@@ -283,24 +267,25 @@ def _dist_lp_linprog(space, M, w):
     """Epigraph LP for min ||w - M lam||_p, p in {1, inf}, least-l2 tie-break."""
     n, k = M.shape
     p = space.p
-    if p == 1.0:
-        # variables (lam, s_1..s_n): min sum s, -s <= w - M lam <= s
-        c = np.concatenate([np.zeros(k), np.ones(n)])
-        A = np.block([[-M, -np.eye(n)], [M, -np.eye(n)]])
-        b = np.concatenate([-w, w])
-        res = linprog(c, A_ub=A, b_ub=b, bounds=[(None, None)] * (k + n), method="highs")
-        dstar = res.fun
-    else:
-        # variables (lam, s): min s, -s1 <= w - M lam <= s1
-        c = np.concatenate([np.zeros(k), [1.0]])
-        ones = np.ones((n, 1))
-        A = np.block([[-M, -ones], [M, -ones]])
-        b = np.concatenate([-w, w])
-        res = linprog(c, A_ub=A, b_ub=b, bounds=[(None, None)] * (k + 1), method="highs")
-        dstar = res.fun
-    lam0 = res.x[:k]
-    # least-l2 foot among minimizers: min ||w - M lam||_2^2 s.t. |r_i| <= d*
+    # variables (lam, s): min sum s, -S s <= w - M lam <= S s, with one
+    # slack per coordinate for p = 1 and one shared slack for p = inf
+    S = np.eye(n) if p == 1.0 else np.ones((n, 1))
+    c = np.concatenate([np.zeros(k), np.ones(S.shape[1])])
+    A = np.block([[-M, -S], [M, -S]])
+    b = np.concatenate([-w, w])
+    res = linprog(c, A_ub=A, b_ub=b, bounds=[(None, None)] * len(c), method="highs")
+    lam0, dstar = res.x[:k], res.fun
+    # least-l2 foot among minimizers: min ||w - M lam||_2^2 over the
+    # sublevel set ||w - M lam||_p <= d*
     tol = dstar + 1e-10 + 1e-9 * abs(dstar)
+    if p == 1.0:
+        # the l^1 ball keeps the slacks: the LP's constraints and sum s <= d*
+        cons = [{"type": "ineq", "fun": lambda x: b - A @ x, "jac": lambda x: -A},
+                {"type": "ineq", "fun": lambda x: tol - c @ x, "jac": lambda x: -c}]
+        r2 = minimize(lambda x: np.sum((w - M @ x[:k]) ** 2), res.x, method="SLSQP",
+                      constraints=cons, options={"maxiter": 200, "ftol": 1e-14})
+        return r2.x[:k] if r2.success else lam0
+    # for p = inf it is |r_i| <= d*
     cons = [
         {"type": "ineq", "fun": lambda lam, i=i: tol - (w[i] - M[i] @ lam)} for i in range(n)
     ] + [
@@ -383,13 +368,15 @@ def _dist_newton_batch(space, M, W, lam, tol: float = _GRAD_TOL):
 
 
 def distance_to_affine(space: NormedSpace, plane: AffinePlane, z) -> tuple[float, np.ndarray]:
-    """Distance from z to the affine plane and a minimizing foot point.
+    """Distance from z to the affine plane and a minimizing foot point:
+    `distances_to_affine` of the one row z, to the bit.
 
-    Closed form for p = 2 and for hyperplanes; damped Newton from the l^2
-    foot for 1 < p < inf; an epigraph LP for p in {1, inf} with the
-    least-l2 tie-break among minimizers."""
-    d, foot = _dist_to_flat(space, plane.base, plane.basis, np.asarray(z, dtype=float))
-    return d, foot
+    Closed form for points, for p = 2 and for hyperplanes; damped Newton
+    from the l^2 foot for 1 < p < inf; for p in {1, inf} golden-section
+    search on lines and an epigraph LP with the least-l2 tie-break for
+    2 <= k <= n - 2."""
+    d, feet = _dists_to_flat_batch(space, plane.base, plane.basis, z)
+    return float(d[0]), feet[0]
 
 
 def distances_to_affine(space: NormedSpace, plane: AffinePlane, Z) -> np.ndarray:
@@ -420,15 +407,6 @@ def sphere_net(space: NormedSpace, basis: np.ndarray, count: int = 4096) -> np.n
     nv = space.norms(V)
     keep = nv > 1e-12
     return V[keep] / nv[keep, None]
-
-
-def _dist_to_unit_ball_of(space, basis, v):
-    """d(v, span(basis) cap closed unit ball), foot clamped radially."""
-    d, foot = _dist_to_flat(space, np.zeros(space.dim), basis, v)
-    nf = space.norm(foot)
-    if nf <= 1.0 + 1e-12:
-        return d
-    return space.norm(v - foot / nf)
 
 
 def grassmann_distance(space: NormedSpace, V: AffinePlane, W: AffinePlane,
@@ -516,9 +494,6 @@ class AlmostProjection:
     def perp(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         return x - self.apply(x)
-
-    def functionals(self, space: NormedSpace):
-        return [Functional(phi, space.dual_norm(phi)) for phi in self.row_functionals]
 
     def report(self) -> dict:
         if len(self.target_basis):

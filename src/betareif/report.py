@@ -60,7 +60,5 @@ def emit_report(result, format: str = "json") -> bytes:
     if format == "csv":
         if hasattr(result, "rows"):
             return profile_csv(result).encode()
-        if isinstance(result, dict) and "csv" in result:
-            return result["csv"].encode()
         raise ValueError("csv format needs a row-structured result")
     raise ValueError(f"unknown format {format!r}")

@@ -14,7 +14,7 @@ from betareif.cli import run
 from betareif.cover import CoverConfig, covering_lemma
 from betareif.curves import dirac_example
 from betareif.measures import PointMeasure
-from betareif.report import emit_report, to_jsonable
+from betareif.report import emit_report, profile_csv, to_jsonable
 from betareif.spaces import NormedSpace
 
 
@@ -120,6 +120,32 @@ def test_exit_code_on_bad_json(tmp_path, capsys):
 
 def test_exit_code_on_unknown_flag():
     assert run(["beta", "x.json", "--bogus"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["cover", "IN", "--k", "2"],
+    ["pack", "IN", "--k", "2"],
+    ["goodball", "IN", "--k", "2"],
+    ["smoothness", "--samples", "10"],
+    ["nopowergain"],
+])
+def test_format_flag_only_where_it_acts(planar_json, tmp_path, capsys, argv):
+    # these commands write one format only, so --format is unknown to them
+    out = tmp_path / "out"
+    argv = [planar_json if a == "IN" else a for a in argv]
+    assert run(argv + ["--format", "csv", "--out", str(out)]) == 2
+    assert "--format" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_beta_atom_csv_is_the_profile_csv(dirac_json, tmp_path):
+    from betareif.measures import dini_profile
+    out = tmp_path / "out"
+    assert run(["beta", dirac_json, "--atom", "1", "--k", "1", "--r-lo", "0.2",
+                "--format", "csv", "--out", str(out)]) == 0
+    space, mu, _rs = PointMeasure.from_json(json.loads(Path(dirac_json).read_text()))
+    prof = dini_profile(space, mu, mu.points[1], 0.2, 2.0, 1, 2.0, 0.1)
+    assert out.read_bytes() == profile_csv(prof).encode()
 
 
 @pytest.mark.parametrize("argv", [

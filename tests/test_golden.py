@@ -45,6 +45,12 @@ SNOWFLAKE_SHA256 = {
     "rademacher": "1f7421bba2463fba8bf0f290fe70824b0716b5d3446f17f2e4c0aacc886ecf23",
     "plane": "6cc047c9896d974c04edc986956fd8864c23db3a7f3e2ee23db5ecc82e0a2ce0",
 }
+BETA_ATOM_L4_SADDLE_LINE_SHA256 = {
+    # the l^4 saddle under --space l^p, k = 1: golden-section line distances,
+    # whose descent moves with an ulp of the line search
+    "inf": "bdf930791eba3e9cb444cdaa753457caf8eb8ba2153b1d0c50f8940c58c6865e",
+    1: "7326431276b35085d45106c7787ec0534a5f34f4947c44a048fe07d742b1315c",
+}
 NOPOWERGAIN_SHA256 = (
     "6cdcce518f4df3fe43301b792abac3cd06d33921c28dd5a9d23f2f32ad602a46")
 
@@ -84,6 +90,16 @@ def test_beta_csv_l4_saddle_golden(l4_saddle_json, tmp_path):
                              "--seed", "5"], tmp_path / "beta.csv")
     assert code == 0
     assert sha == BETA_CSV_L4_SADDLE_SHA256
+
+
+@pytest.mark.parametrize("p", ["inf", 1])
+def test_beta_atom_l4_saddle_line_golden(l4_saddle_json, tmp_path, p):
+    space = json.dumps({"dim": 3, "norm": {"type": "lp", "p": p}})
+    code, sha = _cli_sha256(["beta", l4_saddle_json, "--k", "1", "--atom", "0",
+                             "--r-lo", "0.2", "--seed", "5", "--space", space],
+                            tmp_path / "beta.json")
+    assert code == 0
+    assert sha == BETA_ATOM_L4_SADDLE_LINE_SHA256[p]
 
 
 def test_cover_l4_saddle_golden(l4_saddle_json, tmp_path):
