@@ -276,24 +276,14 @@ def _dist_lp_linprog(space, M, w):
     res = linprog(c, A_ub=A, b_ub=b, bounds=[(None, None)] * len(c), method="highs")
     lam0, dstar = res.x[:k], res.fun
     # least-l2 foot among minimizers: min ||w - M lam||_2^2 over the
-    # sublevel set ||w - M lam||_p <= d*
+    # sublevel set ||w - M lam||_p <= d*, that is the LP's own constraints
+    # with the objective held at d* (for p = inf it is the box |r_i| <= d*)
     tol = dstar + 1e-10 + 1e-9 * abs(dstar)
-    if p == 1.0:
-        # the l^1 ball keeps the slacks: the LP's constraints and sum s <= d*
-        cons = [{"type": "ineq", "fun": lambda x: b - A @ x, "jac": lambda x: -A},
-                {"type": "ineq", "fun": lambda x: tol - c @ x, "jac": lambda x: -c}]
-        r2 = minimize(lambda x: np.sum((w - M @ x[:k]) ** 2), res.x, method="SLSQP",
-                      constraints=cons, options={"maxiter": 200, "ftol": 1e-14})
-        return r2.x[:k] if r2.success else lam0
-    # for p = inf it is |r_i| <= d*
-    cons = [
-        {"type": "ineq", "fun": lambda lam, i=i: tol - (w[i] - M[i] @ lam)} for i in range(n)
-    ] + [
-        {"type": "ineq", "fun": lambda lam, i=i: tol + (w[i] - M[i] @ lam)} for i in range(n)
-    ]
-    r2 = minimize(lambda lam: np.sum((w - M @ lam) ** 2), lam0, method="SLSQP",
+    cons = [{"type": "ineq", "fun": lambda x: b - A @ x, "jac": lambda x: -A},
+            {"type": "ineq", "fun": lambda x: tol - c @ x, "jac": lambda x: -c}]
+    r2 = minimize(lambda x: np.sum((w - M @ x[:k]) ** 2), res.x, method="SLSQP",
                   constraints=cons, options={"maxiter": 200, "ftol": 1e-14})
-    return r2.x if r2.success else lam0
+    return r2.x[:k] if r2.success else lam0
 
 
 def _dist_newton_batch(space, M, W, lam, tol: float = _GRAD_TOL):

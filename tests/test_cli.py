@@ -40,14 +40,20 @@ def planar_json(tmp_path):
 
 
 def test_beta_dirac_row_at_scale_one(dirac_json, capsys):
-    code = run(["beta", dirac_json, "--atom", "0", "--k", "1",
-                "--r-lo", "0.9", "--r-hi", "1.0", "--format", "csv"])
+    from betareif.measures import dini_profile
+    code = run(["beta", dirac_json, "--atom", "0", "--k", "1", "--r-lo", "0.9",
+                "--r-hi", "1.0", "--alpha", "2", "--chi", "0.1", "--seed", "0",
+                "--format", "csv"])
     out = capsys.readouterr().out
     assert code == 0
     assert out.splitlines()[0] == "scale,beta,beta_alpha,cumulative"
     row = out.splitlines()[1].split(",")
     assert float(row[0]) == 1.0
     assert float(row[1]) ** 2 == pytest.approx(2 * 0.05**2, abs=1e-9)
+    # the --atom CSV is the profile's own CSV, byte for byte
+    space, mu, _rs = PointMeasure.from_json(json.loads(Path(dirac_json).read_text()))
+    prof = dini_profile(space, mu, mu.points[0], 0.9, 1.0, 1, 2.0, 0.1, seed=0)
+    assert out == profile_csv(prof)
 
 
 def test_cover_planar_zero_leftover(planar_json, tmp_path):
@@ -136,16 +142,6 @@ def test_format_flag_only_where_it_acts(planar_json, tmp_path, capsys, argv):
     assert run(argv + ["--format", "csv", "--out", str(out)]) == 2
     assert "--format" in capsys.readouterr().err
     assert not out.exists()
-
-
-def test_beta_atom_csv_is_the_profile_csv(dirac_json, tmp_path):
-    from betareif.measures import dini_profile
-    out = tmp_path / "out"
-    assert run(["beta", dirac_json, "--atom", "1", "--k", "1", "--r-lo", "0.2",
-                "--format", "csv", "--out", str(out)]) == 0
-    space, mu, _rs = PointMeasure.from_json(json.loads(Path(dirac_json).read_text()))
-    prof = dini_profile(space, mu, mu.points[1], 0.2, 2.0, 1, 2.0, 0.1)
-    assert out.read_bytes() == profile_csv(prof).encode()
 
 
 @pytest.mark.parametrize("argv", [

@@ -181,13 +181,15 @@ def _brute_distance(space, plane, z, rng):
     """min over lambda of ||z - base - lambda @ basis|| without the solvers:
     three nested dense lambda grids for a line (the objective is convex,
     so each level's minimizer lies within a step of the grid's argmin),
-    multi-start Nelder-Mead with restarts from the best point otherwise."""
-    from scipy.optimize import minimize
+    the epigraph LP's optimum for p in {1, inf}, and multi-start BFGS on
+    the convex, C^1 power sum ||r||_p^p otherwise."""
+    from scipy.optimize import linprog, minimize
     w = z - plane.base
     B = plane.basis
-    if plane.k == 0:
+    n, k = space.dim, plane.k
+    if k == 0:
         return space.norm(w)
-    if plane.k == 1:
+    if k == 1:
         v = B[0]
         lo = -(2.0 * space.norm(w) / space.norm(v) + 1.0)    # |lambda*| <= 2||w||/||v||
         hi = -lo
@@ -197,25 +199,32 @@ def _brute_distance(space, plane, z, rng):
             j = int(np.argmin(vals))
             lo, hi = lams[max(j - 1, 0)], lams[min(j + 1, len(lams) - 1)]
         return float(vals[j])
-    f = lambda lam: space.norm(w - lam @ B)
-    opts = {"xatol": 1e-13, "fatol": 1e-15, "maxiter": 20000, "maxfev": 20000}
+    if space.p in (1.0, math.inf):
+        # min sum s over -S s <= w - B.T lam <= S s: one slack per
+        # coordinate for p = 1, one shared slack for p = inf
+        S = np.eye(n) if space.p == 1.0 else np.ones((n, 1))
+        A = np.block([[-B.T, -S], [B.T, -S]])
+        c = np.concatenate([np.zeros(k), np.ones(S.shape[1])])
+        return float(linprog(c, A_ub=A, b_ub=np.concatenate([-w, w]),
+                             bounds=[(None, None)] * len(c), method="highs").fun)
+    p = space.p
+    f = lambda lam: np.sum(np.abs(w - lam @ B) ** p)
+    grad = lambda lam: -(np.sign(w - lam @ B) * np.abs(w - lam @ B) ** (p - 1.0)) @ B.T * p
     lam0 = np.linalg.lstsq(B.T, w, rcond=None)[0]
-    best = min((minimize(f, x0, method="Nelder-Mead", options=opts) for x0 in
-                [lam0] + [lam0 + rng.standard_normal(plane.k) for _ in range(4)]),
-               key=lambda r: r.fun)
-    for _ in range(3):
-        best = minimize(f, best.x, method="Nelder-Mead", options=opts)
-    return float(best.fun)
+    best = min(minimize(f, x0, jac=grad, method="BFGS", options={"gtol": 1e-12}).fun
+               for x0 in [lam0] + [lam0 + rng.standard_normal(k) for _ in range(4)])
+    return float(best ** (1.0 / p))
 
 
 @pytest.mark.parametrize("p", [1.0, 4 / 3, 2.0, 3.0, math.inf])
-@pytest.mark.parametrize("n,k", [(2, 0), (2, 1), (3, 0), (3, 1), (3, 2),
-                                 (4, 1), (4, 2), (4, 3)])
+@pytest.mark.parametrize("n,k", [(2, 0), (2, 1), (3, 0), (3, 1), (3, 2), (4, 1),
+                                 (4, 2), (4, 3), (5, 2), (5, 3), (6, 2), (6, 4)])
 def test_distance_dispatch_matches_batch_and_brute_force(p, n, k):
     # distance_to_affine is the one-row case of the batch, to the bit; a
     # row of a larger batch may differ from it by an ulp (by the stopping
     # tolerance after Newton), since numpy's products take other kernels
-    # for other row counts
+    # for other row counts.  For p = 1 the LP tie-break must keep the foot
+    # in the l^1 ball sum |r_i| <= d*, not in the box |r_i| <= d*.
     s = NormedSpace(n, p)
     rng = np.random.default_rng([n, k, 7])
     pl = affine_plane(s, rng.standard_normal(n), rng.standard_normal((k, n)))
@@ -236,29 +245,6 @@ def test_distance_dispatch_matches_batch_and_brute_force(p, n, k):
             c = np.linalg.lstsq(pl.basis.T, off, rcond=None)[0]
             assert np.linalg.norm(c @ pl.basis - off) <= 1e-9 * (1.0 + np.linalg.norm(z))
         assert s.norm(z - foot) == pytest.approx(d, rel=1e-9, abs=1e-12)
-
-
-@pytest.mark.parametrize("p", [1.0, math.inf])
-@pytest.mark.parametrize("n,k", [(4, 2), (5, 2), (5, 3), (6, 2), (6, 4)])
-def test_lp_distance_equals_the_lp_optimum(p, n, k):
-    # the least-l2 tie-break moves the foot only within the minimizers:
-    # for p = 1 that sublevel set is sum |r_i| <= d*, not |r_i| <= d*
-    from scipy.optimize import linprog
-    s = NormedSpace(n, p)
-    rng = np.random.default_rng([n, k, 11])
-    for _ in range(6):
-        pl = affine_plane(s, rng.standard_normal(n), rng.standard_normal((k, n)))
-        Z = 2.0 * rng.standard_normal((3, n))
-        d, _ = _dists_to_flat_batch(s, pl.base, pl.basis, Z)
-        M = pl.basis.T
-        S = np.eye(n) if p == 1.0 else np.ones((n, 1))      # epigraph slacks
-        A = np.block([[-M, -S], [M, -S]])
-        c = np.concatenate([np.zeros(k), np.ones(S.shape[1])])
-        for i, z in enumerate(Z):
-            w = z - pl.base
-            opt = linprog(c, A_ub=A, b_ub=np.concatenate([-w, w]),
-                          bounds=[(None, None)] * len(c), method="highs").fun
-            assert d[i] == pytest.approx(opt, rel=1e-8, abs=1e-10)
 
 
 # -- hausdorff / grassmann ----------------------------------------------------
