@@ -20,7 +20,7 @@ from .curves import (SnowflakeSpec, no_power_gain_matrix, no_power_gain_witness,
                      snowflake, RademacherVector, euclidean_normal,
                      linear_graph_samples)
 from .measures import PointMeasure, dini_profile
-from .report import emit_report
+from .report import emit_report, profile_csv
 from .spaces import NormedSpace
 
 __all__ = ["main", "run"]
@@ -196,13 +196,13 @@ def _dispatch(args) -> int:
                                 args.r_hi, args.k, alpha, args.chi, seed=args.seed)
             _write(args.out, emit_report(prof, args.format))
             return 0
-        lines = ["atom,scale,beta,beta_alpha,cumulative"]
         profiles = dini_profile(space, mu, mu.points, args.r_lo, args.r_hi,
                                 args.k, alpha, args.chi, seed=args.seed)
+        # profile_csv's rows, each behind its atom index
+        lines = ["atom,scale,beta,beta_alpha,cumulative\n"]
         for i, prof in enumerate(profiles):
-            for r, bval, ba, cum in prof.rows():
-                lines.append(f"{i}," + ",".join(f"{v:.12g}" for v in (r, bval, ba, cum)))
-        _write(args.out, ("\n".join(lines) + "\n").encode())
+            lines += [f"{i},{row}\n" for row in profile_csv(prof).splitlines()[1:]]
+        _write(args.out, "".join(lines).encode())
         return 0
 
     if cmd in ("cover", "pack"):

@@ -9,7 +9,7 @@ randomness is seeded per (stage, ball index); runs are deterministic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -94,7 +94,7 @@ class BallLabel:
         return d
 
 
-def _pad_to_dim(space, base, rows, target_dim):
+def _pad_to_dim(space, rows, target_dim):
     """Extend rows to target_dim directions, appending standard basis
     vectors (Euclid-orthogonalized) deterministically."""
     rows = list(np.asarray(rows, dtype=float).reshape(-1, space.dim))
@@ -161,7 +161,7 @@ def _witness_plane(space, base, dirs, k):
     kk = max(k - 1, 0)
     if kk == 0:
         return AffinePlane(np.asarray(base, dtype=float), np.zeros((0, space.dim)), 1.0)
-    rows = _pad_to_dim(space, base, dirs, kk)
+    rows = _pad_to_dim(space, dirs, kk)
     return affine_plane(space, base, rows)
 
 
@@ -359,9 +359,6 @@ class CoverConfig:
     theta: float | None = None
     max_depth: int = 6
     seed: int = 0
-    distortion_pairs: int = 1000
-    c4: float = 100.0               # squash constant for estimate checks
-    leftover_c: float | None = None # item-7 constant; None: proof chain value
 
     def resolve_alpha(self, space: NormedSpace) -> float:
         """alpha, or the space's smoothness power for "auto"; anything but
@@ -379,8 +376,7 @@ class CoverConfig:
             "alpha": self.resolve_alpha(space), "max_depth": self.max_depth,
             "seed": self.seed, "c1": C.c1(k), "c2": C.c2(k), "c3": C.c3(k),
             "c5": C.c5(k), "c_B": C.c_packing_count(k),
-            "Gamma": C.overlap_bound(k), "c4": self.c4,
-            "leftover_c": self.leftover_c if self.leftover_c is not None else C.c2(k),
+            "Gamma": C.overlap_bound(k), "c4": 100.0, "leftover_c": C.c2(k),
         }
 
 
@@ -417,7 +413,6 @@ class CoverResult:
     stages: list
     ledger: dict
     item_checks: dict
-    valid: bool
     estimate_violated: bool
     flags: list
     measured_delta: float
@@ -448,7 +443,7 @@ class CoverResult:
             "stages": [s.to_dict() for s in self.stages],
             "ledger": self.ledger,
             "item_checks": self.item_checks,
-            "valid": self.valid,
+            "valid": True,
             "estimate_violated": self.estimate_violated,
             "flags": self.flags,
             "measured_delta": self.measured_delta,
@@ -457,6 +452,9 @@ class CoverResult:
             out["frame"] = {"center": list(map(float, self.frame[0])),
                             "radius": float(self.frame[1])}
         return out
+
+
+_DISTORTION_PAIRS = 1000     # point pairs on T0 behind item 3's distortion
 
 
 def _vitali_keep(space, centers, radii):
@@ -477,7 +475,7 @@ def _vitali_keep(space, centers, radii):
     return kept
 
 
-def _farthest_net(space, pts, sep, order_idx=None):
+def _farthest_net(space, pts, sep):
     """Maximal sep-separated subset by greedy farthest-point insertion with
     lexicographic (index) tie-break; returns indices into pts."""
     m = len(pts)
@@ -642,55 +640,43 @@ def _covering_normalized(space, mu, rs, k, cfg):
     top = classify_ball(space, mu, origin, 1.0, k, chi, theta)
     if top.kind == "bad":
         leftover = _leftover(space, mu, rs, [], [(origin, 1.0)], [])
-        item = {"early_exit": "top ball is bad"}
-        return CoverResult([], [top], [], leftover, 1.0, 1.0,
-                           0.0, [], ledger, item, True, False, flags,
+        return CoverResult([], [top], [], leftover, 1.0, 1.0, 0.0, [], ledger,
+                           {"early_exit": "top ball is bad"}, False, flags,
                            measured_delta, None)
 
     top_fit = best_plane(space, mu, origin, 1.0, k, seed=cfg.seed)
     T0 = top_fit.plane
-    goods = [(origin, 1.0, top_fit)]
-    retired = []            # (center, radius) of original + bad balls
     kept_orig = []          # (center, radius)
     bad_out = []            # BallLabel
     excess = np.zeros(len(mu), dtype=bool)
-    sigmas = []
-    stages = []
-    estimate_violated = False
-    valid = True
+    # tracked sample of T0 for the graph diagnostics
+    track = _plane_grid(T0, 1.2, per_side=9 if k <= 2 else 5)
+    track = track[space.norms(track - origin[None, :]) <= 3.0]
 
-    # tracked sample of T0 for graph diagnostics and distortion
-    grid = _plane_grid(T0, 1.2, per_side=9 if k <= 2 else 5)
-    grid = grid[space.norms(grid - origin[None, :]) <= 3.0]
-    track = grid.copy()
-    rng = np.random.default_rng(cfg.seed + 7)
-    npairs = cfg.distortion_pairs
-    coefs = rng.uniform(-1.0, 1.0, size=(2 * npairs, max(k, 1)))
-    pair_pts = T0.points(coefs[:, :k]) if k > 0 else np.repeat(T0.base[None, :], 2 * npairs, axis=0)
-    pair_track = pair_pts.copy()
-
-    for i in range(cfg.max_depth):
-        r_i = chi**i
-        r_next = chi ** (i + 1)
-        # excess set: atoms of a good ball B_rg(g) off its plane (every good
-        # ball of this stage has rg = r_i)
+    def stage(i, goods):
+        """Stage i + 1 at scale chi^(i+1) inside the stage-i good balls
+        (center, radius, fit): returns its report, its good balls and its
+        sigma map (None when it has no good ball)."""
+        nonlocal track
+        r_i, r_next = chi**i, chi ** (i + 1)
+        # excess set: atoms of a good ball B_r_i(g) off its plane
         near_good, off = _near_planes(space, mu.points, goods, r_i, r_next / 30.0)
-        excess |= off
-        # original-ball Vitali selection
+        excess[off] = True
+        # Vitali selection of the original balls outside the retired ones
+        retired = kept_orig + [(b.center, b.radius) for b in bad_out]
         cand_mask = (rs >= r_next) & (rs < r_i) & ~_in_any_ball(space, mu.points, retired)
         near_wide, _ = _near_planes(space, mu.points, goods, 1.5 * r_i, r_next / 30.0)
         cand = np.where(cand_mask & near_wide)[0]
-        keep = _vitali_keep(space, mu.points[cand], rs[cand])
-        new_orig = [(mu.points[cand[j]], rs[cand[j]]) for j in keep]
+        new_orig = [(mu.points[cand[j]], rs[cand[j]])
+                    for j in _vitali_keep(space, mu.points[cand], rs[cand])]
         kept_orig.extend(new_orig)
-        retired_now = retired + new_orig
+        retired += new_orig
         # net for good/bad classification; prior-stage excess may re-enter
         # whenever it sits near a current plane, as in the construction
-        net_mask = (space.norms(mu.points) <= 1.0) & ~_in_any_ball(space, mu.points, retired_now)
+        net_mask = (space.norms(mu.points) <= 1.0) & ~_in_any_ball(space, mu.points, retired)
         net_cand = np.where(net_mask & near_good)[0]
-        net_idx = _farthest_net(space, mu.points[net_cand], 2.0 * r_next / 5.0)
         new_goods, new_bads = [], []
-        for j in net_idx:
+        for j in _farthest_net(space, mu.points[net_cand], 2.0 * r_next / 5.0):
             c = mu.points[net_cand[j]]
             lab = classify_ball(space, mu, c, r_next, k, chi, theta)
             if lab.kind == "good":
@@ -699,40 +685,71 @@ def _covering_normalized(space, mu, rs, k, cfg):
                     flags.append(f"stage {i + 1}: uncertified best-plane fit at "
                                  f"{np.round(c, 4).tolist()} (factor {fit.certified_factor:.2f})")
                 new_goods.append((c, r_next, fit))
-            else:
-                if mu.mass_in_ball(space, c, r_next) > 0:
-                    new_bads.append(lab)
+            elif mu.mass_in_ball(space, c, r_next) > 0:
+                new_bads.append(lab)
         bad_out.extend(new_bads)
-        retired = retired_now + [(b.center, b.radius) for b in new_bads]
 
-        # sigma stage from the new good balls
+        # sigma map from the new good balls, with the graph diagnostics of
+        # the pushed sample near each of them
+        sigma, h, lip, overlap = None, 0.0, 0.0, 0
         if new_goods:
-            planes = [fit.plane for (_, _, fit) in new_goods]
-            centers = np.asarray([g for (g, _, _) in new_goods])
-            sigma = build_sigma(space, centers, r_next, planes, k)
-            sigmas.append(sigma)
+            sigma = build_sigma(space, [g for (g, _, _) in new_goods], r_next,
+                                [fit.plane for (_, _, fit) in new_goods], k)
             track = sigma.apply_many(track)
-            pair_track = sigma.apply_many(pair_track)
-        else:
-            sigma = None
+            if len(track):
+                overlap = sigma.pou.overlap_count(track)
+            for (g, _, fit), pj in zip(new_goods, sigma.projections):
+                nearby = track[space.norms(track - g[None, :]) <= 2.0 * r_next]
+                if len(nearby) >= 2:
+                    _, hh, ll = graph_check(space, nearby, fit.plane, pj)
+                    h = max(h, hh / r_next)
+                    lip = max(lip, ll)
 
-        stages.append(_stage_report(space, i + 1, r_next, new_goods, new_bads,
-                                    new_orig, kept_orig, bad_out, goods, sigma,
-                                    track, mu, rs, excess, retired, delta, k,
-                                    cfg, flags))
-        if not stages[-1].beta_shift_ok:
-            estimate_violated = True
-        goods = new_goods
+        # 1/5-disjointness of all balls so far; radius control: inside each
+        # new bad/good ball, originals with larger radius must already be
+        # retired or excess (the ball itself excluded)
+        bad_balls = [(b.center, b.radius) for b in new_bads]
+        good_balls = [(g, r_next) for (g, _, _) in new_goods]
+        retired += bad_balls
+        disjoint = _disjoint(space, retired + good_balls)
+        radius_ok = _radius_ok(space, mu, rs, excess, retired, bad_balls + good_balls)
+        packing = sum(r**k for _, r in kept_orig) + \
+            sum(b.radius**k for b in bad_out) + sum(r_next**k for _ in new_goods)
+        beta_max = max((fit.beta for (_, _, fit) in new_goods), default=0.0)
+        # Eq.-style shifted-beta control at the good centers
+        shift_ok = beta_max <= 42.0 ** (k + 2) / math.log(2.0) * max(delta, 1e-12)
+        labelled = [{"kind": kind, "center": list(map(float, c)), "radius": float(r)}
+                    for kind, balls in (("good", good_balls), ("bad", bad_balls),
+                                        ("original", new_orig))
+                    for c, r in balls]
+        report = StageReport(i + 1, r_next, len(new_goods), len(new_bads),
+                             len(new_orig), beta_max, h, lip, overlap, disjoint,
+                             radius_ok, packing, shift_ok, labelled)
+        return report, new_goods, sigma
+
+    goods = [(origin, 1.0, top_fit)]
+    stages, sigmas = [], []
+    for i in range(cfg.max_depth):
+        report, goods, sigma = stage(i, goods)
+        stages.append(report)
         if not goods:
             break
+        sigmas.append(sigma)
 
-    # final accounting
+    # final accounting; the distortion pairs on T0 run through every stage
     leftover = _leftover(space, mu, rs, kept_orig, [(b.center, b.radius) for b in bad_out],
                          goods)
     packing = sum(r**k for _, r in kept_orig) + sum(b.radius**k for b in bad_out)
     packing_all = packing + sum(rg**k for (_, rg, _) in goods)
     excess_mass = float(mu.weights[excess].sum())
-    distortion = _distortion(space, pair_pts, pair_track, npairs)
+    coefs = np.random.default_rng(cfg.seed + 7).uniform(
+        -1.0, 1.0, size=(2 * _DISTORTION_PAIRS, max(k, 1)))
+    pair_pts = T0.points(coefs[:, :k]) if k > 0 else \
+        np.repeat(T0.base[None, :], 2 * _DISTORTION_PAIRS, axis=0)
+    pair_track = pair_pts
+    for sigma in sigmas:
+        pair_track = sigma.apply_many(pair_track)
+    distortion = _distortion(space, pair_pts, pair_track, _DISTORTION_PAIRS)
     item_checks = {
         "item1_base_plane": T0.to_fragment(),
         "item2_graph_height": max((s.graph_height for s in stages), default=0.0),
@@ -743,54 +760,15 @@ def _covering_normalized(space, mu, rs, k, cfg):
         "item6_packing_sum": packing_all,
         "item6_ok": packing_all <= C.c5(k),
         "item7_leftover": leftover,
-        "item7_bound": float((cfg.leftover_c if cfg.leftover_c is not None else C.c2(k)) * delta**alpha),
+        "item7_bound": float(C.c2(k) * delta**alpha),
         "excess_mass": excess_mass,
     }
     item_checks["item7_ok"] = item_checks["item7_leftover"] <= item_checks["item7_bound"] * (1 + 1e-9)
-    if not item_checks["item7_ok"] or not item_checks["item6_ok"]:
-        estimate_violated = True
+    estimate_violated = not (all(s.beta_shift_ok for s in stages)
+                             and item_checks["item6_ok"] and item_checks["item7_ok"])
     return CoverResult(kept_orig, bad_out, sigmas, leftover, packing,
                        distortion, excess_mass, stages, ledger, item_checks,
-                       valid, estimate_violated, flags, measured_delta, T0)
-
-
-def _stage_report(space, index, scale, new_goods, new_bads, new_orig,
-                  kept_orig, bad_out, prev_goods, sigma, track, mu, rs,
-                  excess, retired, delta, k, cfg, flags):
-    disjoint = _disjoint(space, [(c, r) for c, r in kept_orig]
-                         + [(b.center, b.radius) for b in bad_out]
-                         + [(g, rg) for (g, rg, _) in new_goods])
-    # radius control: inside each new bad/good ball, originals with larger
-    # radius must already be retired or excess (the ball itself excluded)
-    radius_ok = _radius_ok(space, mu, rs, excess, retired + new_orig,
-                           [(b.center, b.radius) for b in new_bads]
-                           + [(g, rg) for (g, rg, _) in new_goods])
-    packing = sum(r**k for _, r in kept_orig) + \
-        sum(b.radius**k for b in bad_out) + sum(scale**k for _ in new_goods)
-    beta_max = max((fit.beta for (_, _, fit) in new_goods), default=0.0)
-    # Eq.-style shifted-beta control at the good centers
-    c_shift = 42.0 ** (k + 2) / math.log(2.0)
-    shift_ok = beta_max <= c_shift * max(delta, 1e-12)
-    h = lip = 0.0
-    overlap = 0
-    if sigma is not None and len(track):
-        overlap = sigma.pou.overlap_count(track)
-        for (g, rg, fit), pj in zip(new_goods, sigma.projections):
-            nearby = track[space.norms(track - g[None, :]) <= 2.0 * rg]
-            if len(nearby) >= 2:
-                _, hh, ll = graph_check(space, nearby, fit.plane, pj)
-                h = max(h, hh / rg)
-                lip = max(lip, ll)
-    labelled = (
-        [{"kind": "good", "center": list(map(float, g)), "radius": float(rg)}
-         for (g, rg, _) in new_goods]
-        + [{"kind": "bad", "center": list(map(float, b.center)), "radius": float(b.radius)}
-           for b in new_bads]
-        + [{"kind": "original", "center": list(map(float, c)), "radius": float(r)}
-           for c, r in new_orig])
-    return StageReport(index, scale, len(new_goods), len(new_bads),
-                       len(new_orig), beta_max, h, lip, overlap, disjoint,
-                       radius_ok, packing, shift_ok, labelled)
+                       estimate_violated, flags, measured_delta, T0)
 
 
 def _leftover(space, mu, rs, kept_orig, bad_balls, goods):
@@ -868,11 +846,10 @@ def main_packing(space: NormedSpace, mu: PointMeasure, S, r_s, k: int,
     balls recursively per the inductive packing/measure claims; each level
     asserts claim A (measure) and claim B (packing) with the explicit
     constants.  Raises nothing on claim failure: results are flagged."""
-    import dataclasses as _dc
     cfg = cfg or CoverConfig()
     # the per-atom M-hypothesis check is the covering precheck at delta0 on
     # the rescaled measure
-    cfg = _dc.replace(cfg, delta=cfg.delta if cfg.delta is not None else delta0)
+    cfg = replace(cfg, delta=cfg.delta if cfg.delta is not None else delta0)
     chi = cfg.chi
     theta = cfg.theta if cfg.theta is not None else default_theta(k)
     S = np.asarray(S, dtype=int)
@@ -901,73 +878,58 @@ def main_packing(space: NormedSpace, mu: PointMeasure, S, r_s, k: int,
 
     lab = classify_ball(space, mu_s, np.zeros(space.dim), 1.0, k, chi, theta)
     kept_all = []
-    levels = []
     if lab.kind == "good":
         res = covering_lemma(space, mu_s, np.arange(len(mu_s)), rs, k, cfg)
         kept_all.extend(res.kept_originals)
-        bads = [(b.center, b.radius, b) for b in res.bad_balls]
+        bads = res.bad_balls
         flags.extend(f"level 0: {f}" for f in res.flags)
     else:
-        bads = [(np.zeros(space.dim), 1.0, lab)]
-    lv_left = _leftover(space, mu_s, rs, kept_all,
-                        [(c, r) for (c, r, _) in bads], [])
-    levels.append(_packing_level(space, 0, kept_all, bads, lv_left, k, flags))
-    valid = True
+        bads = [lab]
+    levels = [_packing_level(space, mu_s, rs, 0, kept_all, bads, k)]
     for level in range(1, budget + 1):
         if not bads:
             break
         new_bads = []
-        for (b_c, b_r, b_lab) in bads:
-            mask_r = rs < b_r
-            sub_mu = mu_s.subset(mask_r)
-            fit = best_plane(space, sub_mu, b_c, b_r, k, seed=cfg.seed + level)
-            V = fit.plane
-            L = b_lab.witness_plane
-            if L is None or L.k != max(k - 1, 0):
-                L = _witness_plane(space, b_c, [], k)
-            # original balls with chi r_b <= r_s < r_b near V (Vitali)
+        for b in bads:
+            c, r = b.center, b.radius
+            V = best_plane(space, mu_s.subset(rs < r), c, r, k, seed=cfg.seed + level).plane
+            # original balls with chi r <= r_s < r near V (Vitali)
             d_to_V = distances_to_affine(space, V, pts)
-            cand = np.where((rs >= chi * b_r) & (rs < b_r)
-                            & (space.norms(pts - b_c[None, :]) <= 2 * b_r)
-                            & (d_to_V < chi * b_r / 30.0))[0]
-            keep = _vitali_keep(space, pts[cand], rs[cand])
-            S_b = [(pts[cand[j]], rs[cand[j]]) for j in keep]
+            cand = np.where((rs >= chi * r) & (rs < r)
+                            & (space.norms(pts - c[None, :]) <= 2 * r)
+                            & (d_to_V < chi * r / 30.0))[0]
+            S_b = [(pts[cand[j]], rs[cand[j]]) for j in _vitali_keep(space, pts[cand], rs[cand])]
             kept_all.extend(S_b)
-            # net near the witness (k-1)-plane
-            d_to_L = distances_to_affine(space, L, pts)
-            nm = ((space.norms(pts - b_c[None, :]) <= b_r)
-                  & (d_to_L <= 10 * chi * b_r) & (d_to_V <= chi * b_r / 30.0)
+            # net near the witness (k-1)-plane, one sub-covering per net point
+            d_to_L = distances_to_affine(space, b.witness_plane, pts)
+            nm = ((space.norms(pts - c[None, :]) <= r)
+                  & (d_to_L <= 10 * chi * r) & (d_to_V <= chi * r / 30.0)
                   & ~_in_any_ball(space, pts, S_b))
             net_pts = pts[nm]
-            net = _farthest_net(space, net_pts, 2 * chi * b_r / 5.0)
+            net = _farthest_net(space, net_pts, 2 * chi * r / 5.0)
             if len(net) > C.c_packing_count(k) * chi ** (1 - k):
                 flags.append(f"level {level}: net size {len(net)} exceeds c_B chi^(1-k)")
+            small = rs < chi * r
+            mu_small = mu_s.subset(small)
             for j in net:
-                x_c = net_pts[j]
-                mask_j = rs < chi * b_r
-                sub = covering_lemma(space, mu_s.subset(mask_j),
-                                     np.arange(int(mask_j.sum())),
-                                     rs[mask_j], k, cfg, center=x_c, radius=chi * b_r)
+                sub = covering_lemma(space, mu_small, np.arange(len(mu_small)),
+                                     rs[small], k, cfg, center=net_pts[j], radius=chi * r)
                 kept_all.extend(sub.kept_originals)
                 flags.extend(f"level {level}: {f}" for f in sub.flags)
-                for bb in sub.bad_balls:
-                    new_bads.append((bb.center, bb.radius, bb))
+                new_bads.extend(sub.bad_balls)
         bads = new_bads
-        lv_left = _leftover(space, mu_s, rs, kept_all,
-                            [(c, r) for (c, r, _) in bads], [])
-        levels.append(_packing_level(space, level, kept_all, bads, lv_left, k, flags))
+        levels.append(_packing_level(space, mu_s, rs, level, kept_all, bads, k))
+    valid = all(l.claim_A_ok and l.claim_B_S_ok and l.claim_B_bad_ok for l in levels)
     if bads:
         flags.append("recursion budget exhausted with bad balls remaining")
         valid = False
-    leftover = levels[-1].leftover if levels else 0.0
     packing = sum(r**k for _, r in kept_all)
-    if not all(l.claim_A_ok and l.claim_B_S_ok and l.claim_B_bad_ok for l in levels):
-        valid = False
-    return PackingResult(kept_all, levels, leftover, packing, valid, flags, ledger)
+    return PackingResult(kept_all, levels, levels[-1].leftover, packing, valid, flags, ledger)
 
 
-def _packing_level(space, index, kept_all, bads, leftover, k, flags):
-    sum_bad = float(sum(r**k for (_, r, _) in bads))
+def _packing_level(space, mu, rs, index, kept_all, bads, k):
+    leftover = _leftover(space, mu, rs, kept_all, [(b.center, b.radius) for b in bads], [])
+    sum_bad = float(sum(b.radius**k for b in bads))
     sum_orig = float(sum(r**k for _, r in kept_all))
     geo = sum(2.0**-j for j in range(index + 1))
     a_ok = leftover <= geo + 1e-12

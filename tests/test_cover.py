@@ -483,10 +483,31 @@ def test_covering_l4_graph_hahn_banach_path():
     assert res.leftover_mass <= 0.2
 
 
+# Calls of the cover command on the l^4 saddle through each cover binding
+# that perfbench's tracer wraps; a call through a local alias drops out.
+SADDLE_COVER_CALLS = {
+    "classify_ball": 43, "best_plane": 22, "_farthest_net": 2, "build_sigma": 1,
+    "make_projection": 7, "graph_check": 11, "distances_to_affine": 109,
+    "dini_profile": 1, "SigmaMap.apply_many": 2,
+}
+
+
 def test_covering_builds_one_projection_per_distinct_plane(l4_saddle_json, tmp_path,
                                                            monkeypatch):
     # the seven atom triples of the saddle give seven exact-fit planes for
     # the 21 stage-1 good balls; each Hahn-Banach projection is built once
+    calls = {}
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        return counted
+
+    for name in SADDLE_COVER_CALLS:
+        owner, _, attr = name.rpartition(".")
+        owner = cover.SigmaMap if owner else cover
+        monkeypatch.setattr(owner, attr, counting(name, getattr(owner, attr)))
     built, sigmas, checked = [], [], []
     make_projection, build_sigma, graph_check = (
         cover.make_projection, cover.build_sigma, cover.graph_check)
@@ -519,6 +540,7 @@ def test_covering_builds_one_projection_per_distinct_plane(l4_saddle_json, tmp_p
     assert checked
     shared = [pj for sg in sigmas for pj in sg.projections]
     assert all(any(pj is q for q in shared) for pj in checked)
+    assert calls == SADDLE_COVER_CALLS
 
 
 def test_dini_precheck_descends_once_per_distinct_ball(l4_saddle_json, tmp_path,
@@ -584,8 +606,8 @@ def test_covering_off_unit_frame_denormalization():
 
 
 # -- ball tables ----------------------------------------------------------------
-# The per-ball loops that _in_any_ball and _stage_report's disjointness and
-# radius checks ran before the tables, kept as the oracle.
+# The per-ball loops that _in_any_ball and a covering stage's disjointness
+# and radius checks ran before the tables, kept as the oracle.
 
 def _in_any_ball_loop(space, pts, balls):
     out = np.zeros(len(pts), dtype=bool)

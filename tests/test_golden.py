@@ -5,11 +5,15 @@ and says why; a pin is never updated to hide a change."""
 import hashlib
 import json
 
+import math
+
 import numpy as np
 import pytest
 
 from betareif.cli import run
-from betareif.cover import CoverConfig, main_packing, reifenberg_flat_map
+from betareif.cover import (CoverConfig, covering_lemma, main_packing,
+                            reifenberg_flat_map)
+from betareif.measures import PointMeasure
 from betareif.report import emit_report
 from betareif.spaces import NormedSpace
 
@@ -53,17 +57,69 @@ BETA_ATOM_L4_SADDLE_LINE_SHA256 = {
 }
 NOPOWERGAIN_SHA256 = (
     "6cdcce518f4df3fe43301b792abac3cd06d33921c28dd5a9d23f2f32ad602a46")
+# the depth-4 snowflake of FLAT_MAP_SNOWFLAKE_D4 read in (R^2, l^p): the
+# projection kind of both stages, then the report values
+FLAT_MAP_SNOWFLAKE_D4_LP = {
+    1: ("hahn_banach", {
+        "distortion": 1.077779466333747,
+        "holder_exponent": 0.98155897378716,
+        "q_alpha": 0.08788898309344889,
+        "certified_delta": 0.032000000000000035,
+    }),
+    1.5: ("j_projection", {
+        "distortion": 1.0153817599934463,
+        "holder_exponent": 0.9961426785716876,
+        "q_alpha": 0.016437082253652088,
+        "certified_delta": 0.037333333333333364,
+    }),
+    4: ("j_projection", {
+        "distortion": 1.0000269342457424,
+        "holder_exponent": 0.9999960006843425,
+        "q_alpha": 0.002937445123834383,
+        "certified_delta": 0.037333333333333364,
+    }),
+    math.inf: ("hahn_banach", {
+        "distortion": 1.0,
+        "holder_exponent": 0.9999999999999997,
+        "q_alpha": 0.09374824863301214,
+        "certified_delta": 0.037333333333333364,
+    }),
+}
+FLAT_MAP_SNOWFLAKE_D4_LP_SHA256 = {
+    1: "03615928d9e9d13c88e9750eebce80fda92b3cf1cc7a7278df190d93dd588e76",
+    1.5: "ba72b6e83298b09505f2cd9ec0c1c1a8d828e2df68651b05053e6d1fdf0ed0f6",
+    4: "e9302fc2b5c56cabaed4b0317d27516f51126d78043e620fbebe2d8eb0344abe",
+    math.inf: "a19d702fb7e380ce2f89a070538ef180debac8efb770bfc98633aba37dc13d59",
+}
+# k = 2 coverings in (R^3, l^2) that reach the branches no workload does:
+# (kept originals, bad balls, stages, excess mass) and the report SHA-256
+COVER_BRANCH = {
+    "originals": ((34, 0, 1, 0.0),
+                  "9ff03f87dedf98c6cb3faf76f263598b3f79b86719bd8bd58132c3578957e9fa"),
+    "originals_and_bad": ((36, 123, 2, 0.0),
+                          "ecf7a927a390e1bfb15bebf878fc33770abaaf008bbcde8d48df9cd7e7319a15"),
+    "no_stage": ((0, 0, 0, 0.0),
+                 "2cdc3e987cb3e5e551332fa328d16238dbfbeba1e33477b727d84f59dd683d1d"),
+    "excess": ((0, 69, 2, 0.1375),
+               "e05bce6ae46991ef5261599850388f593dcb6689ba618b4d27f0280793c08fe6"),
+    "off_unit_frame": ((28, 0, 1, 0.0),
+                       "9bb8ac660e63e2640338eda06fa89d3a1434ea6fd3ddc39cd406985c1fa1ac48"),
+    "bad_top": ((0, 1, 0, 0.0),
+                "a25f18e93fd968dfae72c805c89866c11bbb04c2c14c440ea5600e2b7e240a73"),
+}
+PACK_BAD_TOP_SHA256 = (
+    "6b24c2cf4f442f8d4a402afe7412a96a67774b35e6b880133f8b60bf931026ea")
 
 
 def _flat_map_report(space, depth):
     S = snowflake_sample([0.08] * 12, depth, 2200)
-    _stages, rep = reifenberg_flat_map(space, S, 1, chi=1 / 3, delta=0.2,
-                                       max_depth=7, pair_count=120)
-    return rep.to_dict()
+    stages, rep = reifenberg_flat_map(space, S, 1, chi=1 / 3, delta=0.2,
+                                      max_depth=7, pair_count=120)
+    return stages, rep.to_dict()
 
 
 def test_flat_map_snowflake_depth4_golden(l2_plane):
-    doc = _flat_map_report(l2_plane, 4)
+    _stages, doc = _flat_map_report(l2_plane, 4)
     for key, want in FLAT_MAP_SNOWFLAKE_D4.items():
         assert doc[key] == pytest.approx(want, rel=1e-9), key
     blob = json.dumps(doc, sort_keys=True).encode()
@@ -72,11 +128,97 @@ def test_flat_map_snowflake_depth4_golden(l2_plane):
 
 def test_flat_map_snowflake_depth6_golden(l2_plane):
     # 1,025 atoms: large beta_inf stacks whose grids span several blocks
-    doc = _flat_map_report(l2_plane, 6)
+    _stages, doc = _flat_map_report(l2_plane, 6)
     for key, want in FLAT_MAP_SNOWFLAKE_D6.items():
         assert doc[key] == pytest.approx(want, rel=1e-9), key
     blob = json.dumps(doc, sort_keys=True).encode()
     assert hashlib.sha256(blob).hexdigest() == FLAT_MAP_SNOWFLAKE_D6_SHA256
+
+
+@pytest.mark.parametrize("p", list(FLAT_MAP_SNOWFLAKE_D4_LP))
+def test_flat_map_snowflake_depth4_lp_golden(p):
+    stages, doc = _flat_map_report(NormedSpace(2, p), 4)
+    kind, values = FLAT_MAP_SNOWFLAKE_D4_LP[p]
+    assert doc["n_stages"] == len(stages) == 2
+    assert {pj.kind for sg in stages for pj in sg.projections} == {kind}
+    for key, want in values.items():
+        assert doc[key] == pytest.approx(want, rel=1e-9), key
+    blob = json.dumps(doc, sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == FLAT_MAP_SNOWFLAKE_D4_LP_SHA256[p]
+
+
+def test_flat_map_snowflake_depth4_linf_keeps_first_coordinate():
+    # at p = inf every Hahn-Banach projection's row functional is exactly
+    # e_1, so each sigma moves points only along x_2 and the l^inf distance
+    # of the near-horizontal pairs on T0 is kept: distortion exactly 1
+    space = NormedSpace(2, math.inf)
+    stages, doc = _flat_map_report(space, 4)
+    for sg in stages:
+        for pj in sg.projections:
+            assert pj.row_functionals.tolist() == [[1.0, 0.0]]
+    ticks = np.linspace(-1.2, 1.2, 25)
+    X = np.stack(np.meshgrid(ticks, ticks), axis=-1).reshape(-1, 2)
+    X = np.concatenate([X, snowflake_sample([0.08] * 12, 4, 2200)])
+    Y = X
+    for sg in stages:
+        Y = sg.apply_many(Y)
+        assert Y[:, 0].tobytes() == X[:, 0].tobytes()
+    assert np.abs(Y[:, 1] - X[:, 1]).max() > 0
+    assert doc["distortion"] == 1.0
+
+
+def _cover_branch_case(name):
+    """(space, mu, r_s, cfg, frame) of a COVER_BRANCH pin."""
+    space = NormedSpace(3, 2)
+    if name == "originals":
+        uv = np.random.default_rng(1).uniform(-0.7, 0.7, (60, 2))
+        mu = PointMeasure(np.concatenate([uv, np.zeros((60, 1))], axis=1), np.ones(60) / 60)
+        return space, mu, np.full(60, 0.3), CoverConfig(max_depth=4), {}
+    if name in ("originals_and_bad", "no_stage"):
+        # every fourth atom carries an original ball of radius 0.02
+        rs = np.zeros(200)
+        rs[::4] = 0.02
+        cfg = CoverConfig(chi=0.1, delta=0.1, max_depth=3 if name == "originals_and_bad" else 0)
+        return space, graph_measure_200(kappa=0.01), rs, cfg, {}
+    if name == "excess":
+        # every ninth atom lifted off the plane by 0.004
+        uv = np.random.default_rng(7).uniform(-0.8, 0.8, (80, 2))
+        z = np.zeros((80, 1))
+        z[::9] = 0.004
+        mu = PointMeasure(np.concatenate([uv, z], axis=1), np.ones(80) / 80)
+        return space, mu, np.zeros(80), CoverConfig(max_depth=3), {}
+    if name == "off_unit_frame":
+        # the input of test_cover.test_covering_off_unit_frame_denormalization
+        uv = np.random.default_rng(4).uniform(-0.35, 0.35, (40, 2))
+        mu = PointMeasure(np.stack([uv[:, 0] + 2.0, uv[:, 1], np.zeros(40)], axis=1),
+                          np.ones(40) / 40)
+        return (space, mu, np.full(40, 0.15), CoverConfig(max_depth=2),
+                {"center": [2.0, 0.0, 0.0], "radius": 0.5})
+    assert name == "bad_top"
+    return space, PointMeasure(np.zeros((1, 3)), np.ones(1)), np.zeros(1), CoverConfig(), {}
+
+
+@pytest.mark.parametrize("name", list(COVER_BRANCH))
+def test_covering_branch_golden(name):
+    space, mu, rs, cfg, frame = _cover_branch_case(name)
+    res = covering_lemma(space, mu, np.arange(len(mu)), rs, 2, cfg, **frame)
+    (kept, bad, stages, excess), sha = COVER_BRANCH[name]
+    assert (len(res.kept_originals), len(res.bad_balls), len(res.stages)) == (kept, bad, stages)
+    assert res.excess_mass == excess
+    if name == "originals_and_bad":
+        # stage 2 retires original and bad balls together
+        assert res.stages[1].n_original > 0 and res.stages[1].n_bad > 0
+    assert hashlib.sha256(emit_report(res, "json")).hexdigest() == sha
+
+
+def test_pack_bad_top_golden():
+    # the one-atom measure of the bad_top covering: every level refines the
+    # one bad ball, until the budget runs out
+    space, mu, rs, cfg, _ = _cover_branch_case("bad_top")
+    res = main_packing(space, mu, np.arange(1), rs, 2, M=0.0, cfg=cfg, budget=4)
+    assert [lv.n_bad for lv in res.levels] == [1] * 5
+    assert not res.valid
+    assert hashlib.sha256(emit_report(res, "json")).hexdigest() == PACK_BAD_TOP_SHA256
 
 
 def _cli_sha256(argv, out):
