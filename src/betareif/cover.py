@@ -14,8 +14,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import constants as C
-from .geometry import (AffinePlane, AlmostProjection, affine_plane,
-                       _euclid_orthonormal, distances_to_affine,
+from .geometry import (AffinePlane, AlmostProjection, _euclid_orthonormal,
+                       distances_to_affine,
                        grassmann_distance, graph_check, make_projection)
 from .measures import (PointMeasure, _distance_blocks, best_plane, beta,
                        beta_inf, dini_profile)
@@ -145,7 +145,7 @@ def classify_ball(space: NormedSpace, mu: PointMeasure, x, r: float, k: int,
     for _j in range(1, k + 1):
         hull_base = witnesses[0]
         hull_dirs = np.asarray(witnesses[1:]) - hull_base[None, :] if len(witnesses) > 1 else np.zeros((0, space.dim))
-        dists = distances_to_affine(space, AffinePlane(hull_base, hull_dirs, 1.0), cand)
+        dists = distances_to_affine(space, AffinePlane(hull_base, hull_dirs), cand)
         i = int(np.argmax(dists))
         if dists[i] < 7.0 * chi * r:
             return BallLabel(x, r, "bad",
@@ -157,12 +157,7 @@ def classify_ball(space: NormedSpace, mu: PointMeasure, x, r: float, k: int,
 def _witness_plane(space, base, dirs, k):
     """Bad-ball certificate padded to a (k-1)-plane; a plane containing the
     hull certifies badness as well (its neighborhood is larger)."""
-    dirs = np.asarray(dirs, dtype=float).reshape(-1, space.dim)
-    kk = max(k - 1, 0)
-    if kk == 0:
-        return AffinePlane(np.asarray(base, dtype=float), np.zeros((0, space.dim)), 1.0)
-    rows = _pad_to_dim(space, dirs, kk)
-    return affine_plane(space, base, rows)
+    return AffinePlane(np.asarray(base, dtype=float), _pad_to_dim(space, dirs, max(k - 1, 0)))
 
 
 # ---------------------------------------------------------------------------
@@ -455,6 +450,7 @@ class CoverResult:
 
 
 _DISTORTION_PAIRS = 1000     # point pairs on T0 behind item 3's distortion
+_DELTA0 = 0.1                # main_packing's delta: mass scale delta0^2/M
 
 
 def _vitali_keep(space, centers, radii):
@@ -612,8 +608,7 @@ def _denormalize(space, res: "CoverResult", center, radius, k):
         b.radius = b.radius * radius
         if b.witness_plane is not None:
             b.witness_plane = AffinePlane(b.witness_plane.base * radius + center,
-                                          b.witness_plane.basis,
-                                          b.witness_plane.tau_margin)
+                                          b.witness_plane.basis)
     res.leftover_mass *= radius**k
     res.excess_mass *= radius**k
     res.packing_sum *= radius**k
@@ -623,7 +618,6 @@ def _denormalize(space, res: "CoverResult", center, radius, k):
 def _covering_normalized(space, mu, rs, k, cfg):
     chi = cfg.chi
     alpha = cfg.resolve_alpha(space)
-    theta = cfg.theta if cfg.theta is not None else default_theta(k)
     ledger = cfg.ledger(space, k)
     flags = []
     origin = np.zeros(space.dim)
@@ -637,7 +631,7 @@ def _covering_normalized(space, mu, rs, k, cfg):
     if measured_delta > delta * (1 + 1e-9):
         flags.append(f"dini precheck: measured delta {measured_delta:.3g} exceeds configured {delta:.3g}")
 
-    top = classify_ball(space, mu, origin, 1.0, k, chi, theta)
+    top = classify_ball(space, mu, origin, 1.0, k, chi, cfg.theta)
     if top.kind == "bad":
         leftover = _leftover(space, mu, rs, [], [(origin, 1.0)], [])
         return CoverResult([], [top], [], leftover, 1.0, 1.0, 0.0, [], ledger,
@@ -678,14 +672,14 @@ def _covering_normalized(space, mu, rs, k, cfg):
         new_goods, new_bads = [], []
         for j in _farthest_net(space, mu.points[net_cand], 2.0 * r_next / 5.0):
             c = mu.points[net_cand[j]]
-            lab = classify_ball(space, mu, c, r_next, k, chi, theta)
+            lab = classify_ball(space, mu, c, r_next, k, chi, cfg.theta)
             if lab.kind == "good":
                 fit = best_plane(space, mu, c, r_next, k, seed=cfg.seed + 10007 * (i + 1) + j)
                 if not fit.valid:
                     flags.append(f"stage {i + 1}: uncertified best-plane fit at "
                                  f"{np.round(c, 4).tolist()} (factor {fit.certified_factor:.2f})")
                 new_goods.append((c, r_next, fit))
-            elif mu.mass_in_ball(space, c, r_next) > 0:
+            else:
                 new_bads.append(lab)
         bad_out.extend(new_bads)
 
@@ -742,14 +736,8 @@ def _covering_normalized(space, mu, rs, k, cfg):
     packing = sum(r**k for _, r in kept_orig) + sum(b.radius**k for b in bad_out)
     packing_all = packing + sum(rg**k for (_, rg, _) in goods)
     excess_mass = float(mu.weights[excess].sum())
-    coefs = np.random.default_rng(cfg.seed + 7).uniform(
-        -1.0, 1.0, size=(2 * _DISTORTION_PAIRS, max(k, 1)))
-    pair_pts = T0.points(coefs[:, :k]) if k > 0 else \
-        np.repeat(T0.base[None, :], 2 * _DISTORTION_PAIRS, axis=0)
-    pair_track = pair_pts
-    for sigma in sigmas:
-        pair_track = sigma.apply_many(pair_track)
-    distortion = _distortion(space, pair_pts, pair_track, _DISTORTION_PAIRS)
+    distortion = _distortion(*_pair_distances(
+        space, T0, sigmas, np.random.default_rng(cfg.seed + 7), 1.0, _DISTORTION_PAIRS))
     item_checks = {
         "item1_base_plane": T0.to_fragment(),
         "item2_graph_height": max((s.graph_height for s in stages), default=0.0),
@@ -785,13 +773,19 @@ def _leftover(space, mu, rs, kept_orig, bad_balls, goods):
     return float(mu.weights[in_unit & ~covered].sum())
 
 
-def _distortion(space, before, after, npairs):
-    a = before[:npairs]
-    b = before[npairs: 2 * npairs]
-    fa = after[:npairs]
-    fb = after[npairs: 2 * npairs]
-    d0 = space.norms(a - b)
-    d1 = space.norms(fa - fb)
+def _pair_distances(space, T0, sigmas, rng, half, npairs):
+    """(d0, d1): the distances of npairs random point pairs of T0, with
+    coefficients uniform in [-half, half], before and after the stages."""
+    P0 = T0.points(rng.uniform(-half, half, size=(2 * npairs, T0.k)))
+    P1 = P0
+    for sigma in sigmas:
+        P1 = sigma.apply_many(P1)
+    return space.norms(P0[:npairs] - P0[npairs:]), space.norms(P1[:npairs] - P1[npairs:])
+
+
+def _distortion(d0, d1):
+    """Bi-Lipschitz distortion max(d1/d0, d0/d1) over the pairs with
+    d0 > 1e-9 (1.0 when there is none); inf when tau collapses them all."""
     ok = d0 > 1e-9
     if not ok.any():
         return 1.0
@@ -841,28 +835,27 @@ class PackingResult:
 
 def main_packing(space: NormedSpace, mu: PointMeasure, S, r_s, k: int,
                  M: float, cfg: CoverConfig | None = None,
-                 budget: int = 4, delta0: float = 0.1) -> PackingResult:
-    """Rescale mu by delta0^2/M, run the covering lemma, and refine bad
+                 budget: int = 4) -> PackingResult:
+    """Rescale mu by _DELTA0^2/M, run the covering lemma, and refine bad
     balls recursively per the inductive packing/measure claims; each level
     asserts claim A (measure) and claim B (packing) with the explicit
     constants.  Raises nothing on claim failure: results are flagged."""
     cfg = cfg or CoverConfig()
-    # the per-atom M-hypothesis check is the covering precheck at delta0 on
+    # the per-atom M-hypothesis check is the covering precheck at _DELTA0 on
     # the rescaled measure
-    cfg = replace(cfg, delta=cfg.delta if cfg.delta is not None else delta0)
+    cfg = replace(cfg, delta=cfg.delta if cfg.delta is not None else _DELTA0)
     chi = cfg.chi
-    theta = cfg.theta if cfg.theta is not None else default_theta(k)
     S = np.asarray(S, dtype=int)
     rs = np.asarray(r_s, dtype=float).reshape(-1)
     flags = []
-    scale = delta0**2 / M if M > 0 else 1.0
+    scale = _DELTA0**2 / M if M > 0 else 1.0
     # S has full measure by hypothesis: work with the S-submeasure, aligned
     # with rs, from here on
     mu_s = PointMeasure(mu.points[S].reshape(-1, space.dim), mu.weights[S] * scale) \
         if len(S) else PointMeasure(np.zeros((0, space.dim)), np.zeros(0))
     pts = mu_s.points
     ledger = cfg.ledger(space, k)
-    ledger.update({"delta0": delta0, "M": M, "mass_scale": scale, "budget": budget})
+    ledger.update({"delta0": _DELTA0, "M": M, "mass_scale": scale, "budget": budget})
     if M == 0 and len(S) and (rs > 0).all():
         # trivial path: beta = 0, Vitali cover of the original balls
         keep = _vitali_keep(space, pts, rs)
@@ -876,7 +869,7 @@ def main_packing(space: NormedSpace, mu: PointMeasure, S, r_s, k: int,
         flags.append("configured chi violates c5*c_B*chi < 1/2 (proof-chain constants); "
                      "claims asserted with measured sums")
 
-    lab = classify_ball(space, mu_s, np.zeros(space.dim), 1.0, k, chi, theta)
+    lab = classify_ball(space, mu_s, np.zeros(space.dim), 1.0, k, chi, cfg.theta)
     kept_all = []
     if lab.kind == "good":
         res = covering_lemma(space, mu_s, np.arange(len(mu_s)), rs, k, cfg)
@@ -948,7 +941,7 @@ class ReifenbergReport:
     stages: list
     distortion: float
     holder_exponent: float
-    q_alpha: float | None
+    q_alpha: float
     lip_constant_fit: float | None
     certified_delta: float
 
@@ -960,8 +953,7 @@ class ReifenbergReport:
 
 
 def reifenberg_flat_map(space: NormedSpace, Spts, k: int, chi: float = 0.01,
-                        delta: float = 0.05, Q: float | None = None,
-                        max_depth: int = 4, seed: int = 0,
+                        delta: float = 0.05, max_depth: int = 4, seed: int = 0,
                         pair_count: int = 400):
     """Build the bi-Hoelder/bi-Lipschitz parametrization of a Reifenberg-flat
     sample: per stage, a maximal 2 r_i/5 net on S, sup-beta best planes
@@ -1020,35 +1012,27 @@ def reifenberg_flat_map(space: NormedSpace, Spts, k: int, chi: float = 0.01,
         for rr in scales:
             tot += betas[j, rr].value ** alpha * math.log(1 / chi)
         q_meas = max(q_meas, tot)
-    rng = np.random.default_rng(seed)
-    coefs = rng.uniform(-0.9, 0.9, size=(2 * pair_count, max(k, 1)))
-    P0 = T0.points(coefs[:, :k]) if k else np.repeat(T0.base[None, :], 2 * pair_count, axis=0)
-    P1 = P0.copy()
-    for s in sigmas:
-        P1 = s.apply_many(P1)
-    d0 = space.norms(P0[:pair_count] - P0[pair_count:])
-    d1 = space.norms(P1[:pair_count] - P1[pair_count:])
-    ok = (d0 > 1e-9) & (d1 > 0)
-    distortion = float(max((d1[ok] / d0[ok]).max(), (d0[ok] / d1[ok]).max())) if ok.any() else 1.0
+    d0, d1 = _pair_distances(space, T0, sigmas, np.random.default_rng(seed), 0.9, pair_count)
+    distortion = _distortion(d0, d1)
     # bi-Hoelder exponent from log-log regression
+    ok = (d0 > 1e-9) & (d1 > 0)
     if ok.sum() >= 2:
         lx, ly = np.log(d0[ok]), np.log(d1[ok])
         A = np.vstack([lx, np.ones_like(lx)]).T
         slope = float(np.linalg.lstsq(A, ly, rcond=None)[0][0])
     else:
         slope = 1.0
-    q_alpha = Q**alpha if Q is not None else q_meas
-    lip_fit = math.log(max(distortion, 1.0 + 1e-15)) / q_alpha if q_alpha > 0 else None
-    report = ReifenbergReport(sigmas, distortion, slope, q_alpha, lip_fit, certified)
+    lip_fit = math.log(max(distortion, 1.0 + 1e-15)) / q_meas if q_meas > 0 else None
+    report = ReifenbergReport(sigmas, distortion, slope, q_meas, lip_fit, certified)
     return sigmas, report
 
 
-def _nearest_neighbor_scale(space, S, cap: int = 512):
+def _nearest_neighbor_scale(space, S):
     if len(S) < 2:
         return 0.0
     idx = np.arange(len(S))
-    if len(S) > cap:
-        idx = np.linspace(0, len(S) - 1, cap).astype(int)
+    if len(S) > 512:
+        idx = np.linspace(0, len(S) - 1, 512).astype(int)
     nearest = np.empty(len(idx))
     for rows, D in _distance_blocks(space, S[idx], S):
         D[D <= 0] = np.inf

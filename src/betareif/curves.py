@@ -238,8 +238,7 @@ def row_normalized_det(M: np.ndarray) -> float:
     return float(np.linalg.det(M / norms[:, None]))
 
 
-def no_power_gain_witness(f_samples, eps: float,
-                          resolution: float = 1e-6) -> tuple[tuple, float]:
+def no_power_gain_witness(f_samples, eps: float) -> tuple[tuple, float]:
     """Scan sampled pairs for the maximizer of
     |<J(x-y), f(x)-f(y)>| / ||x-y||^2 and return ((x, y), bound).
 
@@ -252,8 +251,8 @@ def no_power_gain_witness(f_samples, eps: float,
     m = len(X)
     sep = NPG_SPACE.norms(X[:, None, :] - X[None, :, :])
     iu = np.triu_indices(m, k=1)
-    if sep[iu].max() < resolution:
-        raise ValueError("sample set too sparse: all separations below resolution")
+    if sep[iu].max() < 1e-6:
+        raise ValueError("sample set too sparse: all separations below 1e-6")
     D = X[:, None, :] - X[None, :, :]
     DF = F[:, None, :] - F[None, :, :]
     p = 4.0

@@ -33,19 +33,15 @@ _GRAD_TOL = 1e-9
 
 @dataclass(frozen=True)
 class AffinePlane:
-    """Affine k-plane base + span(basis); basis rows in tau-general position."""
+    """Affine k-plane base + span(basis) with linearly independent basis
+    rows; `affine_plane` checks a basis that comes from outside."""
 
     base: np.ndarray
     basis: np.ndarray          # (k, n) rows; (0, n) for a point
-    tau_margin: float
 
     @property
     def k(self) -> int:
         return self.basis.shape[0]
-
-    @property
-    def dim_ambient(self) -> int:
-        return self.base.shape[0]
 
     def points(self, coeffs) -> np.ndarray:
         coeffs = np.atleast_2d(np.asarray(coeffs, dtype=float))
@@ -62,14 +58,13 @@ class AffinePlane:
 
 
 def affine_plane(space: NormedSpace, base, basis) -> AffinePlane:
+    """The plane base + span(basis), for a basis from outside the engine:
+    raises ValueError when its rows are linearly dependent or zero."""
     base = np.asarray(base, dtype=float)
     basis = np.asarray(basis, dtype=float).reshape(-1, space.dim)
-    if basis.shape[0] == 0:
-        return AffinePlane(base, basis, 1.0)
-    margin = general_position_margin(list(basis), space)
-    if margin <= 0.0:
+    if basis.shape[0] and general_position_margin(list(basis), space) <= 0.0:
         raise ValueError("basis vectors are linearly dependent")
-    return AffinePlane(base, basis, margin)
+    return AffinePlane(base, basis)
 
 
 def _euclid_orthonormal(rows: np.ndarray) -> np.ndarray:
@@ -286,11 +281,11 @@ def _dist_lp_linprog(space, M, w):
     return r2.x[:k] if r2.success else lam0
 
 
-def _dist_newton_batch(space, M, W, lam, tol: float = _GRAD_TOL):
+def _dist_newton_batch(space, M, W, lam):
     """Damped Newton on f(lam) = sum |w - M lam|^p, batched over rows of W.
 
     Convex for p > 1; terminates when the gradient of the distance falls
-    below tol*(1 + ||w||) per sample or at the iteration cap.
+    below _GRAD_TOL*(1 + ||w||) per sample or at the iteration cap.
 
     The backtracking line search takes the power sum of a row only after
     its step moved, and keeps the value of every accepted row.  The
@@ -311,7 +306,7 @@ def _dist_newton_batch(space, M, W, lam, tol: float = _GRAD_TOL):
         nr = space.norms(Ra)
         on_flat = nr <= 1e-12 * scale[active]
         grad_d = G / np.maximum(nr, 1e-30)[:, None] ** (p - 1.0)
-        done = on_flat | (np.linalg.norm(grad_d, axis=1) <= tol * scale[active])
+        done = on_flat | (np.linalg.norm(grad_d, axis=1) <= _GRAD_TOL * scale[active])
         idx = np.where(active)[0]
         active[idx[done]] = False
         still = idx[~done]
@@ -576,11 +571,11 @@ def make_projection(space: NormedSpace, V: AffinePlane, kind: str) -> AlmostProj
     raise ValueError(f"unknown projection kind {kind!r}")
 
 
-def _empirical_op_norm(space, P, count: int = 2048) -> float:
+def _empirical_op_norm(space, P) -> float:
     n = space.dim
     dirs = [np.eye(n), -np.eye(n)]
     rng = np.random.default_rng(0)
-    dirs.append(rng.standard_normal((count, n)))
+    dirs.append(rng.standard_normal((2048, n)))
     U = np.vstack(dirs)
     nu = space.norms(U)
     U = U[nu > 1e-12] / nu[nu > 1e-12, None]

@@ -13,7 +13,7 @@ import numpy as np
 
 from .constants import norm_equivalence
 from .geometry import (AffinePlane, _dists_to_flat_batch, _dists_to_flats,
-                       _golden_section, affine_plane, distances_to_affine)
+                       _golden_section, distances_to_affine)
 from .spaces import NormedSpace, real_number
 
 __all__ = [
@@ -145,7 +145,7 @@ def _ball_atoms(space, mu, x, r):
 
 def _degenerate_plane(space: NormedSpace, x, k: int) -> AffinePlane:
     basis = np.eye(space.dim)[:k]
-    return AffinePlane(np.asarray(x, dtype=float), basis, 1.0)
+    return AffinePlane(np.asarray(x, dtype=float), basis)
 
 
 def _weighted_l2_plane(pts, w, k):
@@ -199,13 +199,13 @@ def _fit_seeds(space, pts, w, x, r, k, seeds, starts=4, iters=60):
                 for _ in seeds]
     c2, basis2, resid2 = _weighted_l2_plane(pts, w, k)
     if space.is_hilbert:
-        plane = AffinePlane(c2, basis2, 1.0)
+        plane = AffinePlane(c2, basis2)
         betaval = math.sqrt(max(resid2, 0.0) / r ** (k + 2))
         return [BetaResult(betaval, plane, 1.0, resid2) for _ in seeds]
     if resid2 <= 1e-24 * (1.0 + w.sum() * r * r):
         # the atoms fit a k-plane exactly; it is optimal under every norm
         F0 = _objective(space, c2, basis2, pts, w)
-        plane = affine_plane(space, c2, basis2 / space.norms(basis2)[:, None])
+        plane = AffinePlane(c2, basis2 / space.norms(basis2)[:, None])
         return [BetaResult(math.sqrt(max(F0, 0.0) / r ** (k + 2)), plane, 1.0, F0)
                 for _ in seeds]
 
@@ -226,10 +226,7 @@ def _fit_seeds(space, pts, w, x, r, k, seeds, starts=4, iters=60):
             cand += [(j, float(F[j]), B[j], V[j])
                      for j in [0, *range(1 + i * per, 1 + (i + 1) * per)]]
     lower = resid2 / norm_equivalence(space.dim, space.p) ** 2 if space.p > 2 else resid2
-    lower = max(lower, 0.0)
-    if space.p < 2.0:
-        lower = resid2    # ||v||_p >= ||v||_2 termwise
-    planes = {}     # one affine_plane per winning candidate
+    planes = {}     # one plane per winning candidate
     out = []
     for cand in cands:
         best_key, best_F, best_base, best_basis = cand[0]
@@ -239,7 +236,7 @@ def _fit_seeds(space, pts, w, x, r, k, seeds, starts=4, iters=60):
         factor = best_F / lower if lower > 1e-300 else 1.0
         if best_key not in planes:
             basis_n = best_basis / space.norms(best_basis)[:, None]
-            planes[best_key] = affine_plane(space, best_base, basis_n)
+            planes[best_key] = AffinePlane(best_base, basis_n)
         betaval = math.sqrt(max(best_F, 0.0) / r ** (k + 2))
         out.append(BetaResult(betaval, planes[best_key], float(max(factor, 1.0)), best_F))
     return out
@@ -362,9 +359,8 @@ def _beta_inf_one(space, S, x, r, k):
     init = best_plane(space, counting, x, r, k, seed=1)
     base, basis = init.plane.base, init.plane.basis
     base, basis = _minimax_refine(space, base, basis, pts)
-    val = float(distances_to_affine(space, AffinePlane(base, basis, 1.0), pts).max())
-    basis_n = basis / space.norms(basis)[:, None]
-    return BetaInfResult(val / r, affine_plane(space, x, basis_n))
+    val = float(distances_to_affine(space, AffinePlane(base, basis), pts).max())
+    return BetaInfResult(val / r, AffinePlane(x, basis / space.norms(basis)[:, None]))
 
 
 _GRID_ANGLES = 2000
@@ -418,7 +414,7 @@ def _beta_inf_lines_2d(space, S, X, r):
     vals = _halfwidths(space, REL, phi)
     for row, i in enumerate(full):
         direction = np.array([-math.sin(phi[row]), math.cos(phi[row])])
-        out[i] = BetaInfResult(vals[row] / r, affine_plane(space, X[i], direction[None, :]))
+        out[i] = BetaInfResult(vals[row] / r, AffinePlane(X[i], direction[None, :]))
     return out
 
 
@@ -456,7 +452,7 @@ def _halfwidths(space, REL, phis):
     return 0.5 * np.ptp(s, axis=1) / dn
 
 
-def _minimax_refine(space, base, basis, pts, iters: int = 200):
+def _minimax_refine(space, base, basis, pts):
     """Nelder-Mead on the raw (base, basis) parameters of the max-distance
     objective; adequate for desk dimensions."""
     from scipy.optimize import minimize as _min
@@ -468,10 +464,10 @@ def _minimax_refine(space, base, basis, pts, iters: int = 200):
         B = v[n:].reshape(k, n)
         if np.linalg.matrix_rank(B, tol=1e-10) < k:
             return 1e9
-        return float(distances_to_affine(space, AffinePlane(b, B, 1.0), pts).max())
+        return float(distances_to_affine(space, AffinePlane(b, B), pts).max())
 
     res = _min(obj, x0, method="Nelder-Mead",
-               options={"maxiter": iters * (n * (k + 1)), "fatol": 1e-12, "xatol": 1e-10})
+               options={"maxiter": 200 * (n * (k + 1)), "fatol": 1e-12, "xatol": 1e-10})
     v = res.x if res.fun <= obj(x0) else x0
     return v[:n], v[n:].reshape(k, n)
 

@@ -329,6 +329,42 @@ def test_reifenberg_plane_identity(l2_plane):
     assert rep.holder_exponent == pytest.approx(1.0, abs=1e-6)
 
 
+def test_distortion_rule():
+    from betareif.cover import _distortion
+    # no pair more than 1e-9 apart
+    assert _distortion(np.array([0.0, 1e-9]), np.array([1.0, 2.0])) == 1.0
+    # collapsed pairs (and pairs too close to measure) are dropped
+    assert _distortion(np.array([1.0, 2.0, 1e-10]), np.array([2.0, 0.0, 5.0])) == 2.0
+    # every pair collapsed
+    assert _distortion(np.array([1.0, 2.0, 1e-10]), np.array([0.0, 0.0, 5.0])) == math.inf
+    # ratios 2 and 1/4
+    assert _distortion(np.array([1.0, 4.0]), np.array([2.0, 1.0])) == 4.0
+
+
+def test_pair_distances_on_a_point_plane(l2_plane):
+    from betareif.cover import _distortion, _pair_distances
+    from betareif.geometry import AffinePlane
+    T0 = AffinePlane(np.array([0.3, -0.2]), np.zeros((0, 2)))
+    sigma = build_sigma(l2_plane, [[0.0, 0.0]], 1.0,
+                        [affine_plane(l2_plane, [0, 0], [[1, 0]])], 1)
+    d0, d1 = _pair_distances(l2_plane, T0, [sigma], np.random.default_rng(0), 1.0, 50)
+    assert d0.shape == d1.shape == (50,)
+    assert not d0.any() and not d1.any()
+    assert _distortion(d0, d1) == 1.0
+
+
+def test_reifenberg_collapse_reports_inf(l2_plane, monkeypatch):
+    # the covering's rule: a tau that collapses every pair has distortion inf
+    real = cover._pair_distances
+    monkeypatch.setattr(cover, "_pair_distances",
+                        lambda *a: (real(*a)[0], np.zeros(a[-1])))
+    xs = np.linspace(-0.95, 0.95, 60)
+    S = np.stack([xs, np.zeros(60)], axis=1)
+    _, rep = reifenberg_flat_map(l2_plane, S, 1, chi=1 / 3, delta=0.05, max_depth=3)
+    assert rep.distortion == math.inf
+    assert rep.holder_exponent == 1.0
+
+
 def test_reifenberg_certification_failure(l2_plane):
     ts = np.linspace(-1, 1, 41)
     S = np.stack([ts, 0.8 * np.sin(3 * ts)], axis=1)    # wildly non-flat

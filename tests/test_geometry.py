@@ -646,6 +646,19 @@ def test_affine_plane_fragment_roundtrip(l2_plane):
     assert np.allclose(back.basis, pl.basis)
 
 
+@pytest.mark.parametrize("basis", [[[1, 0, 0], [2, 0, 0]], [[0, 0, 0]], [[1, 0, 0], [0, 0, 0]]])
+@pytest.mark.parametrize("p", [2, 4, math.inf])
+def test_affine_plane_rejects_dependent_or_zero_basis(basis, p):
+    # the checked constructor for bases from outside the engine, and the
+    # fragment reader that goes through it
+    from betareif.geometry import AffinePlane
+    s = NormedSpace(3, p)
+    with pytest.raises(ValueError, match="linearly dependent"):
+        affine_plane(s, np.zeros(3), basis)
+    with pytest.raises(ValueError, match="linearly dependent"):
+        AffinePlane.from_fragment(s, {"base": [0.0, 0.0, 0.0], "basis": basis})
+
+
 def test_projection_report_has_residuals(l2_plane):
     pl = affine_plane(l2_plane, [0, 0], [[1, 0]])
     rep = make_projection(l2_plane, pl, "orthogonal").report()

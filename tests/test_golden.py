@@ -44,6 +44,8 @@ COVER_L4_SADDLE_SHA256 = (
 GOODBALL_L4_SADDLE_SHA256 = {
     "good": "cfc964418b19c486cb6ede8fa35a4fa39e1be81bf0a1e3c53e3329c1b7589271",
     "bad": "9cb4ed908505a07fe1a2b59c7b81f5854b39d3ea7981c5dc44759f4ca71fd86c",
+    # k = 1: the witness plane is the point (0.3, 0.2, 0) with an empty basis
+    "bad_k1": "55aa65190ef0d01c209348505c6e23e061ffac87044f897d1b7edafcd6f920d6",
 }
 SNOWFLAKE_SHA256 = {
     "rademacher": "1f7421bba2463fba8bf0f290fe70824b0716b5d3446f17f2e4c0aacc886ecf23",
@@ -262,16 +264,16 @@ def test_pack_graph_measure_golden():
     assert hashlib.sha256(blob).hexdigest() == PACK_GRAPH_MEASURE_SHA256
 
 
-@pytest.mark.parametrize("kind,argv", [
-    ("good", ["--r", "1.0"]),
-    ("bad", ["--r", "0.1", "--center", "[0.3, 0.2, 0.0]"]),
+@pytest.mark.parametrize("case,argv", [
+    ("good", ["--k", "2", "--r", "1.0"]),
+    ("bad", ["--k", "2", "--r", "0.1", "--center", "[0.3, 0.2, 0.0]"]),
+    ("bad_k1", ["--k", "1", "--r", "0.1", "--center", "[0.3, 0.2, 0.0]"]),
 ])
-def test_goodball_l4_saddle_golden(l4_saddle_json, tmp_path, kind, argv):
-    code, sha = _cli_sha256(["goodball", l4_saddle_json, "--k", "2"] + argv,
-                            tmp_path / "goodball.json")
+def test_goodball_l4_saddle_golden(l4_saddle_json, tmp_path, case, argv):
+    code, sha = _cli_sha256(["goodball", l4_saddle_json] + argv, tmp_path / "goodball.json")
     assert code == 0
-    assert json.loads((tmp_path / "goodball.json").read_text())["kind"] == kind
-    assert sha == GOODBALL_L4_SADDLE_SHA256[kind]
+    assert json.loads((tmp_path / "goodball.json").read_text())["kind"] == case.split("_")[0]
+    assert sha == GOODBALL_L4_SADDLE_SHA256[case]
 
 
 @pytest.mark.parametrize("mode,argv", [

@@ -633,7 +633,6 @@ def _same_fit(a, b):
     return ((a.beta, a.objective, a.certified_factor, a.empty)
             == (b.beta, b.objective, b.certified_factor, b.empty)
             and type(a.objective) is type(b.objective)
-            and a.plane.tau_margin == b.plane.tau_margin
             and a.plane.base.tobytes() == b.plane.base.tobytes()
             and a.plane.basis.tobytes() == b.plane.basis.tobytes())
 
@@ -803,13 +802,13 @@ def test_dini_profile_matches_3d_count_oracle(p, block_entries, monkeypatch):
 
 def test_fit_seeds_builds_one_plane_per_winning_candidate(monkeypatch):
     # the top-scale precheck ball of the 21-atom l^4 saddle: its 21 seeds
-    # end on 8 distinct candidates, and each gets one affine_plane (the
-    # parent built 21)
+    # end on 8 distinct candidates, and each gets one AffinePlane (one per
+    # seed would be 21)
     from betareif import measures
     space, mu = NormedSpace(3, 4), l4_saddle_21()
     built = []
-    real = measures.affine_plane
-    monkeypatch.setattr(measures, "affine_plane",
+    real = measures.AffinePlane
+    monkeypatch.setattr(measures, "AffinePlane",
                         lambda *a: built.append(1) or real(*a))
     x = np.zeros(3)
     fits = _fit_seeds(space, mu.points, mu.weights, x, 2.0, 2, list(range(21)))
