@@ -16,8 +16,8 @@ import numpy as np
 from .cover import (CoverConfig, classify_ball, covering_lemma, default_theta,
                     main_packing)
 from .curves import (SnowflakeSpec, no_power_gain_matrix, no_power_gain_witness,
-                     npg_reference_points, polyline_length, row_normalized_det,
-                     snowflake, RademacherVector, euclidean_normal,
+                     npg_reference_points, polyline_length, rademacher_norm,
+                     row_normalized_det, snowflake, euclidean_normal,
                      linear_graph_samples)
 from .measures import PointMeasure, dini_profile
 from .report import emit_report, profile_csv
@@ -237,12 +237,11 @@ def _dispatch(args) -> int:
         for d in range(2, args.depth + 1):
             sub = SnowflakeSpec(mode, p, etas, d)
             lengths.append({"depth": d, "length": polyline_length(snowflake(sub), p)})
-        if isinstance(verts[0], RademacherVector):
+        if mode == "rademacher":
             A = verts.matrix
             vout = A.tolist()
             diffs = np.diff(A, axis=0)
             dts = np.diff(A[:, 0])
-            from .curves import rademacher_norm
             speeds = [rademacher_norm(dv, p) / dt for dv, dt in zip(diffs, dts)]
         else:
             A = np.stack([np.asarray(v, dtype=float) for v in verts])
@@ -278,7 +277,7 @@ def _dispatch(args) -> int:
         det, M = no_power_gain_matrix(npg_reference_points())
         fs = linear_graph_samples([1.0, 0.0, 0.0], euclidean_normal(), args.eps,
                                   step=args.grid_step)
-        pair, bound = no_power_gain_witness(fs, args.eps)
+        pair, bound = no_power_gain_witness(fs)
         doc = {"det": det, "row_normalized_det": row_normalized_det(M),
                "witness_bound": bound, "witness_pair": [list(pair[0]), list(pair[1])],
                "eps": args.eps, "measured_c": args.eps / bound if bound > 0 else None}

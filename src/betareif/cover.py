@@ -9,7 +9,7 @@ randomness is seeded per (stage, ball index); runs are deterministic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -169,9 +169,6 @@ class TiltingReport:
     pairs: list
     max_ratio: float
 
-    def to_dict(self):
-        return {"pairs": self.pairs, "max_ratio": self.max_ratio}
-
 
 def tilting_report(space: NormedSpace, mu: PointMeasure, ball_pairs, k: int,
                    chi: float, theta: float | None = None,
@@ -284,9 +281,6 @@ class SquashReport:
     delta: float
     eps: float
 
-    def to_dict(self):
-        return dict(self.__dict__, hypothesis_notes=list(self.hypothesis_notes))
-
 
 def squash_report(sigma: SigmaMap, graph_sample, plane: AffinePlane,
                   proj: AlmostProjection, delta: float, eps: float) -> SquashReport:
@@ -392,9 +386,6 @@ class StageReport:
     beta_shift_ok: bool
     new_balls: list = field(default_factory=list)   # labelled per-stage balls
 
-    def to_dict(self):
-        return dict(self.__dict__)
-
 
 @dataclass
 class CoverResult:
@@ -427,25 +418,13 @@ class CoverResult:
         return X
 
     def to_dict(self) -> dict:
-        out = {
-            "kept_originals": [[list(map(float, c)), float(r)] for c, r in self.kept_originals],
-            "bad_balls": [b.to_dict() for b in self.bad_balls],
-            "tau_stages": [s.to_dict() for s in self.tau_stages],
-            "leftover_mass": self.leftover_mass,
-            "packing_sum": self.packing_sum,
-            "distortion": self.distortion,
-            "excess_mass": self.excess_mass,
-            "stages": [s.to_dict() for s in self.stages],
-            "ledger": self.ledger,
-            "item_checks": self.item_checks,
-            "valid": True,
-            "estimate_violated": self.estimate_violated,
-            "flags": self.flags,
-            "measured_delta": self.measured_delta,
-        }
+        """The fields without `base_plane`, with `"valid": true` and the
+        frame as {center, radius} when the run is off the unit ball."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)
+               if f.name not in ("base_plane", "frame")}
+        out["valid"] = True
         if self.frame is not None:
-            out["frame"] = {"center": list(map(float, self.frame[0])),
-                            "radius": float(self.frame[1])}
+            out["frame"] = {"center": self.frame[0], "radius": self.frame[1]}
         return out
 
 
@@ -594,11 +573,11 @@ def covering_lemma(space: NormedSpace, mu: PointMeasure, S, r_s, k: int,
     rs = r_s_arr / radius
     res = _covering_normalized(space, mu_n, rs, k, cfg)
     if radius != 1.0 or center.any():
-        _denormalize(space, res, center, radius, k)
+        _denormalize(res, center, radius, k)
     return res
 
 
-def _denormalize(space, res: "CoverResult", center, radius, k):
+def _denormalize(res: "CoverResult", center, radius, k):
     """Map a normalized CoverResult back to the original frame (masses and
     packing sums carry the r^k scaling; sigma stages keep their own frame)."""
     res.kept_originals = [(np.asarray(c) * radius + center, r * radius)
@@ -612,7 +591,7 @@ def _denormalize(space, res: "CoverResult", center, radius, k):
     res.leftover_mass *= radius**k
     res.excess_mass *= radius**k
     res.packing_sum *= radius**k
-    res.frame = (center, radius)
+    res.frame = (center, float(radius))
 
 
 def _covering_normalized(space, mu, rs, k, cfg):
@@ -811,9 +790,6 @@ class PackingLevel:
     claim_B_S_ok: bool
     claim_B_bad_ok: bool
 
-    def to_dict(self):
-        return dict(self.__dict__)
-
 
 @dataclass
 class PackingResult:
@@ -824,13 +800,6 @@ class PackingResult:
     valid: bool
     flags: list
     ledger: dict
-
-    def to_dict(self):
-        return {"kept_originals": [[list(map(float, c)), float(r)] for c, r in self.kept_originals],
-                "levels": [l.to_dict() for l in self.levels],
-                "leftover_mass": self.leftover_mass,
-                "packing_sum": self.packing_sum,
-                "valid": self.valid, "flags": self.flags, "ledger": self.ledger}
 
 
 def main_packing(space: NormedSpace, mu: PointMeasure, S, r_s, k: int,
@@ -938,18 +907,12 @@ def _packing_level(space, mu, rs, index, kept_all, bads, k):
 
 @dataclass
 class ReifenbergReport:
-    stages: list
+    n_stages: int
     distortion: float
     holder_exponent: float
     q_alpha: float
     lip_constant_fit: float | None
     certified_delta: float
-
-    def to_dict(self):
-        return {"n_stages": len(self.stages), "distortion": self.distortion,
-                "holder_exponent": self.holder_exponent, "q_alpha": self.q_alpha,
-                "lip_constant_fit": self.lip_constant_fit,
-                "certified_delta": self.certified_delta}
 
 
 def reifenberg_flat_map(space: NormedSpace, Spts, k: int, chi: float = 0.01,
@@ -1023,7 +986,7 @@ def reifenberg_flat_map(space: NormedSpace, Spts, k: int, chi: float = 0.01,
     else:
         slope = 1.0
     lip_fit = math.log(max(distortion, 1.0 + 1e-15)) / q_meas if q_meas > 0 else None
-    report = ReifenbergReport(sigmas, distortion, slope, q_meas, lip_fit, certified)
+    report = ReifenbergReport(len(sigmas), distortion, slope, q_meas, lip_fit, certified)
     return sigmas, report
 
 

@@ -33,10 +33,6 @@ class RademacherVector:
             raise ValueError(f"at most {_ENUM_CAP} coefficients")
         object.__setattr__(self, "coefficients", c)
 
-    @property
-    def m(self) -> int:
-        return len(self.coefficients)
-
 
 @dataclass(frozen=True)
 class SnowflakeSpec:
@@ -238,7 +234,7 @@ def row_normalized_det(M: np.ndarray) -> float:
     return float(np.linalg.det(M / norms[:, None]))
 
 
-def no_power_gain_witness(f_samples, eps: float) -> tuple[tuple, float]:
+def no_power_gain_witness(f_samples) -> tuple[tuple, float]:
     """Scan sampled pairs for the maximizer of
     |<J(x-y), f(x)-f(y)>| / ||x-y||^2 and return ((x, y), bound).
 

@@ -595,9 +595,6 @@ class PythagoreanReport:
     violations: int
     skipped_pairing: bool         # True when p = inf (no duality map)
 
-    def to_dict(self) -> dict:
-        return dict(self.__dict__)
-
 
 def pythagorean_report(space: NormedSpace, proj: AlmostProjection,
                        samples: int = 10000, seed: int = 0) -> PythagoreanReport:

@@ -23,7 +23,8 @@ def _round_float(x: float):
 
 def to_jsonable(obj):
     """Recursively convert results (dataclasses, arrays, numpy scalars) to
-    plain JSON values with floats rounded to 12 significant digits."""
+    plain JSON values with floats rounded to 12 significant digits.  A
+    dataclass is its fields, unless it writes its own document (`to_dict`)."""
     if obj is None or isinstance(obj, (bool, str, int)):
         return obj
     if isinstance(obj, (float, np.floating)):
@@ -39,7 +40,8 @@ def to_jsonable(obj):
     if hasattr(obj, "to_dict"):
         return to_jsonable(obj.to_dict())
     if dataclasses.is_dataclass(obj):
-        return to_jsonable(dataclasses.asdict(obj))
+        return {f.name: to_jsonable(getattr(obj, f.name))
+                for f in dataclasses.fields(obj)}
     return str(obj)
 
 

@@ -172,7 +172,7 @@ def test_criterion_7_no_power_gain_certificate():
     cs = []
     for eps in (0.01, 0.02, 0.04):
         fs = linear_graph_samples([1.0, 0.0, 0.0], n, eps, step=0.05)
-        _, bound = no_power_gain_witness(fs, eps)
+        _, bound = no_power_gain_witness(fs)
         cs.append(eps / bound)
     stable = all(abs(c - cs[0]) <= 0.2 * cs[0] for c in cs)
     det_ok = abs(det_norm) > 1e-10

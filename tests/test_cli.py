@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from betareif.cli import run
-from betareif.cover import CoverConfig, covering_lemma
+from betareif.cover import BallLabel, CoverConfig, covering_lemma
 from betareif.curves import dirac_example
 from betareif.measures import PointMeasure
 from betareif.report import emit_report, profile_csv, to_jsonable
@@ -252,6 +253,19 @@ def test_emit_report_byte_identical():
            "z": {"nested": 3.0}}
     assert emit_report(doc) == emit_report(doc)
     assert emit_report(doc).startswith(b"{")
+
+
+def test_to_jsonable_walks_fields_and_keeps_nested_to_dict():
+    # a dataclass is its fields; a field that writes its own document
+    # (BallLabel drops unset certificates) keeps that document
+    @dataclasses.dataclass
+    class Holder:
+        label: BallLabel
+        value: np.float64
+
+    doc = to_jsonable(Holder(BallLabel(np.zeros(2), 0.5, "bad"), np.float64(1 / 3)))
+    assert doc == {"label": {"center": [0.0, 0.0], "radius": 0.5, "kind": "bad"},
+                   "value": 0.333333333333}
 
 
 def test_emit_report_csv_profile(l2_plane):

@@ -641,6 +641,46 @@ def test_covering_off_unit_frame_denormalization():
     assert "item1_base_plane" in res.item_checks or "early_exit" in res.item_checks
 
 
+def test_covering_off_unit_frame_tau_apply_through_a_stage():
+    # the frame input without original balls: stage 1 keeps a good ball, so
+    # tau normalizes, runs its sigma stage and maps back
+    s3 = NormedSpace(3, 2)
+    uv = np.random.default_rng(4).uniform(-0.35, 0.35, (40, 2))
+    pts = np.stack([uv[:, 0] + 2.0, uv[:, 1], np.zeros(40)], axis=1)
+    res = covering_lemma(s3, PointMeasure(pts, np.ones(40) / 40), np.arange(40),
+                         np.zeros(40), 2, CoverConfig(max_depth=2),
+                         center=[2.0, 0.0, 0.0], radius=0.5)
+    assert len(res.tau_stages) >= 1
+    X = pts + [0.0, 0.0, 0.01]
+    Y = (X - np.array([2.0, 0.0, 0.0])) / 0.5
+    for sg in res.tau_stages:
+        Y = sg.apply_many(Y)
+    Y = Y * 0.5 + np.array([2.0, 0.0, 0.0])
+    out = res.tau_apply(X)
+    assert out.tobytes() == Y.tobytes()
+    assert np.abs(out - X).max() > 0
+
+
+def test_covering_flags_the_dini_precheck():
+    # the l^4 saddle's measured delta is far above a configured 1e-6
+    res = covering_lemma(NormedSpace(3, 4), l4_saddle_21(), np.arange(21), np.zeros(21), 2,
+                         CoverConfig(chi=0.1, delta=1e-6, max_depth=2))
+    assert "dini precheck: measured delta 0.000156 exceeds configured 1e-06" in res.flags
+
+
+def test_pad_to_dim_keeps_rows_and_adds_orthogonal_units():
+    space = NormedSpace(4, 2)
+    out = cover._pad_to_dim(space, [[1.0, 1.0, 0.0, 0.0]], 3)
+    assert out.shape == (3, 4)
+    assert out[0].tolist() == [1.0, 1.0, 0.0, 0.0]
+    for i in range(1, 3):
+        assert np.linalg.norm(out[i]) == pytest.approx(1.0, abs=1e-12)
+        assert np.abs(out[:i] @ out[i]).max() <= 1e-12
+    # e_1 minus its part along the first row, then e_3 (e_2 lies in the span)
+    assert np.allclose(out[1:], [[2 ** -0.5, -(2 ** -0.5), 0, 0], [0, 0, 1, 0]], atol=1e-12)
+    assert cover._pad_to_dim(space, [[1.0, 1.0, 0.0, 0.0]], 3).tobytes() == out.tobytes()
+
+
 # -- ball tables ----------------------------------------------------------------
 # The per-ball loops that _in_any_ball and a covering stage's disjointness
 # and radius checks ran before the tables, kept as the oracle.

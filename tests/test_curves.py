@@ -267,14 +267,14 @@ def test_npg_matrix_validation():
 
 def test_witness_zero_function():
     fs = {tuple(x): np.zeros(3) for x in npg_reference_points()}
-    _, bound = no_power_gain_witness(fs, 0.1)
+    _, bound = no_power_gain_witness(fs)
     assert bound == 0.0
 
 
 def test_witness_sparse_raises():
     fs = {(0.0, 0.0, 0.0): np.zeros(3), (1e-9, 0.0, 0.0): np.zeros(3)}
     with pytest.raises(ValueError):
-        no_power_gain_witness(fs, 0.1)
+        no_power_gain_witness(fs)
 
 
 def test_witness_adversarial_families():
@@ -283,10 +283,10 @@ def test_witness_adversarial_families():
     n = euclidean_normal()
     for eps in (0.01, 0.02, 0.04):
         fs = linear_graph_samples([1.0, 0.0, 0.0], n, eps, step=0.05)
-        _, bound = no_power_gain_witness(fs, eps)
+        _, bound = no_power_gain_witness(fs)
         assert bound >= eps / 100.0
     fs2 = linear_graph_samples([0.0, 1.0, -1.0], [1.0, 0.2, 0.1], 0.02, step=0.05)
-    _, bound2 = no_power_gain_witness(fs2, 0.02)
+    _, bound2 = no_power_gain_witness(fs2)
     assert bound2 >= 0.02 / 100.0
 
 
@@ -295,7 +295,7 @@ def test_witness_bound_scales_linearly():
     bounds = []
     for eps in (0.01, 0.02, 0.04):
         fs = linear_graph_samples([1.0, 0.0, 0.0], n, eps, step=0.05)
-        _, bound = no_power_gain_witness(fs, eps)
+        _, bound = no_power_gain_witness(fs)
         bounds.append(bound / eps)
     for b in bounds[1:]:
         assert b == pytest.approx(bounds[0], rel=0.2)

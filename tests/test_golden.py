@@ -2,6 +2,7 @@
 must keep.  A change that moves one of these on purpose updates the pin
 and says why; a pin is never updated to hide a change."""
 
+import dataclasses
 import hashlib
 import json
 
@@ -11,13 +12,14 @@ import numpy as np
 import pytest
 
 from betareif.cli import run
-from betareif.cover import (CoverConfig, covering_lemma, main_packing,
-                            reifenberg_flat_map)
+from betareif.cover import (CoverConfig, build_sigma, covering_lemma, main_packing,
+                            reifenberg_flat_map, squash_report, tilting_report)
+from betareif.geometry import affine_plane, make_projection, pythagorean_report
 from betareif.measures import PointMeasure
 from betareif.report import emit_report
 from betareif.spaces import NormedSpace
 
-from conftest import graph_measure_200, snowflake_sample
+from conftest import gamma2_sample, graph_measure_200, snowflake_sample
 
 FLAT_MAP_SNOWFLAKE_D4 = {
     "distortion": 1.0037366092148736,
@@ -57,6 +59,18 @@ BETA_ATOM_L4_SADDLE_LINE_SHA256 = {
     "inf": "bdf930791eba3e9cb444cdaa753457caf8eb8ba2153b1d0c50f8940c58c6865e",
     1: "7326431276b35085d45106c7787ec0534a5f34f4947c44a048fe07d742b1315c",
 }
+# the k = 0 covering and packing of the l^4 saddle at --max-depth 2 (exit 3)
+K0_L4_SADDLE_SHA256 = {
+    "cover": "2be4436b39cb5abc739f3ae86e9a15f467e9e62b330e73665ba77822d4ab02c6",
+    "pack": "6cf7419e24e4a784767c3893e47dc7b96ce95aed523d3e3aa34a2930eedf893a",
+}
+# results that no CLI command writes, serialized field by field
+SQUASH_NOTES_SHA256 = (
+    "7805a20ee3d21d35c0ec9a9aebc2df3f38f9471f5bd592c0850b32dd86dc653a")
+TILTING_GRAPH_MEASURE_SHA256 = (
+    "1955b497cd914eb24004b58d5fb03954a1b5a544e432c2e3d9e449587e69b16e")
+PYTHAGOREAN_LINF_SHA256 = (
+    "9166ada6c9645cebd9309ddf4f3414041d29cdaddece997f4e339eaeee88e3be")
 NOPOWERGAIN_SHA256 = (
     "6cdcce518f4df3fe43301b792abac3cd06d33921c28dd5a9d23f2f32ad602a46")
 # the depth-4 snowflake of FLAT_MAP_SNOWFLAKE_D4 read in (R^2, l^p): the
@@ -117,7 +131,7 @@ def _flat_map_report(space, depth):
     S = snowflake_sample([0.08] * 12, depth, 2200)
     stages, rep = reifenberg_flat_map(space, S, 1, chi=1 / 3, delta=0.2,
                                       max_depth=7, pair_count=120)
-    return stages, rep.to_dict()
+    return stages, dataclasses.asdict(rep)
 
 
 def test_flat_map_snowflake_depth4_golden(l2_plane):
@@ -291,3 +305,43 @@ def test_nopowergain_golden(tmp_path):
                             tmp_path / "nopowergain.json")
     assert code == 0
     assert sha == NOPOWERGAIN_SHA256
+
+
+@pytest.mark.parametrize("command", list(K0_L4_SADDLE_SHA256))
+def test_k0_l4_saddle_golden(l4_saddle_json, tmp_path, command):
+    # k = 0 reaches make_projection's and _plane_grid's point-plane branches
+    code, sha = _cli_sha256([command, l4_saddle_json, "--k", "0", "--max-depth", "2"],
+                            tmp_path / f"{command}.json")
+    assert code == 3
+    assert sha == K0_L4_SADDLE_SHA256[command]
+
+
+def test_squash_report_golden(l2_plane):
+    # the notes case of test_cover.test_squash_hypothesis_violations_reported
+    pl = affine_plane(l2_plane, [0, 0], [[1, 0]])
+    tilted = affine_plane(l2_plane, [0, 0.5], [[1, 0.4]])
+    sg = build_sigma(l2_plane, [[0.5, 0.0]], 1.0, [tilted], 1)
+    rep = squash_report(sg, gamma2_sample(0.05), pl, make_projection(l2_plane, pl, "orthogonal"),
+                        delta=0.01, eps=0.05)
+    assert rep.hypothesis_notes
+    assert hashlib.sha256(emit_report(rep, "json")).hexdigest() == SQUASH_NOTES_SHA256
+
+
+def test_tilting_report_golden():
+    # the pairs of test_cover.test_tilting_graph_measure_stable
+    pairs = [(((0.24, 0.0, 0.0), 0.35), ((-0.24, 0.0, 0.0), 0.35))]
+    rep = tilting_report(NormedSpace(3, 2), graph_measure_200(kappa=0.01), pairs, 2, 0.05)
+    assert len(rep.pairs) == 1
+    assert hashlib.sha256(emit_report(rep, "json")).hexdigest() == TILTING_GRAPH_MEASURE_SHA256
+
+
+def test_pythagorean_report_linf_golden():
+    # p = inf has no duality map: every ratio is nan, written as "nan"
+    space = NormedSpace(3, math.inf)
+    V = affine_plane(space, np.zeros(3), [[1, 0, 0], [0, 1, 0.5]])
+    rep = pythagorean_report(space, make_projection(space, V, "hahn_banach"),
+                             samples=2000, seed=0)
+    blob = emit_report(rep, "json")
+    doc = json.loads(blob)
+    assert doc["skipped_pairing"] is True and doc["max_ratio_general"] == "nan"
+    assert hashlib.sha256(blob).hexdigest() == PYTHAGOREAN_LINF_SHA256
