@@ -216,10 +216,10 @@ def _dispatch(args) -> int:
         cfg = CoverConfig(chi=args.chi, delta=args.delta, alpha=args.alpha,
                           theta=args.theta, max_depth=args.max_depth, seed=args.seed)
         if cmd == "cover":
-            res = covering_lemma(space, mu, np.arange(len(mu)), rs, args.k, cfg)
+            res = covering_lemma(space, mu, rs, args.k, cfg)
             _write(args.out, emit_report(res, "json"))
             return 3 if res.estimate_violated else 0
-        res = main_packing(space, mu, np.arange(len(mu)), rs, args.k,
+        res = main_packing(space, mu, rs, args.k,
                            M=args.M, cfg=cfg, budget=args.budget)
         _write(args.out, emit_report(res, "json"))
         return 3 if not res.valid else 0

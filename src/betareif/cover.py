@@ -540,12 +540,12 @@ def _plane_grid(plane: AffinePlane, radius: float, per_side: int = 9):
     return plane.points(coeffs)
 
 
-def covering_lemma(space: NormedSpace, mu: PointMeasure, S, r_s, k: int,
+def covering_lemma(space: NormedSpace, mu: PointMeasure, r_s, k: int,
                    cfg: CoverConfig | None = None, center=None,
                    radius: float = 1.0) -> CoverResult:
     """Run the multiscale covering construction on B_radius(center).
 
-    S holds atom indices forming the generalized covering; r_s their radii
+    The atoms of mu form the generalized covering; r_s holds their radii
     (0 for the zero part).  Executes, per stage: excess-set removal, the
     Vitali selection of surviving original balls, the maximal 2r/5 net,
     good/bad classification, and the sigma-map assembly from the good
@@ -555,10 +555,9 @@ def covering_lemma(space: NormedSpace, mu: PointMeasure, S, r_s, k: int,
     if center is None:
         center = np.zeros(space.dim)
     center = np.asarray(center, dtype=float)
-    S = np.asarray(S, dtype=int)
     r_s_arr = np.asarray(r_s, dtype=float).reshape(-1)
-    if len(r_s_arr) != len(S):
-        raise ValueError("r_s must align with S")
+    if len(r_s_arr) != len(mu):
+        raise ValueError("r_s must align with mu")
     if not np.isfinite(r_s_arr).all():
         raise ValueError("r_s must be finite")
     if (r_s_arr < 0).any():
@@ -566,10 +565,7 @@ def covering_lemma(space: NormedSpace, mu: PointMeasure, S, r_s, k: int,
     if (r_s_arr >= radius).any():
         raise ValueError("r_s < ball radius required")
     # normalize to the unit ball at the origin
-    pts = (mu.points[S] - center[None, :]) / radius
-    w = mu.weights[S] / radius**k
-    mu_n = PointMeasure(pts.reshape(-1, space.dim), w) if len(S) else \
-        PointMeasure(np.zeros((0, space.dim)), np.zeros(0))
+    mu_n = PointMeasure((mu.points - center[None, :]) / radius, mu.weights / radius**k)
     rs = r_s_arr / radius
     res = _covering_normalized(space, mu_n, rs, k, cfg)
     if radius != 1.0 or center.any():
@@ -802,7 +798,7 @@ class PackingResult:
     ledger: dict
 
 
-def main_packing(space: NormedSpace, mu: PointMeasure, S, r_s, k: int,
+def main_packing(space: NormedSpace, mu: PointMeasure, r_s, k: int,
                  M: float, cfg: CoverConfig | None = None,
                  budget: int = 4) -> PackingResult:
     """Rescale mu by _DELTA0^2/M, run the covering lemma, and refine bad
@@ -814,18 +810,14 @@ def main_packing(space: NormedSpace, mu: PointMeasure, S, r_s, k: int,
     # the rescaled measure
     cfg = replace(cfg, delta=cfg.delta if cfg.delta is not None else _DELTA0)
     chi = cfg.chi
-    S = np.asarray(S, dtype=int)
     rs = np.asarray(r_s, dtype=float).reshape(-1)
     flags = []
     scale = _DELTA0**2 / M if M > 0 else 1.0
-    # S has full measure by hypothesis: work with the S-submeasure, aligned
-    # with rs, from here on
-    mu_s = PointMeasure(mu.points[S].reshape(-1, space.dim), mu.weights[S] * scale) \
-        if len(S) else PointMeasure(np.zeros((0, space.dim)), np.zeros(0))
+    mu_s = PointMeasure(mu.points, mu.weights * scale)
     pts = mu_s.points
     ledger = cfg.ledger(space, k)
     ledger.update({"delta0": _DELTA0, "M": M, "mass_scale": scale, "budget": budget})
-    if M == 0 and len(S) and (rs > 0).all():
+    if M == 0 and len(rs) and (rs > 0).all():
         # trivial path: beta = 0, Vitali cover of the original balls
         keep = _vitali_keep(space, pts, rs)
         kept = [(pts[j], rs[j]) for j in keep]
@@ -841,7 +833,7 @@ def main_packing(space: NormedSpace, mu: PointMeasure, S, r_s, k: int,
     lab = classify_ball(space, mu_s, np.zeros(space.dim), 1.0, k, chi, cfg.theta)
     kept_all = []
     if lab.kind == "good":
-        res = covering_lemma(space, mu_s, np.arange(len(mu_s)), rs, k, cfg)
+        res = covering_lemma(space, mu_s, rs, k, cfg)
         kept_all.extend(res.kept_originals)
         bads = res.bad_balls
         flags.extend(f"level 0: {f}" for f in res.flags)
@@ -874,8 +866,8 @@ def main_packing(space: NormedSpace, mu: PointMeasure, S, r_s, k: int,
             small = rs < chi * r
             mu_small = mu_s.subset(small)
             for j in net:
-                sub = covering_lemma(space, mu_small, np.arange(len(mu_small)),
-                                     rs[small], k, cfg, center=net_pts[j], radius=chi * r)
+                sub = covering_lemma(space, mu_small, rs[small], k, cfg,
+                                     center=net_pts[j], radius=chi * r)
                 kept_all.extend(sub.kept_originals)
                 flags.extend(f"level {level}: {f}" for f in sub.flags)
                 new_bads.extend(sub.bad_balls)
@@ -916,8 +908,7 @@ class ReifenbergReport:
 
 
 def reifenberg_flat_map(space: NormedSpace, Spts, k: int, chi: float = 0.01,
-                        delta: float = 0.05, max_depth: int = 4, seed: int = 0,
-                        pair_count: int = 400):
+                        delta: float = 0.05, max_depth: int = 4, pair_count: int = 400):
     """Build the bi-Hoelder/bi-Lipschitz parametrization of a Reifenberg-flat
     sample: per stage, a maximal 2 r_i/5 net on S, sup-beta best planes
     anchored at the net points, and the interpolated projection map.
@@ -975,7 +966,7 @@ def reifenberg_flat_map(space: NormedSpace, Spts, k: int, chi: float = 0.01,
         for rr in scales:
             tot += betas[j, rr].value ** alpha * math.log(1 / chi)
         q_meas = max(q_meas, tot)
-    d0, d1 = _pair_distances(space, T0, sigmas, np.random.default_rng(seed), 0.9, pair_count)
+    d0, d1 = _pair_distances(space, T0, sigmas, np.random.default_rng(0), 0.9, pair_count)
     distortion = _distortion(d0, d1)
     # bi-Hoelder exponent from log-log regression
     ok = (d0 > 1e-9) & (d1 > 0)

@@ -118,12 +118,9 @@ def riesz_basis(space: NormedSpace, spanning_set, tau: float = DEFAULT_TAU) -> n
         return out
     first = Q[0] / space.norm(Q[0])
     chosen = [first]
+    W = sphere_net(space, Q)
     while len(chosen) < k:
         prev = np.asarray(chosen)
-        U = _coefficient_directions(k, 4096)
-        W = U @ Q
-        nw = space.norms(W)
-        W = W[nw > 1e-12] / nw[nw > 1e-12, None]
         d, _ = _dists_to_flat_batch(space, np.zeros(space.dim), prev, W)
         i = int(np.argmax(d))
         if d[i] < tau:
@@ -193,26 +190,11 @@ def _dists_line_golden(space, base, rows, Z):
     smooth (p in {1, inf}); the objective is convex in the parameter."""
     v = rows[0]
     W = Z - base[None, :]
-    nv2 = float(v @ v)
-    lam0 = W @ v / nv2
-    span = space.norms(W) / max(space.norm(v), 1e-300) + 1.0
-    a = lam0 - span
-    b = lam0 + span
-    gr = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - gr * (b - a)
-    d = a + gr * (b - a)
-    fc = space.norms(W - c[:, None] * v[None, :])
-    fd = space.norms(W - d[:, None] * v[None, :])
-    for _ in range(90):
-        left = fc < fd
-        b = np.where(left, d, b)
-        a = np.where(left, a, c)
-        c = b - gr * (b - a)
-        d = a + gr * (b - a)
-        fc = space.norms(W - c[:, None] * v[None, :])
-        fd = space.norms(W - d[:, None] * v[None, :])
-    lam = (a + b) / 2.0
-    feet = base[None, :] + lam[:, None] * v[None, :]
+    # ||w - lam v|| >= |lam| ||v|| - ||w|| > ||w|| = f(0) once |lam| > 2 ||w|| / ||v||
+    s = 2.0 * space.norms(W) / max(space.norm(v), 1e-300) + 1.0
+    a, b, _fc, _fd = _golden_section(
+        lambda lam: space.norms(W - lam[:, None] * v[None, :]), -s, s, 90)
+    feet = base[None, :] + ((a + b) / 2.0)[:, None] * v[None, :]
     return space.norms(Z - feet), feet
 
 

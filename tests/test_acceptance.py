@@ -119,7 +119,7 @@ def test_criterion_5_covering_invariants():
     mu = graph_measure_200(kappa=0.01)     # eps-Lipschitz graph, eps = 0.05
     delta_run = 0.1
     cfg = CoverConfig(chi=0.1, delta=delta_run, max_depth=5)
-    res = covering_lemma(s3, mu, np.arange(200), np.zeros(200), 2, cfg)
+    res = covering_lemma(s3, mu, np.zeros(200), 2, cfg)
     ok4 = res.item_checks["item4_disjoint"]
     ok5 = res.item_checks["item5_radius"]
     ok6 = res.item_checks["item6_ok"]
@@ -143,11 +143,11 @@ def test_criterion_6_bad_ball_path():
     t0 = time.time()
     s = NormedSpace(2, 2)
     mu = PointMeasure([[0.0, 0.0]], [1.0])   # (k-1)-plane measure for k = 1
-    res = covering_lemma(s, mu, [0], [0.0], 1, CoverConfig(chi=0.1, max_depth=3))
+    res = covering_lemma(s, mu, [0.0], 1, CoverConfig(chi=0.1, max_depth=3))
     ok_top = (len(res.bad_balls) == 1 and res.bad_balls[0].radius == 1.0
               and np.allclose(res.bad_balls[0].center, [0, 0])
               and len(res.kept_originals) == 0)
-    pk = main_packing(s, mu, [0], [0.0], 1, M=0.0,
+    pk = main_packing(s, mu, [0.0], 1, M=0.0,
                       cfg=CoverConfig(chi=0.1, max_depth=3), budget=4)
     ok_levels = all(l.claim_A_ok and l.claim_B_S_ok and l.claim_B_bad_ok
                     for l in pk.levels)

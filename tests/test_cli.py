@@ -233,7 +233,7 @@ def test_covering_lemma_rejects_out_of_range_r_s(r_s, message):
     rs[2] = r_s
     mu = PointMeasure(np.random.default_rng(0).uniform(-0.5, 0.5, (6, 3)), np.ones(6))
     with pytest.raises(ValueError, match=message):
-        covering_lemma(NormedSpace(3, 2), mu, np.arange(6), rs, 2)
+        covering_lemma(NormedSpace(3, 2), mu, rs, 2)
 
 
 def test_exit_code_on_missing_file():

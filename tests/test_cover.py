@@ -228,7 +228,7 @@ def test_covering_planar_with_vitali_balls():
     pts = np.concatenate([uv, np.zeros((60, 1))], axis=1)
     mu = PointMeasure(pts, np.ones(60) / 60)
     rs = np.full(60, 0.3)
-    res = covering_lemma(s3, mu, np.arange(60), rs, 2, CoverConfig(max_depth=4))
+    res = covering_lemma(s3, mu, rs, 2, CoverConfig(max_depth=4))
     assert len(res.bad_balls) == 0
     assert res.leftover_mass == 0.0
     assert res.distortion == pytest.approx(1.0, abs=1e-9)
@@ -244,7 +244,7 @@ def test_covering_planar_with_vitali_balls():
 
 def test_covering_lower_dim_bad_top_ball(l2_plane):
     mu = PointMeasure([[0.0, 0.0]], [1.0])
-    res = covering_lemma(l2_plane, mu, [0], [0.0], 1, CoverConfig(max_depth=3))
+    res = covering_lemma(l2_plane, mu, [0.0], 1, CoverConfig(max_depth=3))
     assert len(res.kept_originals) == 0
     assert len(res.bad_balls) == 1
     b = res.bad_balls[0]
@@ -255,14 +255,14 @@ def test_covering_lower_dim_bad_top_ball(l2_plane):
 def test_covering_rs_validation(l2_plane):
     mu = PointMeasure([[0.0, 0.0]], [1.0])
     with pytest.raises(ValueError):
-        covering_lemma(l2_plane, mu, [0], [1.5], 1)
+        covering_lemma(l2_plane, mu, [1.5], 1)
 
 
 def test_covering_graph_measure_items():
     s3 = NormedSpace(3, 2)
     mu = graph_measure_200(kappa=0.01)
     cfg = CoverConfig(chi=0.1, delta=0.1, max_depth=5)
-    res = covering_lemma(s3, mu, np.arange(200), np.zeros(200), 2, cfg)
+    res = covering_lemma(s3, mu, np.zeros(200), 2, cfg)
     assert res.item_checks["item4_disjoint"]
     assert res.item_checks["item5_radius"]
     assert res.item_checks["item6_ok"]
@@ -276,8 +276,8 @@ def test_covering_deterministic():
     s3 = NormedSpace(3, 2)
     mu = graph_measure_200(kappa=0.01)
     cfg = CoverConfig(chi=0.1, delta=0.1, max_depth=3, seed=5)
-    r1 = covering_lemma(s3, mu, np.arange(200), np.zeros(200), 2, cfg)
-    r2 = covering_lemma(s3, mu, np.arange(200), np.zeros(200), 2, cfg)
+    r1 = covering_lemma(s3, mu, np.zeros(200), 2, cfg)
+    r2 = covering_lemma(s3, mu, np.zeros(200), 2, cfg)
     assert r1.distortion == r2.distortion
     assert r1.leftover_mass == r2.leftover_mass
     assert len(r1.bad_balls) == len(r2.bad_balls)
@@ -287,7 +287,7 @@ def test_covering_deterministic():
 
 def test_main_packing_point_measure_ledger(l2_plane):
     mu = PointMeasure([[0.0, 0.0]], [1.0])
-    res = main_packing(l2_plane, mu, [0], [0.0], 1, M=0.0,
+    res = main_packing(l2_plane, mu, [0.0], 1, M=0.0,
                        cfg=CoverConfig(chi=0.1, max_depth=3), budget=4)
     assert len(res.levels) >= 2
     assert res.levels[0].n_bad == 1 and res.levels[0].sum_bad == 1.0
@@ -303,7 +303,7 @@ def test_main_packing_trivial_planar_path():
     uv = rng.uniform(-0.7, 0.7, (40, 2))
     pts = np.concatenate([uv, np.zeros((40, 1))], axis=1)
     mu = PointMeasure(pts, np.ones(40) / 40)
-    res = main_packing(s3, mu, np.arange(40), np.full(40, 0.3), 2, M=0.0)
+    res = main_packing(s3, mu, np.full(40, 0.3), 2, M=0.0)
     assert res.valid
     assert res.leftover_mass == 0.0
     assert res.packing_sum > 0
@@ -312,7 +312,7 @@ def test_main_packing_trivial_planar_path():
 def test_main_packing_graph_measure():
     s3 = NormedSpace(3, 2)
     mu = graph_measure_200(kappa=0.01)
-    res = main_packing(s3, mu, np.arange(200), np.zeros(200), 2, M=0.01,
+    res = main_packing(s3, mu, np.zeros(200), 2, M=0.01,
                        cfg=CoverConfig(chi=0.1, delta=0.1, max_depth=3), budget=2)
     for lv in res.levels:
         assert lv.claim_A_ok and lv.claim_B_S_ok and lv.claim_B_bad_ok
@@ -453,7 +453,7 @@ def test_tau_cauchy_small_movement():
     s3 = NormedSpace(3, 2)
     mu = graph_measure_200(kappa=0.01)
     cfg = CoverConfig(chi=0.1, delta=0.1, max_depth=4)
-    res = covering_lemma(s3, mu, np.arange(200), np.zeros(200), 2, cfg)
+    res = covering_lemma(s3, mu, np.zeros(200), 2, cfg)
     pl = res.base_plane
     grid = pl.points(np.stack(np.meshgrid(np.linspace(-0.8, 0.8, 7),
                                           np.linspace(-0.8, 0.8, 7)),
@@ -486,7 +486,7 @@ def test_covering_l3_curve_j_projection_path():
     pts = np.stack([ts, 0.002 * np.sin(2.5 * ts)], axis=1)
     mu = PointMeasure(pts, np.full(120, 1.7 / 120))
     cfg = CoverConfig(chi=0.1, delta=0.1, max_depth=3)
-    res = covering_lemma(s, mu, np.arange(120), np.zeros(120), 1, cfg)
+    res = covering_lemma(s, mu, np.zeros(120), 1, cfg)
     assert res.stages[0].n_good > 0
     assert res.tau_stages and res.tau_stages[0].projections[0].kind == "j_projection"
     assert res.item_checks["item4_disjoint"] and res.item_checks["item5_radius"]
@@ -512,7 +512,7 @@ def test_covering_l4_graph_hahn_banach_path():
     g = 0.001 * (U * U - V * V)
     mu = PointMeasure(np.stack([U, V, g], axis=1), np.full(len(U), 2.0 / len(U)))
     cfg = CoverConfig(chi=0.1, delta=0.15, max_depth=2)
-    res = covering_lemma(s, mu, np.arange(len(U)), np.zeros(len(U)), 2, cfg)
+    res = covering_lemma(s, mu, np.zeros(len(U)), 2, cfg)
     assert res.stages[0].n_good > 0
     assert res.tau_stages[0].projections[0].kind == "hahn_banach"
     assert res.item_checks["item4_disjoint"]
@@ -629,7 +629,7 @@ def test_covering_off_unit_frame_denormalization():
     uv = rng.uniform(-0.35, 0.35, (40, 2))
     pts = np.stack([uv[:, 0] + 2.0, uv[:, 1], np.zeros(40)], axis=1)
     mu = PointMeasure(pts, np.ones(40) / 40)
-    res = covering_lemma(s3, mu, np.arange(40), np.full(40, 0.15), 2,
+    res = covering_lemma(s3, mu, np.full(40, 0.15), 2,
                          CoverConfig(max_depth=2), center=[2.0, 0.0, 0.0],
                          radius=0.5)
     assert res.frame is not None
@@ -647,8 +647,8 @@ def test_covering_off_unit_frame_tau_apply_through_a_stage():
     s3 = NormedSpace(3, 2)
     uv = np.random.default_rng(4).uniform(-0.35, 0.35, (40, 2))
     pts = np.stack([uv[:, 0] + 2.0, uv[:, 1], np.zeros(40)], axis=1)
-    res = covering_lemma(s3, PointMeasure(pts, np.ones(40) / 40), np.arange(40),
-                         np.zeros(40), 2, CoverConfig(max_depth=2),
+    res = covering_lemma(s3, PointMeasure(pts, np.ones(40) / 40), np.zeros(40), 2,
+                         CoverConfig(max_depth=2),
                          center=[2.0, 0.0, 0.0], radius=0.5)
     assert len(res.tau_stages) >= 1
     X = pts + [0.0, 0.0, 0.01]
@@ -663,7 +663,7 @@ def test_covering_off_unit_frame_tau_apply_through_a_stage():
 
 def test_covering_flags_the_dini_precheck():
     # the l^4 saddle's measured delta is far above a configured 1e-6
-    res = covering_lemma(NormedSpace(3, 4), l4_saddle_21(), np.arange(21), np.zeros(21), 2,
+    res = covering_lemma(NormedSpace(3, 4), l4_saddle_21(), np.zeros(21), 2,
                          CoverConfig(chi=0.1, delta=1e-6, max_depth=2))
     assert "dini precheck: measured delta 0.000156 exceeds configured 1e-06" in res.flags
 

@@ -247,6 +247,45 @@ def test_distance_dispatch_matches_batch_and_brute_force(p, n, k):
         assert s.norm(z - foot) == pytest.approx(d, rel=1e-9, abs=1e-12)
 
 
+def _exact_line_distances(space, v, W):
+    """min over lam of ||w - lam v|| for p in {1, inf}, row by row: the
+    objective is piecewise linear and convex, so its minimum sits at a
+    breakpoint, w_i / v_i, or at p = inf also (w_i -+ w_j) / (v_i -+ v_j)."""
+    n = len(v)
+    cand = [W[:, i] / v[i] for i in range(n)]
+    if space.p == math.inf:
+        cand += [(W[:, i] - s * W[:, j]) / (v[i] - s * v[j])
+                 for i in range(n) for j in range(i + 1, n) for s in (1.0, -1.0)]
+    L = np.stack(cand, axis=1)                                  # (m, candidates)
+    R = W[:, None, :] - L[:, :, None] * v[None, None, :]
+    return space.norms(R.reshape(-1, n)).reshape(L.shape).min(axis=1)
+
+
+def test_line_golden_bracket_holds_the_minimizer():
+    # lam* = -10.64 / 0.54 lies outside lam0 +- (||w|| / ||v|| + 1), the
+    # bracket about the l^2 coefficient lam0
+    s = NormedSpace(3, math.inf)
+    v = np.array([[0.01, 0.29, -0.53]])
+    w = np.array([[-8.14, 1.35, 2.5]])
+    d, foot = _dists_to_flat_batch(s, np.zeros(3), v, w)
+    assert d[0] == pytest.approx((8.14 * 0.54 - 0.1064) / 0.54, rel=1e-12)
+    assert s.norm(w[0] - foot[0]) == d[0]
+
+
+@pytest.mark.parametrize("p", [1.0, math.inf])
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_line_golden_matches_exact_breakpoint_oracle(p, n):
+    s = NormedSpace(n, p)
+    rng = np.random.default_rng([11, n])
+    for _ in range(20):
+        v = rng.standard_normal(n)
+        base = rng.standard_normal(n)
+        W = 5.0 * rng.standard_normal((120, n))
+        d, _ = _dists_to_flat_batch(s, base, v[None, :], base + W)
+        exact = _exact_line_distances(s, v, W)
+        assert (d <= exact * (1.0 + 1e-12)).all()
+
+
 # -- hausdorff / grassmann ----------------------------------------------------
 
 def test_hausdorff_basics(l2_plane):

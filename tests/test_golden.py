@@ -55,9 +55,20 @@ SNOWFLAKE_SHA256 = {
 }
 BETA_ATOM_L4_SADDLE_LINE_SHA256 = {
     # the l^4 saddle under --space l^p, k = 1: golden-section line distances,
-    # whose descent moves with an ulp of the line search
-    "inf": "bdf930791eba3e9cb444cdaa753457caf8eb8ba2153b1d0c50f8940c58c6865e",
-    1: "7326431276b35085d45106c7787ec0534a5f34f4947c44a048fe07d742b1315c",
+    # whose descent moves with an ulp of the line search.  Since the line
+    # search brackets the minimizer by 2 ||w|| / ||v|| + 1 about 0, the
+    # scale-2 descent (seed 5) ends in another local minimum: betas at
+    # p = inf [0.138442372277, 0.172901116007] -> [0.149147455358, same],
+    # at p = 1 [0.1934902501, 0.2451614431] -> [0.189564868058, 0.245140453154].
+    # Each fitted plane has the same objective under both searches to 3 ulps.
+    "inf": "e471f381dafd8b2d761bf7aa751e02adcff0d34871597a47a4fa3ab376d0ca29",
+    1: "5ae4d9161de6f1da3abd8150fc7c5fe9878b03275c6c96adf7309d05dcea4519",
+}
+# cover --k 1 --max-depth 2 of the same inputs: p = inf reports distortion
+# 1.0 and measured_delta 0.77244989729, p = 1 measured_delta 1.12239891814
+COVER_K1_L4_SADDLE_LINE_SHA256 = {
+    "inf": "78bcf1c7c882b5e02a18bfc4a7fcb35453767644e59d7798ae7d2e75a6ccf853",
+    1: "6873f0d62aa989c8a662cadefd03ab6eb6cf65a395744cc9165f867ff38dd64e",
 }
 # the k = 0 covering and packing of the l^4 saddle at --max-depth 2 (exit 3)
 K0_L4_SADDLE_SHA256 = {
@@ -217,7 +228,7 @@ def _cover_branch_case(name):
 @pytest.mark.parametrize("name", list(COVER_BRANCH))
 def test_covering_branch_golden(name):
     space, mu, rs, cfg, frame = _cover_branch_case(name)
-    res = covering_lemma(space, mu, np.arange(len(mu)), rs, 2, cfg, **frame)
+    res = covering_lemma(space, mu, rs, 2, cfg, **frame)
     (kept, bad, stages, excess), sha = COVER_BRANCH[name]
     assert (len(res.kept_originals), len(res.bad_balls), len(res.stages)) == (kept, bad, stages)
     assert res.excess_mass == excess
@@ -231,7 +242,7 @@ def test_pack_bad_top_golden():
     # the one-atom measure of the bad_top covering: every level refines the
     # one bad ball, until the budget runs out
     space, mu, rs, cfg, _ = _cover_branch_case("bad_top")
-    res = main_packing(space, mu, np.arange(1), rs, 2, M=0.0, cfg=cfg, budget=4)
+    res = main_packing(space, mu, rs, 2, M=0.0, cfg=cfg, budget=4)
     assert [lv.n_bad for lv in res.levels] == [1] * 5
     assert not res.valid
     assert hashlib.sha256(emit_report(res, "json")).hexdigest() == PACK_BAD_TOP_SHA256
@@ -260,6 +271,18 @@ def test_beta_atom_l4_saddle_line_golden(l4_saddle_json, tmp_path, p):
     assert sha == BETA_ATOM_L4_SADDLE_LINE_SHA256[p]
 
 
+@pytest.mark.parametrize("p", ["inf", 1])
+def test_cover_l4_saddle_line_golden(l4_saddle_json, tmp_path, p):
+    # a line fitted to a disk of atoms, far outside the theorem's regime:
+    # the top ball's descent, and with it T0 and the distortion, turns on
+    # ulp-level changes of the line distances
+    space = json.dumps({"dim": 3, "norm": {"type": "lp", "p": p}})
+    code, sha = _cli_sha256(["cover", l4_saddle_json, "--k", "1", "--max-depth", "2",
+                             "--space", space], tmp_path / "cover.json")
+    assert code == 0
+    assert sha == COVER_K1_L4_SADDLE_LINE_SHA256[p]
+
+
 def test_cover_l4_saddle_golden(l4_saddle_json, tmp_path):
     code, sha = _cli_sha256(["cover", l4_saddle_json, "--k", "2", "--chi", "0.1",
                              "--delta", "0.15", "--max-depth", "2"],
@@ -271,7 +294,7 @@ def test_cover_l4_saddle_golden(l4_saddle_json, tmp_path):
 def test_pack_graph_measure_golden():
     # the setup of test_cover.test_main_packing_graph_measure
     mu = graph_measure_200(kappa=0.01)
-    res = main_packing(NormedSpace(3, 2), mu, np.arange(200), np.zeros(200), 2,
+    res = main_packing(NormedSpace(3, 2), mu, np.zeros(200), 2,
                        M=0.01, cfg=CoverConfig(chi=0.1, delta=0.1, max_depth=3),
                        budget=2)
     blob = emit_report(res, "json")
