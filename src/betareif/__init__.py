@@ -15,8 +15,8 @@ from .curves import (RademacherVector, SnowflakeSpec, dirac_example,
                      polyline_length, rademacher_norm, snowflake)
 from .cover import (BallLabel, CoverConfig, CoverResult, PartitionOfUnity,
                     SigmaMap, classify_ball, covering_lemma, main_packing,
-                    partition_of_unity, reifenberg_flat_map, sigma_apply,
-                    squash_report, tilting_report)
+                    partition_of_unity, reifenberg_flat_map, squash_report,
+                    tilting_report)
 from .report import emit_report
 
 __version__ = "0.1.0"

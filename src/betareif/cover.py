@@ -9,7 +9,7 @@ randomness is seeded per (stage, ball index); runs are deterministic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .spaces import NormedSpace
 __all__ = [
     "PartitionOfUnity", "BallLabel", "SigmaMap", "CoverConfig", "CoverResult",
     "PackingResult", "partition_of_unity", "classify_ball", "tilting_report",
-    "sigma_apply", "squash_report", "covering_lemma", "main_packing",
+    "squash_report", "covering_lemma", "main_packing",
     "reifenberg_flat_map", "default_theta", "projection_kind",
 ]
 
@@ -234,10 +234,6 @@ class SigmaMap:
                 "projections": [pj.report() for pj in self.projections]}
 
 
-def sigma_apply(sigma: SigmaMap, x):
-    return sigma.apply(x)
-
-
 def projection_kind(space: NormedSpace, k: int) -> str:
     if space.is_hilbert:
         return "orthogonal"
@@ -402,30 +398,7 @@ class CoverResult:
     estimate_violated: bool
     flags: list
     measured_delta: float
-    base_plane: AffinePlane | None = None
-    frame: tuple | None = None      # (center, radius) when run off the unit ball
-
-    def tau_apply(self, X) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        if self.frame is not None:
-            c, r = self.frame
-            X = (X - np.asarray(c)[None, :]) / r
-        for s in self.tau_stages:
-            X = s.apply_many(X)
-        if self.frame is not None:
-            c, r = self.frame
-            X = X * r + np.asarray(c)[None, :]
-        return X
-
-    def to_dict(self) -> dict:
-        """The fields without `base_plane`, with `"valid": true` and the
-        frame as {center, radius} when the run is off the unit ball."""
-        out = {f.name: getattr(self, f.name) for f in fields(self)
-               if f.name not in ("base_plane", "frame")}
-        out["valid"] = True
-        if self.frame is not None:
-            out["frame"] = {"center": self.frame[0], "radius": self.frame[1]}
-        return out
+    valid: bool = field(default=True, init=False)
 
 
 _DISTORTION_PAIRS = 1000     # point pairs on T0 behind item 3's distortion
@@ -541,56 +514,27 @@ def _plane_grid(plane: AffinePlane, radius: float, per_side: int = 9):
 
 
 def covering_lemma(space: NormedSpace, mu: PointMeasure, r_s, k: int,
-                   cfg: CoverConfig | None = None, center=None,
-                   radius: float = 1.0) -> CoverResult:
-    """Run the multiscale covering construction on B_radius(center).
+                   cfg: CoverConfig | None = None) -> CoverResult:
+    """Run the multiscale covering construction on B_1(0).
 
     The atoms of mu form the generalized covering; r_s holds their radii
     (0 for the zero part).  Executes, per stage: excess-set removal, the
     Vitali selection of surviving original balls, the maximal 2r/5 net,
     good/bad classification, and the sigma-map assembly from the good
     balls' best planes; composes tau and evaluates the seven item checks.
+    Another ball is reached by rescaling it to B_1(0), as `main_packing`
+    does for its sub-coverings.
     """
     cfg = cfg or CoverConfig()
-    if center is None:
-        center = np.zeros(space.dim)
-    center = np.asarray(center, dtype=float)
-    r_s_arr = np.asarray(r_s, dtype=float).reshape(-1)
-    if len(r_s_arr) != len(mu):
+    rs = np.asarray(r_s, dtype=float).reshape(-1)
+    if len(rs) != len(mu):
         raise ValueError("r_s must align with mu")
-    if not np.isfinite(r_s_arr).all():
+    if not np.isfinite(rs).all():
         raise ValueError("r_s must be finite")
-    if (r_s_arr < 0).any():
+    if (rs < 0).any():
         raise ValueError("r_s must be >= 0")
-    if (r_s_arr >= radius).any():
+    if (rs >= 1.0).any():
         raise ValueError("r_s < ball radius required")
-    # normalize to the unit ball at the origin
-    mu_n = PointMeasure((mu.points - center[None, :]) / radius, mu.weights / radius**k)
-    rs = r_s_arr / radius
-    res = _covering_normalized(space, mu_n, rs, k, cfg)
-    if radius != 1.0 or center.any():
-        _denormalize(res, center, radius, k)
-    return res
-
-
-def _denormalize(res: "CoverResult", center, radius, k):
-    """Map a normalized CoverResult back to the original frame (masses and
-    packing sums carry the r^k scaling; sigma stages keep their own frame)."""
-    res.kept_originals = [(np.asarray(c) * radius + center, r * radius)
-                          for c, r in res.kept_originals]
-    for b in res.bad_balls:
-        b.center = np.asarray(b.center) * radius + center
-        b.radius = b.radius * radius
-        if b.witness_plane is not None:
-            b.witness_plane = AffinePlane(b.witness_plane.base * radius + center,
-                                          b.witness_plane.basis)
-    res.leftover_mass *= radius**k
-    res.excess_mass *= radius**k
-    res.packing_sum *= radius**k
-    res.frame = (center, float(radius))
-
-
-def _covering_normalized(space, mu, rs, k, cfg):
     chi = cfg.chi
     alpha = cfg.resolve_alpha(space)
     ledger = cfg.ledger(space, k)
@@ -611,7 +555,7 @@ def _covering_normalized(space, mu, rs, k, cfg):
         leftover = _leftover(space, mu, rs, [], [(origin, 1.0)], [])
         return CoverResult([], [top], [], leftover, 1.0, 1.0, 0.0, [], ledger,
                            {"early_exit": "top ball is bad"}, False, flags,
-                           measured_delta, None)
+                           measured_delta)
 
     top_fit = best_plane(space, mu, origin, 1.0, k, seed=cfg.seed)
     T0 = top_fit.plane
@@ -731,7 +675,7 @@ def _covering_normalized(space, mu, rs, k, cfg):
                              and item_checks["item6_ok"] and item_checks["item7_ok"])
     return CoverResult(kept_orig, bad_out, sigmas, leftover, packing,
                        distortion, excess_mass, stages, ledger, item_checks,
-                       estimate_violated, flags, measured_delta, T0)
+                       estimate_violated, flags, measured_delta)
 
 
 def _leftover(space, mu, rs, kept_orig, bad_balls, goods):
@@ -863,13 +807,22 @@ def main_packing(space: NormedSpace, mu: PointMeasure, r_s, k: int,
             net = _farthest_net(space, net_pts, 2 * chi * r / 5.0)
             if len(net) > C.c_packing_count(k) * chi ** (1 - k):
                 flags.append(f"level {level}: net size {len(net)} exceeds c_B chi^(1-k)")
-            small = rs < chi * r
-            mu_small = mu_s.subset(small)
+            # each sub-covering runs on B_1(0): scale B_rho(x) down to it and
+            # its balls and witness planes back up
+            rho = chi * r
+            small = rs < rho
             for j in net:
-                sub = covering_lemma(space, mu_small, rs[small], k, cfg,
-                                     center=net_pts[j], radius=chi * r)
-                kept_all.extend(sub.kept_originals)
+                x = net_pts[j]
+                sub = covering_lemma(space, PointMeasure((pts[small] - x) / rho,
+                                                         mu_s.weights[small] / rho**k),
+                                     rs[small] / rho, k, cfg)
+                kept_all.extend((kc * rho + x, kr * rho) for kc, kr in sub.kept_originals)
                 flags.extend(f"level {level}: {f}" for f in sub.flags)
+                for sb in sub.bad_balls:
+                    sb.center = sb.center * rho + x
+                    sb.radius = sb.radius * rho
+                    sb.witness_plane = AffinePlane(sb.witness_plane.base * rho + x,
+                                                   sb.witness_plane.basis)
                 new_bads.extend(sub.bad_balls)
         bads = new_bads
         levels.append(_packing_level(space, mu_s, rs, level, kept_all, bads, k))

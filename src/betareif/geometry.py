@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog, minimize
 
-from .constants import DEFAULT_TAU, norm_equivalence
+from .constants import DEFAULT_TAU
 from .spaces import NormedSpace
 
 __all__ = [
@@ -451,7 +451,7 @@ class AlmostProjection:
 
     target_basis: np.ndarray       # (k, n)
     row_functionals: np.ndarray    # (k, n)
-    kind: str                      # orthogonal | j_projection | hahn_banach | euclidean_fallback
+    kind: str                      # orthogonal | j_projection | hahn_banach
     op_norm_estimate: float
     matrix: np.ndarray             # (n, n)
 
@@ -513,8 +513,6 @@ def make_projection(space: NormedSpace, V: AffinePlane, kind: str) -> AlmostProj
                       1 < p < inf); operator norm exactly 1.
     hahn_banach       coordinate functionals over a 2/3-general-position
                       unit basis, each extended with minimal dual norm.
-    euclidean_fallback  Euclidean projector under any p, with an empirical
-                      operator-norm estimate.
     """
     n = space.dim
     basis = V.basis
@@ -535,12 +533,6 @@ def make_projection(space: NormedSpace, V: AffinePlane, kind: str) -> AlmostProj
         v = basis[0] / space.norm(basis[0])
         phi = space.duality_map(v).coefficients
         return AlmostProjection(v[None, :], phi[None, :], kind, 1.0, np.outer(v, phi))
-    if kind == "euclidean_fallback":
-        Q = _euclid_orthonormal(basis)
-        P = Q.T @ Q
-        emp = _empirical_op_norm(space, P)
-        est = min(norm_equivalence(n, space.p), max(emp, 1.0))
-        return AlmostProjection(Q, Q, kind, float(max(est, emp)), P)
     if kind == "hahn_banach":
         Wrows = riesz_basis(space, basis, DEFAULT_TAU)
         Phi = np.empty_like(Wrows)

@@ -8,9 +8,9 @@ from betareif.cli import run
 from betareif.cover import (CoverConfig, build_sigma, classify_ball,
                             covering_lemma, default_theta, main_packing,
                             partition_of_unity, reifenberg_flat_map,
-                            sigma_apply, squash_report, tilting_report)
+                            squash_report, tilting_report)
 from betareif.curves import dirac_example
-from betareif.geometry import affine_plane, graph_check, make_projection
+from betareif.geometry import AffinePlane, affine_plane, graph_check, make_projection
 from betareif.measures import PointMeasure, beta
 from betareif.spaces import NormedSpace
 
@@ -153,14 +153,14 @@ def test_tilting_graph_measure_stable():
 def test_sigma_identity_far_away(l2_plane):
     pl = affine_plane(l2_plane, [0, 0], [[1, 0]])
     sg = build_sigma(l2_plane, [[0, 0]], 1.0, [pl], 1)
-    assert np.allclose(sigma_apply(sg, [10.0, 5.0]), [10.0, 5.0])
+    assert np.allclose(sg.apply([10.0, 5.0]), [10.0, 5.0])
 
 
 def test_sigma_affine_projection_inside(l2_plane):
     pl = affine_plane(l2_plane, [0.0, 0.2], [[1, 0]])
     sg = build_sigma(l2_plane, [[0, 0.2]], 1.0, [pl], 1)
-    assert np.allclose(sigma_apply(sg, [0.3, 0.5]), [0.3, 0.2])
-    assert np.allclose(sigma_apply(sg, [0.3, 0.2]), [0.3, 0.2])
+    assert np.allclose(sg.apply([0.3, 0.5]), [0.3, 0.2])
+    assert np.allclose(sg.apply([0.3, 0.2]), [0.3, 0.2])
 
 
 def test_sigma_serialization(l2_plane):
@@ -454,7 +454,7 @@ def test_tau_cauchy_small_movement():
     mu = graph_measure_200(kappa=0.01)
     cfg = CoverConfig(chi=0.1, delta=0.1, max_depth=4)
     res = covering_lemma(s3, mu, np.zeros(200), 2, cfg)
-    pl = res.base_plane
+    pl = AffinePlane.from_fragment(s3, res.item_checks["item1_base_plane"])
     grid = pl.points(np.stack(np.meshgrid(np.linspace(-0.8, 0.8, 7),
                                           np.linspace(-0.8, 0.8, 7)),
                              axis=-1).reshape(-1, 2))
@@ -619,46 +619,6 @@ def test_dini_precheck_descends_once_per_distinct_ball(l4_saddle_json, tmp_path,
                 members[key] = members.get(key, 0) + 1
     assert sum(members.values()) > len(members) >= 1
     assert sorted(stacks) == sorted(1 + 3 * c for c in members.values())
-
-
-def test_covering_off_unit_frame_denormalization():
-    # a run on B_0.5([2,0,0]) returns balls in original coordinates and a
-    # tau that acts through the recorded frame
-    s3 = NormedSpace(3, 2)
-    rng = np.random.default_rng(4)
-    uv = rng.uniform(-0.35, 0.35, (40, 2))
-    pts = np.stack([uv[:, 0] + 2.0, uv[:, 1], np.zeros(40)], axis=1)
-    mu = PointMeasure(pts, np.ones(40) / 40)
-    res = covering_lemma(s3, mu, np.full(40, 0.15), 2,
-                         CoverConfig(max_depth=2), center=[2.0, 0.0, 0.0],
-                         radius=0.5)
-    assert res.frame is not None
-    for c, r in res.kept_originals:
-        assert s3.norm(np.asarray(c) - [2.0, 0.0, 0.0]) <= 0.5 + 1e-9
-        assert r == 0.15
-    out = res.tau_apply(pts[:3])
-    assert np.isfinite(out).all()
-    assert "item1_base_plane" in res.item_checks or "early_exit" in res.item_checks
-
-
-def test_covering_off_unit_frame_tau_apply_through_a_stage():
-    # the frame input without original balls: stage 1 keeps a good ball, so
-    # tau normalizes, runs its sigma stage and maps back
-    s3 = NormedSpace(3, 2)
-    uv = np.random.default_rng(4).uniform(-0.35, 0.35, (40, 2))
-    pts = np.stack([uv[:, 0] + 2.0, uv[:, 1], np.zeros(40)], axis=1)
-    res = covering_lemma(s3, PointMeasure(pts, np.ones(40) / 40), np.zeros(40), 2,
-                         CoverConfig(max_depth=2),
-                         center=[2.0, 0.0, 0.0], radius=0.5)
-    assert len(res.tau_stages) >= 1
-    X = pts + [0.0, 0.0, 0.01]
-    Y = (X - np.array([2.0, 0.0, 0.0])) / 0.5
-    for sg in res.tau_stages:
-        Y = sg.apply_many(Y)
-    Y = Y * 0.5 + np.array([2.0, 0.0, 0.0])
-    out = res.tau_apply(X)
-    assert out.tobytes() == Y.tobytes()
-    assert np.abs(out - X).max() > 0
 
 
 def test_covering_flags_the_dini_precheck():

@@ -476,15 +476,6 @@ def test_hahn_banach_lp_extremes(p):
         assert np.allclose(pj.apply(v), v, atol=1e-8)
 
 
-def test_euclidean_fallback_any_p():
-    s = NormedSpace(3, math.inf)
-    V = affine_plane(s, np.zeros(3), [[1, 1, 0]])
-    pj = make_projection(s, V, "euclidean_fallback")
-    assert np.allclose(pj.apply(V.basis[0]), V.basis[0], atol=1e-12)
-    net = sphere_net(s, np.eye(3), 2048)
-    assert pj.op_norm_estimate >= s.norms(pj.apply(net)).max() - 1e-12
-
-
 def test_almost_projection_perp_composition():
     # ||perp_V(pi_W(x))|| <= 2 c3^2 dG ||x||  (slack factor 2 on the
     # inherited constant)

@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from betareif import cover
 from betareif.cli import run
 from betareif.cover import (CoverConfig, build_sigma, covering_lemma, main_packing,
                             reifenberg_flat_map, squash_report, tilting_report)
@@ -129,13 +130,13 @@ COVER_BRANCH = {
                  "2cdc3e987cb3e5e551332fa328d16238dbfbeba1e33477b727d84f59dd683d1d"),
     "excess": ((0, 69, 2, 0.1375),
                "e05bce6ae46991ef5261599850388f593dcb6689ba618b4d27f0280793c08fe6"),
-    "off_unit_frame": ((28, 0, 1, 0.0),
-                       "9bb8ac660e63e2640338eda06fa89d3a1434ea6fd3ddc39cd406985c1fa1ac48"),
     "bad_top": ((0, 1, 0, 0.0),
                 "a25f18e93fd968dfae72c805c89866c11bbb04c2c14c440ea5600e2b7e240a73"),
 }
 PACK_BAD_TOP_SHA256 = (
     "6b24c2cf4f442f8d4a402afe7412a96a67774b35e6b880133f8b60bf931026ea")
+PACK_SUB_COVERING_SHA256 = (
+    "6bd8bcf40a6018061a850cf9fbd8aa9b782d2fb7b434aa98dee2e1d6ccf847ff")
 
 
 def _flat_map_report(space, depth):
@@ -195,40 +196,33 @@ def test_flat_map_snowflake_depth4_linf_keeps_first_coordinate():
 
 
 def _cover_branch_case(name):
-    """(space, mu, r_s, cfg, frame) of a COVER_BRANCH pin."""
+    """(space, mu, r_s, cfg) of a COVER_BRANCH pin."""
     space = NormedSpace(3, 2)
     if name == "originals":
         uv = np.random.default_rng(1).uniform(-0.7, 0.7, (60, 2))
         mu = PointMeasure(np.concatenate([uv, np.zeros((60, 1))], axis=1), np.ones(60) / 60)
-        return space, mu, np.full(60, 0.3), CoverConfig(max_depth=4), {}
+        return space, mu, np.full(60, 0.3), CoverConfig(max_depth=4)
     if name in ("originals_and_bad", "no_stage"):
         # every fourth atom carries an original ball of radius 0.02
         rs = np.zeros(200)
         rs[::4] = 0.02
         cfg = CoverConfig(chi=0.1, delta=0.1, max_depth=3 if name == "originals_and_bad" else 0)
-        return space, graph_measure_200(kappa=0.01), rs, cfg, {}
+        return space, graph_measure_200(kappa=0.01), rs, cfg
     if name == "excess":
         # every ninth atom lifted off the plane by 0.004
         uv = np.random.default_rng(7).uniform(-0.8, 0.8, (80, 2))
         z = np.zeros((80, 1))
         z[::9] = 0.004
         mu = PointMeasure(np.concatenate([uv, z], axis=1), np.ones(80) / 80)
-        return space, mu, np.zeros(80), CoverConfig(max_depth=3), {}
-    if name == "off_unit_frame":
-        # the input of test_cover.test_covering_off_unit_frame_denormalization
-        uv = np.random.default_rng(4).uniform(-0.35, 0.35, (40, 2))
-        mu = PointMeasure(np.stack([uv[:, 0] + 2.0, uv[:, 1], np.zeros(40)], axis=1),
-                          np.ones(40) / 40)
-        return (space, mu, np.full(40, 0.15), CoverConfig(max_depth=2),
-                {"center": [2.0, 0.0, 0.0], "radius": 0.5})
+        return space, mu, np.zeros(80), CoverConfig(max_depth=3)
     assert name == "bad_top"
-    return space, PointMeasure(np.zeros((1, 3)), np.ones(1)), np.zeros(1), CoverConfig(), {}
+    return space, PointMeasure(np.zeros((1, 3)), np.ones(1)), np.zeros(1), CoverConfig()
 
 
 @pytest.mark.parametrize("name", list(COVER_BRANCH))
 def test_covering_branch_golden(name):
-    space, mu, rs, cfg, frame = _cover_branch_case(name)
-    res = covering_lemma(space, mu, rs, 2, cfg, **frame)
+    space, mu, rs, cfg = _cover_branch_case(name)
+    res = covering_lemma(space, mu, rs, 2, cfg)
     (kept, bad, stages, excess), sha = COVER_BRANCH[name]
     assert (len(res.kept_originals), len(res.bad_balls), len(res.stages)) == (kept, bad, stages)
     assert res.excess_mass == excess
@@ -241,7 +235,7 @@ def test_covering_branch_golden(name):
 def test_pack_bad_top_golden():
     # the one-atom measure of the bad_top covering: every level refines the
     # one bad ball, until the budget runs out
-    space, mu, rs, cfg, _ = _cover_branch_case("bad_top")
+    space, mu, rs, cfg = _cover_branch_case("bad_top")
     res = main_packing(space, mu, rs, 2, M=0.0, cfg=cfg, budget=4)
     assert [lv.n_bad for lv in res.levels] == [1] * 5
     assert not res.valid
@@ -299,6 +293,33 @@ def test_pack_graph_measure_golden():
                        budget=2)
     blob = emit_report(res, "json")
     assert hashlib.sha256(blob).hexdigest() == PACK_GRAPH_MEASURE_SHA256
+
+
+def test_pack_sub_covering_originals_golden(monkeypatch):
+    # 71 atoms on the grid of step 0.02 in the disk of radius 0.1, every
+    # fourth with r_s = 0.02: the top ball is bad, and the level-1
+    # sub-coverings of radius chi = 0.1 keep original balls (r_s in
+    # [chi^2, chi)) and return bad balls; main_packing maps both back from
+    # B_1(0), and level 2 refines the bad balls
+    subs = []
+
+    def recording(*args, **kwargs):
+        res = covering_lemma(*args, **kwargs)
+        subs.append((len(res.kept_originals), len(res.bad_balls)))
+        return res
+
+    monkeypatch.setattr(cover, "covering_lemma", recording)
+    t = np.arange(-0.1, 0.1 + 1e-12, 0.02)
+    U, V = np.meshgrid(t, t)
+    disk = U**2 + V**2 <= 0.01
+    pts = np.stack([U[disk], V[disk], 0.001 * (U[disk]**2 - V[disk]**2)], axis=1)
+    rs = np.zeros(len(pts))
+    rs[::4] = 0.02
+    res = main_packing(NormedSpace(3, 2), PointMeasure(pts, np.ones(len(pts)) / len(pts)),
+                       rs, 2, M=0.0, cfg=CoverConfig(max_depth=2), budget=2)
+    assert res.levels[0].n_bad == 1
+    assert any(kept and bad for kept, bad in subs)
+    assert hashlib.sha256(emit_report(res, "json")).hexdigest() == PACK_SUB_COVERING_SHA256
 
 
 @pytest.mark.parametrize("case,argv", [
