@@ -47,6 +47,39 @@ class _ValidationError(Exception):
     pass
 
 
+# argparse types: a bad value exits 2 with argparse's error line
+def _positive(text) -> float:
+    """A finite number > 0."""
+    x = float(text)
+    if not (math.isfinite(x) and x > 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text}")
+    return x
+
+
+def _count(text) -> int:
+    """An integer >= 1."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text}")
+    return n
+
+
+def _exponent(text) -> float:
+    """An l^p exponent: a number >= 1 or inf."""
+    p = float(text)
+    if not p >= 1.0:
+        raise argparse.ArgumentTypeError(f"p must satisfy p >= 1 or p = inf, got {text}")
+    return p
+
+
+def _exponents(text) -> list:
+    return [_exponent(s) for s in text.split(",")]
+
+
+def _positives(text) -> list:
+    return [_positive(s) for s in text.split(",")]
+
+
 def _write(out_path, data: bytes):
     if out_path:
         with open(out_path, "wb") as fh:
@@ -92,7 +125,7 @@ def _build_parser():
     _add_common(p)
 
     s = sub.add_parser("snowflake", help="generate snowflakes and lengths")
-    s.add_argument("--p", default="2")
+    s.add_argument("--p", type=_exponent, default=2.0)
     s.add_argument("--mode", choices=("rademacher", "plane"), default="rademacher")
     s.add_argument("--eta", default="const:0.05",
                    help="const:v | geom:q (v*q^i) | invsqrt")
@@ -101,33 +134,37 @@ def _build_parser():
     s.add_argument("--format", choices=("json", "csv"), default="json")
 
     m = sub.add_parser("smoothness", help="empirical vs analytic modulus sweep (CSV)")
-    m.add_argument("--p-list", default="1,1.5,2,3,4,inf")
-    m.add_argument("--t-list", default="0.05,0.1,0.3")
-    m.add_argument("--dim", type=int, default=3)
-    m.add_argument("--samples", type=int, default=10000)
+    m.add_argument("--p-list", type=_exponents, default="1,1.5,2,3,4,inf")
+    m.add_argument("--t-list", type=_positives, default="0.05,0.1,0.3")
+    m.add_argument("--dim", type=_count, default=3)
+    m.add_argument("--samples", type=_count, default=10000)
     m.add_argument("--seed", type=int, default=0)
     m.add_argument("--out", default=None)
 
     n = sub.add_parser("nopowergain", help="det certificate + witness scan (JSON)")
-    n.add_argument("--eps", type=float, default=0.02)
-    n.add_argument("--grid-step", type=float, default=0.05)
+    n.add_argument("--eps", type=_positive, default=0.02)
+    n.add_argument("--grid-step", type=_positive, default=0.05)
     n.add_argument("--out", default=None)
 
     g = sub.add_parser("goodball", help="classify one ball (JSON)")
     g.add_argument("input")
     g.add_argument("--center", default=None, help="JSON list, default origin")
-    g.add_argument("--r", type=float, default=1.0)
+    g.add_argument("--r", type=_positive, default=1.0)
     _add_common(g)
     return ap
 
 
 def _parse_eta(spec_text: str, depth: int):
     kind, _, val = spec_text.partition(":")
+    if kind in ("const", "geom"):
+        try:
+            v = float(val)
+        except ValueError:
+            raise _ValidationError(f"eta spec {spec_text!r} needs a number after ':'")
     if kind == "const":
-        return tuple([float(val)] * max(depth - 1, 1))
+        return tuple([v] * max(depth - 1, 1))
     if kind == "geom":
-        q = float(val)
-        return tuple(0.1 * q ** (i + 1) for i in range(max(depth - 1, 1)))
+        return tuple(0.1 * v ** (i + 1) for i in range(max(depth - 1, 1)))
     if kind == "invsqrt":
         return tuple(0.1 / math.sqrt(i + 1) for i in range(max(depth - 1, 1)))
     raise _ValidationError(f"unknown eta spec {spec_text!r}")
@@ -140,6 +177,16 @@ def _space_from_args(args, default_space):
         except (json.JSONDecodeError, ValueError, KeyError) as e:
             raise _ValidationError(f"--space: {e}")
     return default_space
+
+
+def _parse_center(text: str, dim: int) -> np.ndarray:
+    try:
+        c = np.asarray(json.loads(text), dtype=float)
+    except (TypeError, ValueError):     # json.JSONDecodeError is a ValueError
+        c = None
+    if c is None or c.shape != (dim,) or not np.isfinite(c).all():
+        raise _ValidationError(f"--center must be a JSON list of {dim} finite numbers, got {text!r}")
+    return c
 
 
 def _check_args(args, space) -> float:
@@ -192,6 +239,8 @@ def _dispatch(args) -> int:
         space = _space_from_args(args, space0)
         alpha = _check_args(args, space)
         if args.atom is not None:
+            if not 0 <= args.atom < len(mu):
+                raise _ValidationError(f"atom must satisfy 0 <= atom < {len(mu)}, got {args.atom}")
             prof = dini_profile(space, mu, mu.points[args.atom], args.r_lo,
                                 args.r_hi, args.k, alpha, args.chi, seed=args.seed)
             _write(args.out, emit_report(prof, args.format))
@@ -225,7 +274,7 @@ def _dispatch(args) -> int:
         return 3 if not res.valid else 0
 
     if cmd == "snowflake":
-        p = math.inf if args.p == "inf" else float(args.p)
+        p = args.p
         etas = _parse_eta(args.eta, args.depth)
         mode = "rademacher" if args.mode == "rademacher" else "plane_bump"
         try:
@@ -260,12 +309,10 @@ def _dispatch(args) -> int:
         return 0
 
     if cmd == "smoothness":
-        ps = [math.inf if s.strip() == "inf" else float(s) for s in args.p_list.split(",")]
-        ts = [float(s) for s in args.t_list.split(",")]
         lines = ["p,t,empirical,bound"]
-        for p in ps:
+        for p in args.p_list:
             sp = NormedSpace(args.dim, p)
-            for t in ts:
+            for t in args.t_list:
                 emp = sp.modulus_smoothness_empirical(t, args.samples, args.seed)
                 bnd = sp.modulus_smoothness_bound(t)
                 ptag = "inf" if p == math.inf else f"{p:g}"
@@ -288,7 +335,7 @@ def _dispatch(args) -> int:
         space0, mu, _rs = _load_measure(args.input)
         space = _space_from_args(args, space0)
         _check_args(args, space)
-        center = json.loads(args.center) if args.center else [0.0] * space.dim
+        center = _parse_center(args.center, space.dim) if args.center else np.zeros(space.dim)
         lab = classify_ball(space, mu, center, args.r, args.k, args.chi, args.theta)
         doc = lab.to_dict()
         doc["config"] = {"k": args.k, "chi": args.chi,

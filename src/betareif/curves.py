@@ -51,7 +51,7 @@ class SnowflakeSpec:
         etas = tuple(float(e) for e in self.etas)
         if len(etas) < self.depth - 1:
             raise ValueError("need depth-1 eta values")
-        if any(abs(e) > 0.1 for e in etas[: self.depth - 1]):
+        if not all(abs(e) <= 0.1 for e in etas[: self.depth - 1]):     # NaN fails too
             raise ValueError("|eta_i| <= 1/10 required")
         object.__setattr__(self, "etas", etas)
 

@@ -158,10 +158,11 @@ def _dists_to_flat_batch(space, base, rows, Z):
     W = Z - base[None, :]
     if k == 0:
         return space.norms(W), np.repeat(base[None, :], len(Z), axis=0)
-    p = space.p
-    if k == n - 1 and p != 2.0:
-        d, feet = _dists_hyperplane(space, base[None, :], rows[None, :, :], Z)
+    stacked = _stacked_solver(space, k, n)
+    if stacked is not None:
+        d, feet = stacked(space, base[None, :], rows[None, :, :], Z)
         return d[0], feet[0]
+    p = space.p
     M = rows.T                                   # (n, k)
     # Euclidean solution is exact for p = 2 and the Newton start otherwise.
     G = rows @ rows.T
@@ -170,43 +171,50 @@ def _dists_to_flat_batch(space, base, rows, Z):
         feet = base[None, :] + lam @ rows
         return space.norms(Z - feet), feet
     if p == 1.0 or p == math.inf:
-        if k == 1:
-            return _dists_line_golden(space, base, rows, Z)
-        out_d = np.empty(len(Z))
-        out_f = np.empty_like(Z)
-        for i, w in enumerate(W):
-            lam_i = _dist_lp_linprog(space, M, w)
-            foot = base + M @ lam_i
-            out_d[i] = space.norm(Z[i] - foot)
-            out_f[i] = foot
-        return out_d, out_f
+        feet = np.array([base + M @ _dist_lp_linprog(space, M, w) for w in W]).reshape(Z.shape)
+        return space.norms(Z - feet), feet
     lam = _dist_newton_batch(space, M, W, lam)
     feet = base[None, :] + lam @ rows
     return space.norms(Z - feet), feet
 
 
-def _dists_line_golden(space, base, rows, Z):
-    """Batched golden-section for distance to a line when the norm is not
-    smooth (p in {1, inf}); the objective is convex in the parameter."""
-    v = rows[0]
-    W = Z - base[None, :]
-    # ||w - lam v|| >= |lam| ||v|| - ||w|| > ||w|| = f(0) once |lam| > 2 ||w|| / ||v||
-    s = 2.0 * space.norms(W) / max(space.norm(v), 1e-300) + 1.0
-    a, b, _fc, _fd = _golden_section(
-        lambda lam: space.norms(W - lam[:, None] * v[None, :]), -s, s, 90)
-    feet = base[None, :] + ((a + b) / 2.0)[:, None] * v[None, :]
-    return space.norms(Z - feet), feet
+def _stacked_solver(space, k, n):
+    """The solver that takes a stack of flats for (p, k, n), or None."""
+    if k == n - 1 and space.p != 2.0:
+        return _dists_hyperplane
+    return _dists_line_golden if k == 1 and space.p in (1.0, math.inf) else None
 
 
 def _dists_to_flats(space, bases, rows, Z):
     """`_dists_to_flat_batch` for a stack of flats bases[i] + span(rows[i]),
     bases (D, n) and rows (D, k, n): distances (D, m) and feet (D, m, n),
     each flat's the same to the bit as its own call."""
-    k, n = rows.shape[1:]
-    if k == n - 1 and space.p != 2.0:
-        return _dists_hyperplane(space, bases, rows, Z)
+    stacked = _stacked_solver(space, *rows.shape[1:])
+    if stacked is not None:
+        return stacked(space, bases, rows, Z)
     d, feet = zip(*(_dists_to_flat_batch(space, b, B, Z) for b, B in zip(bases, rows)))
     return np.array(d), np.array(feet)
+
+
+def _dists_line_golden(space, bases, rows, Z):
+    """Exact distances (D, m) and feet (D, m, n) to lines bases[i] + R v_i,
+    rows (D, 1, n), for p in {1, inf} (the tracer keys on this name).  The
+    convex, piecewise linear lam -> ||w - lam v|| is least at a breakpoint
+    w_i / v_i, or at p = inf also at a crossing (w_i -+ w_j) / (v_i -+ v_j),
+    a zero denominator giving 0; the foot is the first least candidate."""
+    v, W = rows[:, 0, :], Z[None, :, :] - bases[:, None, :]
+    n = v.shape[1]
+    C = np.eye(n)                   # candidate rows: e_i, then e_i -+ e_j
+    if space.p == math.inf:
+        i, j = np.triu_indices(n, 1)
+        C = np.vstack([C, (C[i, None] - [[1.0], [-1.0]] * C[j, None]).reshape(-1, n)])
+    # entries of C are 0 and +-1, so these products round once, as w_i -+ w_j
+    num, den = W @ C.T, (v @ C.T)[:, None, :]
+    lam = np.divide(num, den, out=np.zeros_like(num), where=den != 0.0)
+    f = space.norms(W[:, :, None, :] - lam[..., None] * v[:, None, None, :])
+    lam = np.take_along_axis(lam, np.argmin(f, axis=-1)[..., None], axis=-1)
+    feet = bases[:, None, :] + lam * v[:, None, :]
+    return space.norms(Z[None, :, :] - feet), feet
 
 
 def _dists_hyperplane(space, bases, rows, Z):
@@ -339,9 +347,9 @@ def distance_to_affine(space: NormedSpace, plane: AffinePlane, z) -> tuple[float
     `distances_to_affine` of the one row z, to the bit.
 
     Closed form for points, for p = 2 and for hyperplanes; damped Newton
-    from the l^2 foot for 1 < p < inf; for p in {1, inf} golden-section
-    search on lines and an epigraph LP with the least-l2 tie-break for
-    2 <= k <= n - 2."""
+    from the l^2 foot for 1 < p < inf; for p in {1, inf} the exact
+    breakpoint minimum on lines and an epigraph LP with the least-l2
+    tie-break for 2 <= k <= n - 2."""
     d, feet = _dists_to_flat_batch(space, plane.base, plane.basis, z)
     return float(d[0]), feet[0]
 
@@ -380,8 +388,9 @@ def grassmann_distance(space: NormedSpace, V: AffinePlane, W: AffinePlane,
                        samples: int = 4096) -> float:
     """Hausdorff distance between the unit balls of two linear subspaces.
 
-    Exact principal-angle path in the Hilbert case; exact 1-D search for
-    lines; deterministic boundary nets (clamped feet) otherwise."""
+    Exact principal-angle path in the Hilbert case; deterministic boundary
+    nets (clamped feet) otherwise, exact for lines: the net is +-v, and the
+    clamped foot minimizes the convex s -> ||v - s w|| on [-1, 1]."""
     if V.k != W.k:
         return 1.0
     if V.k == 0:
@@ -392,12 +401,6 @@ def grassmann_distance(space: NormedSpace, V: AffinePlane, W: AffinePlane,
         s = np.linalg.svd(Qv @ Qw.T, compute_uv=False)
         c = float(np.clip(s.min(), -1.0, 1.0))
         return math.sqrt(max(0.0, 1.0 - c * c))
-    if V.k == 1:
-        v = V.basis[0] / space.norm(V.basis[0])
-        w = W.basis[0] / space.norm(W.basis[0])
-        d1 = _golden_line_dist(space, v, w)
-        d2 = _golden_line_dist(space, w, v)
-        return max(d1, d2)
     best = 0.0
     for (P, Q) in ((V, W), (W, V)):
         U = sphere_net(space, P.basis, samples)
@@ -409,20 +412,12 @@ def grassmann_distance(space: NormedSpace, V: AffinePlane, W: AffinePlane,
     return best
 
 
-def _golden_line_dist(space, v, w):
-    """max over +-v of min over s in [-1,1] of ||v - s w|| (convex in s)."""
-    V = np.stack([v, -v])
-    _a, _b, fc, fd = _golden_section(
-        lambda s: space.norms(V - s[:, None] * w[None, :]), [-1.0, -1.0], [1.0, 1.0], 80)
-    return float(np.minimum(fc, fd).max())
-
-
 def _golden_section(f, a, b, iters: int):
-    """Golden-section search on the brackets [a_i, b_i], one convex problem
-    per row: f maps one point per row to the rows' values.  Each iteration
-    evaluates f only at the fresh point of every row, so each row repeats
-    the scalar recurrence bit for bit.  Returns the final brackets (a, b)
-    and the values (fc, fd) at their two interior points."""
+    """Golden-section search on the brackets [a_i, b_i] of the sup-beta
+    refinement (`measures._beta_inf_lines_2d`), one convex problem per row:
+    f maps one point per row to the rows' values.  Each iteration evaluates
+    f only at the fresh point of every row, so each row repeats the scalar
+    recurrence bit for bit.  Returns the final brackets (a, b)."""
     gr = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = np.array(a, dtype=float), np.array(b, dtype=float)
     c, d = b - gr * (b - a), a + gr * (b - a)
@@ -434,7 +429,7 @@ def _golden_section(f, a, b, iters: int):
         fx = f(x)
         c, d, fc, fd = (np.where(left, x, d), np.where(left, c, x),
                         np.where(left, fx, fd), np.where(left, fc, fx))
-    return a, b, fc, fd
+    return a, b
 
 
 # ---------------------------------------------------------------------------

@@ -407,9 +407,9 @@ def _beta_inf_lines_2d(space, S, X, r):
     best = np.empty(len(REL))
     for rows, H in _grid_halfwidth_blocks(space, REL, grid):
         best[rows] = grid[np.argmin(H, axis=1)]
-    a, b, _fc, _fd = _golden_section(lambda phi: _halfwidths(space, REL, phi),
-                                     best - math.pi / _GRID_ANGLES,
-                                     best + math.pi / _GRID_ANGLES, 60)
+    a, b = _golden_section(lambda phi: _halfwidths(space, REL, phi),
+                           best - math.pi / _GRID_ANGLES,
+                           best + math.pi / _GRID_ANGLES, 60)
     phi = (a + b) / 2
     vals = _halfwidths(space, REL, phi)
     for row, i in enumerate(full):

@@ -165,6 +165,38 @@ def test_exit_code_on_out_of_range_flag(planar_json, argv, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv", [
+    ["goodball", "IN", "--center", "[1,2"],
+    ["goodball", "IN", "--center", "[1,2]"],
+    ["goodball", "IN", "--center", "1"],
+    ["goodball", "IN", "--center", "[NaN,0,0]"],
+    ["goodball", "IN", "--r", "-1"],
+    ["goodball", "IN", "--r", "nan"],
+    ["goodball", "IN", "--r", "inf"],
+    ["beta", "IN", "--atom", "99"],
+    ["beta", "IN", "--atom", "-1"],
+    ["snowflake", "--p", "abc"],
+    ["snowflake", "--p", "0.5"],
+    ["snowflake", "--eta", "geom:x"],
+    ["snowflake", "--eta", "const:nan"],
+    ["smoothness", "--p-list", "0.5"],
+    ["smoothness", "--t-list", "-1"],
+    ["smoothness", "--dim", "0"],
+    ["smoothness", "--samples", "0"],
+    ["nopowergain", "--grid-step", "0"],
+    ["nopowergain", "--grid-step", "-1"],
+    ["nopowergain", "--eps", "nan"],
+])
+def test_exit_code_on_bad_flag_value(planar_json, tmp_path, capsys, argv):
+    # each value is checked where it enters: exit 2 with an error line,
+    # never a traceback and never a report
+    out = tmp_path / "out"
+    argv = [planar_json if a == "IN" else a for a in argv]
+    assert run(argv + ["--out", str(out)]) == 2
+    assert "error: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag,value", [
     ("--alpha", "foo"), ("--alpha", "0"), ("--alpha", "-1"), ("--alpha", "nan"),
     ("--alpha", "inf"), ("--delta", "-1"), ("--delta", "0"), ("--delta", "nan"),

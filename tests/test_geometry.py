@@ -332,8 +332,8 @@ def test_grassmann_dim_mismatch():
 
 
 def _scalar_golden_line_dist(space, v, w):
-    """The scalar recurrence of the line case of grassmann_distance: max
-    over +-v of 80 golden-section steps on s -> ||v - s w||, s in [-1, 1]."""
+    """Reference for the line case of grassmann_distance: max over +-v of
+    80 scalar golden-section steps on s -> ||v - s w||, s in [-1, 1]."""
     def dist(sgn):
         f = lambda s: space.norm(sgn * v - s * w)
         a, b = -1.0, 1.0
@@ -355,10 +355,10 @@ def _scalar_golden_line_dist(space, v, w):
 
 @pytest.mark.parametrize("p", [1.0, 4 / 3, 3.0, 4.0, math.inf])
 def test_grassmann_lines_match_scalar_golden_search(p):
-    # the batched golden-section search with +-v as two rows repeats the
-    # scalar recurrence bit for bit
-    from betareif.geometry import _golden_line_dist
+    # for lines the net is +-v, and a foot clamped to the unit segment of
+    # the other line is the constrained minimum of the convex s -> ||v - s w||
     rng = np.random.default_rng(31)
+    grid = np.linspace(-1.0, 1.0, 20001)
     for n in (2, 3):
         s = NormedSpace(n, p)
         for _ in range(8):
@@ -368,10 +368,13 @@ def test_grassmann_lines_match_scalar_golden_search(p):
             W = affine_plane(s, np.zeros(n), B)
             v = V.basis[0] / s.norm(V.basis[0])
             w = W.basis[0] / s.norm(W.basis[0])
-            assert _golden_line_dist(s, v, w) == _scalar_golden_line_dist(s, v, w)
-            assert _golden_line_dist(s, w, v) == _scalar_golden_line_dist(s, w, v)
-            assert grassmann_distance(s, V, W) == max(_scalar_golden_line_dist(s, v, w),
-                                                      _scalar_golden_line_dist(s, w, v))
+            got = grassmann_distance(s, V, W)
+            assert got == pytest.approx(max(_scalar_golden_line_dist(s, v, w),
+                                            _scalar_golden_line_dist(s, w, v)),
+                                        rel=1e-12, abs=1e-14)
+            on_grid = max(s.norms(sgn * a[None, :] - grid[:, None] * b[None, :]).min()
+                          for a, b in ((v, w), (w, v)) for sgn in (1.0, -1.0))
+            assert got <= on_grid + 1e-14
 
 
 def test_grassmann_net_matches_exact_hilbert():
@@ -760,7 +763,7 @@ def test_stacked_hyperplanes_match_single_planes(p, n):
         assert moved[:, :2].all() and not moved[:, 2:].any()
 
 
-@pytest.mark.parametrize("p,k", [(4.0, 1), (math.inf, 1), (3.0, 0), (2.0, 2)])
+@pytest.mark.parametrize("p,k", [(4.0, 1), (math.inf, 1), (1.0, 1), (3.0, 0), (2.0, 2)])
 def test_stacked_flats_off_codimension_one_match_single_calls(p, k):
     space = NormedSpace(3, p)
     rng = np.random.default_rng(7)

@@ -55,21 +55,28 @@ SNOWFLAKE_SHA256 = {
     "plane": "6cc047c9896d974c04edc986956fd8864c23db3a7f3e2ee23db5ecc82e0a2ce0",
 }
 BETA_ATOM_L4_SADDLE_LINE_SHA256 = {
-    # the l^4 saddle under --space l^p, k = 1: golden-section line distances,
-    # whose descent moves with an ulp of the line search.  Since the line
-    # search brackets the minimizer by 2 ||w|| / ||v|| + 1 about 0, the
-    # scale-2 descent (seed 5) ends in another local minimum: betas at
-    # p = inf [0.138442372277, 0.172901116007] -> [0.149147455358, same],
-    # at p = 1 [0.1934902501, 0.2451614431] -> [0.189564868058, 0.245140453154].
-    # Each fitted plane has the same objective under both searches to 3 ulps.
-    "inf": "e471f381dafd8b2d761bf7aa751e02adcff0d34871597a47a4fa3ab376d0ca29",
-    1: "5ae4d9161de6f1da3abd8150fc7c5fe9878b03275c6c96adf7309d05dcea4519",
+    # the l^4 saddle under --space l^p, k = 1: exact breakpoint line
+    # distances.  They differ from the earlier golden-section search by
+    # ulps, and the descents on the non-smooth objective end in other local
+    # minima: betas at p = inf [0.149147455358, 0.172901116007] ->
+    # [0.137637768214, 0.172921971841], at p = 1 [0.189564868058,
+    # 0.245140453154] -> [0.18975291126, same].  Each fitted line has the
+    # same objective under both distance solvers to 12 digits.
+    "inf": "acebb39a1682bda384e9a7e0e8408744593fa2b943ce319855fb2edb99fbbd18",
+    1: "4339335e5482470543725e14c5f5a5b764792edf1e15c7499b85966b3ec1459d",
 }
-# cover --k 1 --max-depth 2 of the same inputs: p = inf reports distortion
-# 1.0 and measured_delta 0.77244989729, p = 1 measured_delta 1.12239891814
+# cover --k 1 --max-depth 2 of the same inputs.  Under the exact line
+# distances the top ball's descent ends at another T0, with objective
+# 0.160276 -> 0.151553 at p = inf and 0.2597752 -> 0.2597374 at p = 1.
+# The old T0 passed no atom of B_1 within r_1 / 30 = 1/300 (nearest 0.0120
+# at p = inf, 0.0053 at p = 1); the new one passes one (0.0024, 0.0030),
+# which becomes stage 1's net point.  At p = inf its ball is good:
+# distortion 1.0 -> 1.45995681841, measured_delta 0.77244989729 ->
+# 0.760754799443.  At p = 1 it is bad: measured_delta 1.12239891814 ->
+# 1.12227484986.
 COVER_K1_L4_SADDLE_LINE_SHA256 = {
-    "inf": "78bcf1c7c882b5e02a18bfc4a7fcb35453767644e59d7798ae7d2e75a6ccf853",
-    1: "6873f0d62aa989c8a662cadefd03ab6eb6cf65a395744cc9165f867ff38dd64e",
+    "inf": "47f95bb334cd1f5c9781136efd4adc8cc2fc2de3514899bf80f8a18af4dea6ae",
+    1: "939c585b0029fd5596fc0022f0d728b3ded2919c462728d72afe00b47edb57c5",
 }
 # the k = 0 covering and packing of the l^4 saddle at --max-depth 2 (exit 3)
 K0_L4_SADDLE_SHA256 = {
