@@ -866,8 +866,13 @@ def reifenberg_flat_map(space: NormedSpace, Spts, k: int, chi: float = 0.01,
     sample: per stage, a maximal 2 r_i/5 net on S, sup-beta best planes
     anchored at the net points, and the interpolated projection map.
 
-    Returns (tau stages, ReifenbergReport).  Certification failure (some
-    sampled beta_inf above delta) raises ValueError."""
+    Returns (tau stages, ReifenbergReport).  chi must lie in (0, 1) and
+    delta be finite and positive; certification failure (some sampled
+    beta_inf above delta) raises ValueError too."""
+    if not (0 < chi < 1):
+        raise ValueError(f"chi must lie in (0, 1), got {chi}")
+    if not (0 < delta < math.inf):
+        raise ValueError(f"delta must be finite and positive, got {delta}")
     S = np.atleast_2d(np.asarray(Spts, dtype=float))
     alpha = space.smoothness_power()
     in_unit = space.norms(S) <= 1.0

@@ -412,26 +412,6 @@ def grassmann_distance(space: NormedSpace, V: AffinePlane, W: AffinePlane,
     return best
 
 
-def _golden_section(f, a, b, iters: int):
-    """Golden-section search on the brackets [a_i, b_i] of the sup-beta
-    refinement (`measures._beta_inf_lines_2d`), one convex problem per row:
-    f maps one point per row to the rows' values.  Each iteration evaluates
-    f only at the fresh point of every row, so each row repeats the scalar
-    recurrence bit for bit.  Returns the final brackets (a, b)."""
-    gr = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = np.array(a, dtype=float), np.array(b, dtype=float)
-    c, d = b - gr * (b - a), a + gr * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(iters):
-        left = fc < fd          # the minimum lies in [a, d]
-        a, b = np.where(left, a, c), np.where(left, d, b)
-        x = np.where(left, b - gr * (b - a), a + gr * (b - a))
-        fx = f(x)
-        c, d, fc, fd = (np.where(left, x, d), np.where(left, c, x),
-                        np.where(left, fx, fd), np.where(left, fc, fx))
-    return a, b
-
-
 # ---------------------------------------------------------------------------
 # almost-projections
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ import numpy as np
 
 from .constants import norm_equivalence
 from .geometry import (AffinePlane, _dists_to_flat_batch, _dists_to_flats,
-                       _golden_section, distances_to_affine)
+                       distances_to_affine)
 from .spaces import NormedSpace, real_number
 
 __all__ = [
@@ -327,17 +327,23 @@ def beta(space: NormedSpace, mu: PointMeasure, x, r: float, k: int,
 
 
 def beta_inf(space: NormedSpace, S, x, r: float, k: int):
-    """sup-norm beta: minimal delta with S cap B_r(x) inside the delta*r
-    neighborhood of an affine k-plane; the returned plane is re-anchored
-    at x (the factor-2 convention of the V_inf planes absorbs this when
-    x lies in S).
+    """sup-norm beta: the least delta with S cap B_r(x) inside the delta*r
+    neighborhood of an affine k-plane, for a finite r > 0.  The returned
+    plane is re-anchored at x (the factor-2 convention of the V_inf planes
+    absorbs this when x lies in S).  An empty ball has beta 0.
+
+    Lines in the plane (dim 2, k = 1) get the exact value: the least
+    half-width of the ball over the normals of its convex hull's edges
+    (see `_beta_inf_lines_2d`).  Every other (dim, k) refines a best-plane
+    start by Nelder-Mead, an upper bound.
 
     x is one center, giving a BetaInfResult, or an (m, n) stack of centers,
-    giving a list of m results."""
+    giving a list of m results; a stacked center gets the same result, to
+    the bit, as a call with that center alone."""
     if k >= space.dim:
         raise ValueError("k must be < dim")
-    if r <= 0:
-        raise ValueError("r must be positive")
+    if not (0 < r < math.inf):
+        raise ValueError(f"r must be finite and positive, got {r}")
     X = np.asarray(x, dtype=float)
     centers = np.atleast_2d(X)
     S = np.atleast_2d(np.asarray(S, dtype=float))
@@ -363,31 +369,38 @@ def _beta_inf_one(space, S, x, r, k):
     return BetaInfResult(val / r, AffinePlane(x, basis / space.norms(basis)[:, None]))
 
 
-_GRID_ANGLES = 2000
 _BLOCK_ENTRIES = 1 << 18    # 2 MB of float64 per block
-
-
-def _row_blocks(rows: int, row_entries: int):
-    """Slices of range(rows), each of at most _BLOCK_ENTRIES entries when a
-    row holds row_entries of them (and of at least one row)."""
-    step = max(1, _BLOCK_ENTRIES // max(row_entries, 1))
-    return [slice(lo, lo + step) for lo in range(0, rows, step)]
 
 
 def _distance_blocks(space, X, P):
     """(rows, table) pairs: the distances ||P_j - x_i|| for the rows i of X
     in one block, as the (block x |P|) table.  Each block's differences
-    hold at most _BLOCK_ENTRIES entries, whatever the sizes of X and P."""
-    for rows in _row_blocks(len(X), P.size):
+    hold at most _BLOCK_ENTRIES entries (and at least one row), whatever
+    the sizes of X and P."""
+    step = max(1, _BLOCK_ENTRIES // max(P.size, 1))
+    for lo in range(0, len(X), step):
+        rows = slice(lo, lo + step)
         yield rows, space.norms(P[None, :, :] - X[rows, None, :])
 
 
 def _beta_inf_lines_2d(space, S, X, r):
-    """Exact angle+offset search for lines in the plane, at every center of
-    X: for a normal a(phi), the optimal offset centers the interval of
-    <a, z-x>, so beta_inf * r is the least half-width of that interval over
-    phi.  A 2000-angle grid brackets each center's minimizer, and one
-    golden-section run refines all the brackets."""
+    """Exact beta_inf for lines in the plane, at every center of X.
+
+    For a normal a, the best line with normal a runs through the middle of
+    the interval of <a, z - x> over the atoms z of the ball, so beta_inf * r
+    is the least over a of half that interval's width over ||a||_q.  The
+    least sits at the normal of an edge of the atoms' convex hull K.  The
+    width is the support function of the polygon K - K, whose edge normals
+    are those of K up to sign, so between two neighbouring edge normals it
+    is linear in a.  On the segment of that cone where it equals 1, the
+    ratio is 1 / ||a||_q, and a convex norm is largest at an end of a
+    segment.
+
+    `_hull_edges` walks every hull in lockstep and picks the edge e.  The
+    value is the half-width at its normal (-e_y, e_x), which is exactly 0
+    when the atoms' cross products vanish.  The line runs along
+    (-sin phi, cos phi), with phi in [0, pi] the angle of that normal; a
+    ball whose atoms all coincide has phi = 0."""
     inside = np.empty((len(X), len(S)), dtype=bool)
     for rows, D in _distance_blocks(space, X, S):
         inside[rows] = D <= r
@@ -397,59 +410,90 @@ def _beta_inf_lines_2d(space, S, X, r):
     full = np.flatnonzero(counts)
     if len(full) == 0:
         return out
-    # each ball's atoms relative to its center, padded to a common count
-    # with copies of its last atom, which move no max or min
-    REL = np.empty((len(full), counts.max(), 2))
+    # the atoms of every nonempty ball relative to its center, ball after
+    # ball; ball j holds the rows from starts[j] on
+    ball, atom = np.nonzero(inside[full])
+    REL = S[atom] - X[full][ball]
+    starts = np.searchsorted(ball, np.arange(len(full)))
+    edges, halfwidths = _hull_edges(space, REL, starts)
     for row, i in enumerate(full):
-        rel = S[inside[i]] - X[i][None, :]
-        REL[row] = rel[np.minimum(np.arange(REL.shape[1]), len(rel) - 1)]
-    grid = np.linspace(0.0, math.pi, _GRID_ANGLES, endpoint=False)
-    best = np.empty(len(REL))
-    for rows, H in _grid_halfwidth_blocks(space, REL, grid):
-        best[rows] = grid[np.argmin(H, axis=1)]
-    a, b = _golden_section(lambda phi: _halfwidths(space, REL, phi),
-                           best - math.pi / _GRID_ANGLES,
-                           best + math.pi / _GRID_ANGLES, 60)
-    phi = (a + b) / 2
-    vals = _halfwidths(space, REL, phi)
-    for row, i in enumerate(full):
-        direction = np.array([-math.sin(phi[row]), math.cos(phi[row])])
-        out[i] = BetaInfResult(vals[row] / r, AffinePlane(X[i], direction[None, :]))
+        ex, ey = edges[row]
+        phi = math.atan2(-ex, ey) % math.pi if ex or ey else 0.0
+        direction = np.array([-math.sin(phi), math.cos(phi)])
+        out[i] = BetaInfResult(halfwidths[row] / r, AffinePlane(X[i], direction[None, :]))
     return out
 
 
-def _grid_halfwidth_blocks(space, REL, phis):
-    """(rows, table) pairs: the half-widths of `_halfwidths` for the rows
-    of REL in one block at every angle of phis, as array operations.  Each
-    (rows x atoms x angles) projection holds at most _BLOCK_ENTRIES
-    entries, and so does each table, whatever the sizes."""
-    U = np.stack([np.cos(phis), np.sin(phis)], axis=1)
-    dn = space.dual_norms(U)
-    for rows in _row_blocks(len(REL), REL.shape[1] * len(phis)):
-        R = REL[rows]
-        width = np.empty((len(R), len(phis)))
-        for cols in _row_blocks(len(phis), R.shape[0] * R.shape[1]):
-            width[:, cols] = np.ptp(R @ U[cols].T, axis=1)
-        width *= 0.5
-        width /= dn
-        yield rows, width
+def _hull_edges(space, REL, starts):
+    """Per segment of REL (segment j is the rows from starts[j] on): the
+    edge e of its convex hull whose normal (-e_y, e_x) gives the least
+    half-width over ||.||_q, the first such edge of the walk, and that
+    half-width.  A segment whose points all coincide gets e = 0 and 0.
+
+    One gift-wrapping walk runs on every segment at once.  It starts at the
+    segment's lowest point, the leftmost of those, heading along +x.  Each
+    round every open segment takes the smallest counter-clockwise turn
+    from its last edge, the farthest point on a tie, and scores the new
+    edge; a segment closes when it is back at its start, or after as many
+    rounds as it has points.  Rounds touch only the points of open
+    segments.  Every step acts on one segment at a time with correctly
+    rounded operations, so a segment's result does not depend on the
+    others."""
+    n = len(starts)
+    owner = np.repeat(np.arange(n), np.diff(starts, append=len(REL)))
+    first = REL[np.lexsort((REL[:, 0], REL[:, 1], owner))[starts]]
+    edges = np.zeros((n, 2))
+    # the open segments: their numbers, points, start, vertex, last edge
+    # and rounds left
+    rows, P, own, seg = np.arange(n), REL, owner, starts
+    home = V = first
+    D = np.repeat([[1.0, 0.0]], n, axis=0)
+    left = np.diff(starts, append=len(REL))
+    go = np.logical_or.reduceat((REL != first[owner]).any(axis=1), starts)
+    best = np.where(go, np.inf, 0.0)
+    while True:
+        if not go.all():
+            keep = go[own]
+            P, own = P[keep], np.cumsum(go)[own[keep]] - 1
+            rows, home, V, D, left = rows[go], home[go], V[go], D[go], left[go]
+            seg = np.searchsorted(own, np.arange(len(rows)))
+        if len(rows) == 0:
+            return edges, best
+        E = P - V[own]
+        Dx, Dy = D[own, 0], D[own, 1]
+        cross = Dx * E[:, 1] - Dy * E[:, 0]
+        dot = Dx * E[:, 0] + Dy * E[:, 1]
+        size = np.abs(cross) + np.abs(dot)
+        with np.errstate(invalid="ignore"):
+            t = cross / size
+        # the turn, monotone in the angle: 0 straight ahead, 1 a quarter
+        # turn, 2 straight back; a point a rounding error right of the last
+        # edge counts as straight ahead
+        turn = np.where(dot < 0, 2.0 - t, np.maximum(t, 0.0))
+        turn[size == 0] = np.inf            # the vertex itself
+        tie = turn == np.minimum.reduceat(turn, seg)[own]
+        far = np.where(tie, E[:, 0] * E[:, 0] + E[:, 1] * E[:, 1], -1.0)
+        tie &= far == np.maximum.reduceat(far, seg)[own]
+        W = P[np.minimum.reduceat(np.where(tie, np.arange(len(P)), len(P)), seg)]
+        e = W - V
+        normal = np.stack([-e[:, 1], e[:, 0]], axis=1)
+        s = E[:, 0] * normal[own, 0] + E[:, 1] * normal[own, 1]
+        width = np.maximum.reduceat(s, seg) - np.minimum.reduceat(s, seg)
+        score = 0.5 * width / _row_dual_norms(space, normal)
+        gain = score < best[rows]
+        best[rows[gain]], edges[rows[gain]] = score[gain], e[gain]
+        V, D, left = W, e, left - 1
+        go = ~(W == home).all(axis=1) & (left > 0)
 
 
-def _halfwidths(space, REL, phis):
-    """Half the width of the interval of <a_i, z> over the atoms z of row i
-    of REL, per dual norm of a_i = (cos phi_i, sin phi_i).  The operations
-    are those of one row at a time, so each row's value is the same to the
-    bit whatever the stack: math.cos and math.sin, a stacked matrix-vector
-    product, and the root of the dual norm taken per element (an array
-    power can differ from it by an ulp)."""
-    A = np.stack([[math.cos(t) for t in phis], [math.sin(t) for t in phis]], axis=1)
-    s = (REL @ A[:, :, None])[:, :, 0]
+def _row_dual_norms(space, A):
+    """||a_i||_q for the rows a_i of A, the same to the bit whatever the
+    stack: the root is taken per element (an array power can differ from
+    it by an ulp)."""
     q = space.q
     if q == 1.0 or q == math.inf:
-        dn = space.dual_norms(A)
-    else:
-        dn = np.array([t ** (1.0 / q) for t in (np.abs(A) ** q).sum(axis=1)])
-    return 0.5 * np.ptp(s, axis=1) / dn
+        return space.dual_norms(A)
+    return np.array([t ** (1.0 / q) for t in (np.abs(A) ** q).sum(axis=1)])
 
 
 def _minimax_refine(space, base, basis, pts):

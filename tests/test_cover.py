@@ -372,6 +372,19 @@ def test_reifenberg_certification_failure(l2_plane):
         reifenberg_flat_map(l2_plane, S, 1, chi=1 / 3, delta=0.02, max_depth=2)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("chi", math.nan), ("chi", 0.0), ("chi", -0.5), ("chi", 1.0), ("chi", 2.0),
+    ("delta", math.nan), ("delta", 0.0), ("delta", -0.1), ("delta", math.inf)])
+def test_reifenberg_flat_map_rejects_out_of_range_chi_delta(l2_plane, name, value):
+    # each breach raises before any work: chi = nan used to run for minutes,
+    # chi = 0 to divide by zero, chi = 2 to report stages with q_alpha 0,
+    # and delta = nan to certify every ball
+    S = np.stack([np.linspace(-1, 1, 9), np.zeros(9)], axis=1)
+    kw = {"chi": 1 / 3, "delta": 0.05, name: value}
+    with pytest.raises(ValueError, match=f"^{name} must"):
+        reifenberg_flat_map(l2_plane, S, 1, max_depth=2, **kw)
+
+
 def test_reifenberg_snowflake_bilipschitz_and_trend(l2_plane):
     # summable-eta flake: distortion <= exp(c Q^alpha) with the fitted c;
     # constant-eta flake: the tau-image length (a distortion lower bound)

@@ -22,22 +22,38 @@ from betareif.spaces import NormedSpace
 
 from conftest import gamma2_sample, graph_measure_200, snowflake_sample
 
+# The flat-map pins below take beta_inf of lines in the plane as the least
+# half-width over the hull-edge normals.  The earlier 2,000-angle grid and
+# golden-section search ended within rounding of the same values, at most
+# 4e-17 below and 2.4e-16 above them; the lines turned only at one-atom
+# balls, from phi near pi/2000 to phi = 0.
+# Depth 4: holder_exponent 0.9991439065461688 -> 0.999143906546169,
+# q_alpha 0.002937445123834383 -> 0.002937445123834378, certified_delta
+# 0.037333333333333364 -> 0.037333333333333336 (the float of 0.112/3) and
+# lip_constant_fit 1.2696902496311657 -> 1.269690249631168.
 FLAT_MAP_SNOWFLAKE_D4 = {
     "distortion": 1.0037366092148736,
-    "holder_exponent": 0.9991439065461688,
-    "q_alpha": 0.002937445123834383,
-    "certified_delta": 0.037333333333333364,
+    "holder_exponent": 0.999143906546169,
+    "q_alpha": 0.002937445123834378,
+    "certified_delta": 0.037333333333333336,
 }
 FLAT_MAP_SNOWFLAKE_D4_SHA256 = (
-    "cf569f41bb8147f488011c34ddcc13b1f2f87876381152b68ce8be01b1c77823")
+    "78ba3a0b1ca3c6fdd77400c44bfa64757b169d23e101d9c0dff06d181abe27ef")
+# Depth 6: 63 one-atom balls at r = 3^-5 now get the vertical line instead
+# of one turned by pi/2000, and the stage maps move with them: distortion
+# 1.0443837929664406 -> 1.0443673206521908, holder_exponent
+# 0.9984449752487858 -> 0.9984449645929427, lip_constant_fit
+# 7.910152734862468 -> 7.907279821272065; q_alpha 0.005490038074503392 ->
+# 0.0054900380745033835, certified_delta 0.03800690408893685 ->
+# 0.03800690408893677.
 FLAT_MAP_SNOWFLAKE_D6 = {
-    "distortion": 1.0443837929664406,
-    "holder_exponent": 0.9984449752487858,
-    "q_alpha": 0.005490038074503392,
-    "certified_delta": 0.03800690408893685,
+    "distortion": 1.0443673206521908,
+    "holder_exponent": 0.9984449645929427,
+    "q_alpha": 0.0054900380745033835,
+    "certified_delta": 0.03800690408893677,
 }
 FLAT_MAP_SNOWFLAKE_D6_SHA256 = (
-    "f18c34effd35609d55d1a0585989946c40408fb67b19d04b00252458fa666db6")
+    "072ef1cc73e6f4da1eaa61e8bfdcccdfad2f6ae9b0ebb2b49e509b9541aa5799")
 PACK_GRAPH_MEASURE_SHA256 = (
     "8c2ea7182cd568023e99502b39da211f78b6dd6d76bf045dcd5bbdc9ccab5862")
 BETA_CSV_L4_SADDLE_SHA256 = (
@@ -93,38 +109,54 @@ PYTHAGOREAN_LINF_SHA256 = (
 NOPOWERGAIN_SHA256 = (
     "6cdcce518f4df3fe43301b792abac3cd06d33921c28dd5a9d23f2f32ad602a46")
 # the depth-4 snowflake of FLAT_MAP_SNOWFLAKE_D4 read in (R^2, l^p): the
-# projection kind of both stages, then the report values
+# projection kind of both stages, then the report values.  Under the
+# hull-edge beta_inf every value moves by ulps only:
+# p = 1: distortion 1.077779466333747 -> 1.0777794663337468,
+#   holder_exponent 0.98155897378716 -> 0.9815589737871602, q_alpha
+#   0.08788898309344889 -> 0.08788898309344878, certified_delta
+#   0.032000000000000035 -> 0.03200000000000001, lip_constant_fit
+#   0.8522441862100503 -> 0.8522441862100489.
+# p = 1.5: distortion 1.0153817599934463 -> 1.0153817599934476, q_alpha
+#   0.016437082253652088 -> 0.016437082253652063, certified_delta
+#   0.037333333333333364 -> 0.037333333333333336, lip_constant_fit
+#   0.928672118543195 -> 0.9286721185432761.
+# p = 4: q_alpha 0.002937445123834383 -> 0.002937445123834378,
+#   certified_delta as at p = 1.5, lip_constant_fit 0.009169152745554285
+#   -> 0.0091691527455543.
+# p = inf: q_alpha 0.09374824863301214 -> 0.09374824863301204,
+#   certified_delta as at p = 1.5, lip_constant_fit 1.184260016388409e-14
+#   -> 1.1842600163884102e-14.
 FLAT_MAP_SNOWFLAKE_D4_LP = {
     1: ("hahn_banach", {
-        "distortion": 1.077779466333747,
-        "holder_exponent": 0.98155897378716,
-        "q_alpha": 0.08788898309344889,
-        "certified_delta": 0.032000000000000035,
+        "distortion": 1.0777794663337468,
+        "holder_exponent": 0.9815589737871602,
+        "q_alpha": 0.08788898309344878,
+        "certified_delta": 0.03200000000000001,
     }),
     1.5: ("j_projection", {
-        "distortion": 1.0153817599934463,
+        "distortion": 1.0153817599934476,
         "holder_exponent": 0.9961426785716876,
-        "q_alpha": 0.016437082253652088,
-        "certified_delta": 0.037333333333333364,
+        "q_alpha": 0.016437082253652063,
+        "certified_delta": 0.037333333333333336,
     }),
     4: ("j_projection", {
         "distortion": 1.0000269342457424,
         "holder_exponent": 0.9999960006843425,
-        "q_alpha": 0.002937445123834383,
-        "certified_delta": 0.037333333333333364,
+        "q_alpha": 0.002937445123834378,
+        "certified_delta": 0.037333333333333336,
     }),
     math.inf: ("hahn_banach", {
         "distortion": 1.0,
         "holder_exponent": 0.9999999999999997,
-        "q_alpha": 0.09374824863301214,
-        "certified_delta": 0.037333333333333364,
+        "q_alpha": 0.09374824863301204,
+        "certified_delta": 0.037333333333333336,
     }),
 }
 FLAT_MAP_SNOWFLAKE_D4_LP_SHA256 = {
-    1: "03615928d9e9d13c88e9750eebce80fda92b3cf1cc7a7278df190d93dd588e76",
-    1.5: "ba72b6e83298b09505f2cd9ec0c1c1a8d828e2df68651b05053e6d1fdf0ed0f6",
-    4: "e9302fc2b5c56cabaed4b0317d27516f51126d78043e620fbebe2d8eb0344abe",
-    math.inf: "a19d702fb7e380ce2f89a070538ef180debac8efb770bfc98633aba37dc13d59",
+    1: "a0bd309c22117f62e9e16948cda72ad417b9f9ef41d2199e804625c3d0ac9a04",
+    1.5: "66ca44893f488db0132caad44e6ad9079fd10bbea9ebdecebc903eeeb7a9e461",
+    4: "0b1369c8f9bf1d2c131974bc8e9c2fc91575139ef886da592a5a58e5982dc64d",
+    math.inf: "421718bcbdf03f30a310e41b5d2f6e661b819839a180bcbe3ddcef98a42e334b",
 }
 # k = 2 coverings in (R^3, l^2) that reach the branches no workload does:
 # (kept originals, bad balls, stages, excess mass) and the report SHA-256
@@ -162,7 +194,8 @@ def test_flat_map_snowflake_depth4_golden(l2_plane):
 
 
 def test_flat_map_snowflake_depth6_golden(l2_plane):
-    # 1,025 atoms: large beta_inf stacks whose grids span several blocks
+    # 1,025 atoms: large beta_inf stacks whose distance tables span
+    # several blocks, and hull walks over up to 928 atoms
     _stages, doc = _flat_map_report(l2_plane, 6)
     for key, want in FLAT_MAP_SNOWFLAKE_D6.items():
         assert doc[key] == pytest.approx(want, rel=1e-9), key

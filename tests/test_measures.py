@@ -179,38 +179,46 @@ def test_beta_inf_rejects_nonpositive_radius(l2_plane):
             beta_inf(l2_plane, [[0.1, 0.0]], [0, 0], r, 1)
 
 
+@pytest.mark.parametrize("r", [math.nan, math.inf])
+def test_beta_inf_rejects_nonfinite_radius(l2_plane, r):
+    # a NaN radius used to give an "empty" ball and an infinite one beta 0
+    with pytest.raises(ValueError, match="r must be finite"):
+        beta_inf(l2_plane, [[0.1, 0.0]], [0, 0], r, 1)
+
+
 def test_beta_inf_rejects_k_at_least_dim(l2_plane):
     for k in (2, 3):
         with pytest.raises(ValueError):
             beta_inf(l2_plane, [[0.1, 0.0]], [0, 0], 1.0, k)
 
 
-def _halfwidth(space, rel, phi):
-    a = np.array([math.cos(phi), math.sin(phi)])
+def _halfwidth(space, rel, a):
     s = rel @ a
     return 0.5 * (s.max() - s.min()) / space.dual_norm(a)
 
 
-def _brute_beta_inf_2d(space, S, x, r, n_angles=20000):
-    """Scalar 20,000-angle grid plus golden refinement, for lines in the plane."""
+def _brute_beta_inf_2d(space, S, x, r):
+    """The least half-width of the ball's atoms over the normals of all its
+    atom pairs, over r; 0 for a ball of fewer than two distinct atoms."""
     x = np.asarray(x, dtype=float)
     rel = S[space.norms(S - x) <= r] - x
-    grid = np.linspace(0.0, math.pi, n_angles, endpoint=False)
-    i = int(np.argmin([_halfwidth(space, rel, phi) for phi in grid]))
-    a, b = grid[i] - math.pi / n_angles, grid[i] + math.pi / n_angles
-    gr = (math.sqrt(5.0) - 1.0) / 2.0
-    for _ in range(80):
-        c, d = b - gr * (b - a), a + gr * (b - a)
-        if _halfwidth(space, rel, c) < _halfwidth(space, rel, d):
-            b = d
-        else:
-            a = c
-    return _halfwidth(space, rel, (a + b) / 2) / r
+    best = math.inf
+    for i in range(len(rel) - 1):
+        e = rel[i + 1:] - rel[i]
+        N = np.stack([-e[:, 1], e[:, 0]], axis=1)[(e != 0).any(axis=1)]
+        if len(N):
+            s = rel @ N.T
+            best = min(best, float((0.5 * np.ptp(s, axis=0) / space.dual_norms(N)).min()))
+    return 0.0 if best == math.inf else best / r
+
+
+def _plane_normal(res):
+    (u1, u2), = res.plane.basis
+    return np.array([u2, -u1])
 
 
 def _flat_sets(seed):
-    """Seeded 2-D sets: thin rotated strips of 5 and 300 atoms (300 atoms
-    make the vectorized grid run in more than one angle block)."""
+    """Seeded 2-D sets: thin rotated strips of 5 and 300 atoms."""
     rng = np.random.default_rng(seed)
     for m in (5, 300):
         P = rng.uniform(-1.0, 1.0, (m, 2)) * [1.0, 0.15]
@@ -221,62 +229,71 @@ def _flat_sets(seed):
 
 @pytest.mark.parametrize("p", [1.0, 4 / 3, 2.0, 4.0, math.inf])
 def test_beta_inf_2d_grid_matches_scalar_oracle(p):
-    from betareif.measures import _GRID_ANGLES, _grid_halfwidth_blocks
+    # the hull walk's value is the pair-normal oracle's to rel 1e-12, never
+    # above it by more, and the returned line attains it
     space = NormedSpace(2, p)
-    grid = np.linspace(0.0, math.pi, _GRID_ANGLES, endpoint=False)
-    for S in _flat_sets(seed=17):
-        x, r = S[0], 1.5
-        rel = S[space.norms(S - x) <= r] - x
-        [(_rows, vals)] = _grid_halfwidth_blocks(space, rel[None], grid)
-        ref = np.array([_halfwidth(space, rel, phi) for phi in grid])
-        np.testing.assert_allclose(vals[0], ref, rtol=1e-14, atol=0.0)
-        res = beta_inf(space, S, x, r, 1)
-        assert res.value == pytest.approx(_brute_beta_inf_2d(space, S, x, r), rel=1e-9)
+    rng = np.random.default_rng(23)
+    sets = list(_flat_sets(seed=17)) + [rng.uniform(-1.0, 1.0, (40, 2))]
+    for S in sets:
+        for x, r in ((S[0], 1.5), (S[1], 0.4), (np.zeros(2), 0.7)):
+            res = beta_inf(space, S, x, r, 1)
+            want = _brute_beta_inf_2d(space, S, x, r)
+            assert want > 0
+            assert res.value <= want * (1 + 1e-12)
+            assert res.value == pytest.approx(want, rel=1e-12)
+            rel = S[space.norms(S - x) <= r] - x
+            assert _halfwidth(space, rel, _plane_normal(res)) / r == pytest.approx(want, rel=1e-12)
 
 
-def _scalar_beta_inf_2d(space, S, x, r):
-    """One center at a time, the sup-beta search for lines in the plane as
-    the scalar code ran it: the 2000-angle grid of `rel @ U.T` blocks, the
-    bracket around its argmin, then 60 golden-section steps on the scalar
-    half-width.  Returns (value, direction); the direction is None for an
-    empty ball."""
-    from betareif.measures import _BLOCK_ENTRIES, _GRID_ANGLES
-    rel = S[space.norms(S - x[None, :]) <= r] - x[None, :]
-    if len(rel) == 0:
-        return 0.0, None
-    grid = np.linspace(0.0, math.pi, _GRID_ANGLES, endpoint=False)
-    U = np.stack([np.cos(grid), np.sin(grid)], axis=1)
-    width = np.empty(len(grid))
-    step = max(1, _BLOCK_ENTRIES // len(rel))
-    for lo in range(0, len(grid), step):
-        proj = rel @ U[lo:lo + step].T
-        width[lo:lo + step] = proj.max(axis=0) - proj.min(axis=0)
-    i = int(np.argmin(0.5 * width / space.dual_norms(U)))
-    a, b = grid[i] - math.pi / _GRID_ANGLES, grid[i] + math.pi / _GRID_ANGLES
-    gr = (math.sqrt(5.0) - 1.0) / 2.0
-    c, d = b - gr * (b - a), a + gr * (b - a)
-    fc, fd = _halfwidth(space, rel, c), _halfwidth(space, rel, d)
-    for _ in range(60):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - gr * (b - a)
-            fc = _halfwidth(space, rel, c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + gr * (b - a)
-            fd = _halfwidth(space, rel, d)
-    phi = (a + b) / 2
-    return (_halfwidth(space, rel, phi) / r,
-            np.array([-math.sin(phi), math.cos(phi)]))
+@pytest.mark.parametrize("p", [1.0, 4 / 3, 2.0, 4.0, math.inf])
+def test_beta_inf_2d_collinear_and_two_atom_balls_are_zero(p):
+    space = NormedSpace(2, p)
+    # collinear atoms on a dyadic grid, where every cross product is exact
+    t = np.array([-1.0, -0.5, 0.0, 0.25, 0.75, 1.0])[:, None]
+    for d in ([1.0, 0.0], [0.0, 1.0], [1.0, 3.0], [-0.5, 0.25]):
+        S = t * np.array(d) / 4 + [0.25, -0.5]
+        res = beta_inf(space, S, S[:3], 2.0, 1)
+        assert [b.value for b in res] == [0.0, 0.0, 0.0]
+        assert _brute_beta_inf_2d(space, S, S[0], 2.0) == 0.0
+        u = res[0].plane.basis[0]
+        assert u[0] * d[1] - u[1] * d[0] == pytest.approx(0.0, abs=1e-15)
+    # any two atoms: the second's projection is -e_x e_y + e_y e_x = 0
+    rng = np.random.default_rng(4)
+    for _ in range(20):
+        S = rng.standard_normal((2, 2))
+        assert beta_inf(space, S, S.mean(axis=0), 10.0, 1).value == 0.0
+    # collinear atoms off the grid: rounding only, and the walk ends
+    S = np.linspace(-1.0, 1.0, 301)[:, None] * [1.0, math.pi] / math.hypot(1.0, math.pi)
+    assert beta_inf(space, S, [0.1, 0.2], 1.5, 1).value < 1e-15
+
+
+@pytest.mark.parametrize("p", [1.0, 4 / 3, 2.0, math.inf])
+def test_beta_inf_2d_coincident_atoms(p):
+    # a ball whose atoms all coincide, or of one atom, has beta 0 and the
+    # normal angle 0: the line runs along (-sin 0, cos 0)
+    space = NormedSpace(2, p)
+    S = np.array([[0.3, 0.1], [0.3, 0.1], [0.3, 0.1], [5.0, 5.0]])
+    for x in ([0.3, 0.1], [0.0, 0.0], [5.0, 5.2]):
+        res = beta_inf(space, S, x, 0.5, 1)
+        assert res.value == 0.0 and not res.empty
+        assert res.plane.basis.tolist() == [[-0.0, 1.0]]
+        assert np.array_equal(res.plane.base, x)
+    # repeated atoms change no value and no line
+    T = next(_flat_sets(seed=17))
+    once = beta_inf(space, T, T[:3], 1.5, 1)
+    twice = beta_inf(space, np.concatenate([T, T[::-1], T[2:3]]), T[:3], 1.5, 1)
+    for a, b in zip(once, twice):
+        assert a.value == b.value
+        assert np.array_equal(a.plane.basis, b.plane.basis)
 
 
 @pytest.mark.parametrize("block_entries", [None, 1 << 15])
 @pytest.mark.parametrize("p", [1.0, 4 / 3, 2.0, 4.0, math.inf])
 def test_beta_inf_stack_matches_scalar_search(p, block_entries, monkeypatch):
     # stacks mixing an empty ball, a one-atom ball, repeated centers and
-    # balls of the 5- and 300-atom sets; 2^15 entries split the grid over
-    # several centers per block (5 atoms) and several blocks per center
-    # (300 atoms)
+    # balls of the 5- and 300-atom sets; 2^15 entries split the distance
+    # table over several blocks.  Each stacked result is the pair-normal
+    # oracle's value and, to the bit, the single-center call's result
     from betareif import measures
     if block_entries is not None:
         monkeypatch.setattr(measures, "_BLOCK_ENTRIES", block_entries)
@@ -288,19 +305,14 @@ def test_beta_inf_stack_matches_scalar_search(p, block_entries, monkeypatch):
         for r in (1.5, 0.4):
             res = beta_inf(space, S, X, r, 1)
             assert len(res) == len(X)
+            assert [b.empty for b in res] == [False] * 5 + [True, False]
             for x, got in zip(X, res):
-                want, direction = _scalar_beta_inf_2d(space, S, x, r)
-                assert got.value == want
-                assert got.empty == (direction is None)
-                if direction is not None:
-                    plane = affine_plane(space, x, direction[None, :])
-                    assert np.array_equal(got.plane.basis, plane.basis)
-                    assert np.array_equal(got.plane.base, x)
-            assert res[5].empty and not res[6].empty
-            one = beta_inf(space, S, X[1], r, 1)
-            assert isinstance(one, BetaInfResult)
-            assert one.value == res[1].value
-            assert np.array_equal(one.plane.basis, res[1].plane.basis)
+                assert got.value == pytest.approx(_brute_beta_inf_2d(space, S, x, r), rel=1e-12)
+                assert np.array_equal(got.plane.base, x)
+                one = beta_inf(space, S, x, r, 1)
+                assert isinstance(one, BetaInfResult)
+                assert one.value == got.value and one.empty == got.empty
+                assert np.array_equal(one.plane.basis, got.plane.basis)
     assert beta_inf(space, S, X[:0], 1.0, 1) == []
 
 
