@@ -209,10 +209,15 @@ def _check_args(args, space) -> float:
         raise _ValidationError(f"{args.command} needs chi in (0, 1/10], got {args.chi}")
     if args.command in ("cover", "pack") and args.max_depth < 0:
         raise _ValidationError(f"max-depth must be >= 0, got {args.max_depth}")
-    if args.command == "beta" and not (0 < args.r_lo < args.r_hi):
-        raise _ValidationError(f"need 0 < r_lo < r_hi, got r_lo={args.r_lo}, r_hi={args.r_hi}")
-    if args.command == "pack" and not (args.M >= 0):
-        raise _ValidationError(f"M must be >= 0, got {args.M}")
+    if args.command in ("cover", "pack") and not args.chi ** args.max_depth > 0:
+        # the precheck's floor scale chi^max_depth must not underflow to 0
+        raise _ValidationError(f"chi ** max-depth must be > 0, got {args.chi} ** {args.max_depth}")
+    if args.command == "beta" and not (0 < args.r_lo < args.r_hi < math.inf):
+        raise _ValidationError(f"need 0 < r_lo < r_hi < inf, got r_lo={args.r_lo}, r_hi={args.r_hi}")
+    if args.command == "pack" and not (0 <= args.M < math.inf):
+        raise _ValidationError(f"M must be a finite number >= 0, got {args.M}")
+    if args.command == "pack" and args.budget < 0:
+        raise _ValidationError(f"budget must be >= 0, got {args.budget}")
     return alpha
 
 

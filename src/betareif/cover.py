@@ -518,10 +518,14 @@ def covering_lemma(space: NormedSpace, mu: PointMeasure, r_s, k: int,
     """Run the multiscale covering construction on B_1(0).
 
     The atoms of mu form the generalized covering; r_s holds their radii
-    (0 for the zero part).  Executes, per stage: excess-set removal, the
-    Vitali selection of surviving original balls, the maximal 2r/5 net,
-    good/bad classification, and the sigma-map assembly from the good
-    balls' best planes; composes tau and evaluates the seven item checks.
+    (0 for the zero part).  The Dini precheck measures delta as the max
+    over x in supp mu cap B_1(0), where the lemma assumes the Dini bound, of
+    (int_{r_x}^{2} beta^alpha dr/r)^(1/alpha): it profiles only those
+    atoms, each ball over all of mu, and measures 0 when B_1(0) holds no
+    atom.  Executes, per stage: excess-set removal, the Vitali selection
+    of surviving original balls, the maximal 2r/5 net, good/bad
+    classification, and the sigma-map assembly from the good balls' best
+    planes; composes tau and evaluates the seven item checks.
     Another ball is reached by rescaling it to B_1(0), as `main_packing`
     does for its sub-coverings.
     """
@@ -541,9 +545,11 @@ def covering_lemma(space: NormedSpace, mu: PointMeasure, r_s, k: int,
     flags = []
     origin = np.zeros(space.dim)
 
-    # Dini precheck per atom: int_{r_s}^{2} beta^alpha dr/r at grid chi
-    profiles = dini_profile(space, mu, mu.points, np.maximum(rs, chi**cfg.max_depth),
-                            2.0, k, alpha, chi, seed=cfg.seed + np.arange(len(mu)))
+    # Dini precheck per atom of supp mu cap B_1(0): int_{r_s}^{2} beta^alpha
+    # dr/r at grid chi, seeded by the atom's index in mu
+    inside = np.flatnonzero(space.norms(mu.points) <= 1.0)
+    profiles = dini_profile(space, mu, mu.points[inside], np.maximum(rs[inside], chi**cfg.max_depth),
+                            2.0, k, alpha, chi, seed=cfg.seed + inside)
     measured = max((prof.dini_sum for prof in profiles), default=0.0)
     measured_delta = measured ** (1.0 / alpha) if measured > 0 else 0.0
     delta = cfg.delta if cfg.delta is not None else max(measured_delta, 1e-12)
@@ -749,6 +755,8 @@ def main_packing(space: NormedSpace, mu: PointMeasure, r_s, k: int,
     balls recursively per the inductive packing/measure claims; each level
     asserts claim A (measure) and claim B (packing) with the explicit
     constants.  Raises nothing on claim failure: results are flagged."""
+    if not 0 <= M < math.inf:
+        raise ValueError(f"M must be a finite number >= 0, got {M}")
     cfg = cfg or CoverConfig()
     # the per-atom M-hypothesis check is the covering precheck at _DELTA0 on
     # the rescaled measure

@@ -533,8 +533,8 @@ def dini_profile(space: NormedSpace, mu: PointMeasure, x, r_lo, r_hi: float,
     m = len(centers)
     lo = np.broadcast_to(np.asarray(r_lo, dtype=float), (m,))
     seeds = np.broadcast_to(np.asarray(seed), (m,))
-    if not ((0 < lo) & (lo < r_hi)).all():
-        raise ValueError("need 0 < r_lo < r_hi")
+    if not (math.isfinite(r_hi) and ((0 < lo) & (lo < r_hi)).all()):
+        raise ValueError("need 0 < r_lo < r_hi < inf")
     if not (0 < chi < 1):
         raise ValueError("need 0 < chi < 1")
     if m == 0:

@@ -157,6 +157,11 @@ def test_format_flag_only_where_it_acts(planar_json, tmp_path, capsys, argv):
     ["goodball", "--k", "2", "--chi", "0.5"],
     ["cover", "--k", "2", "--max-depth", "-1"],
     ["pack", "--k", "2", "--max-depth", "-1"],
+    ["beta", "--r-hi", "inf"],      # the Dini scale grid grew without end
+    ["pack", "--M", "inf"],         # the mass scale delta0^2/M was 0
+    ["pack", "--budget", "-1"],
+    ["cover", "--k", "2", "--max-depth", "400"],    # 0.1 ** 400 == 0.0
+    ["pack", "--k", "2", "--max-depth", "400"],
 ])
 def test_exit_code_on_out_of_range_flag(planar_json, argv, capsys):
     # planar_json lives in R^3, so k = 3 is out of range

@@ -297,6 +297,14 @@ def test_main_packing_point_measure_ledger(l2_plane):
     assert "recursion budget exhausted with bad balls remaining" in res.flags
 
 
+@pytest.mark.parametrize("M", [math.inf, math.nan, -1.0])
+def test_main_packing_rejects_M(l2_plane, M):
+    # M = inf made the mass scale delta0^2/M zero, and the weights with it
+    mu = PointMeasure([[0.0, 0.0]], [1.0])
+    with pytest.raises(ValueError, match="M must be a finite number >= 0"):
+        main_packing(l2_plane, mu, [0.0], 1, M=M)
+
+
 def test_main_packing_trivial_planar_path():
     s3 = NormedSpace(3, 2)
     rng = np.random.default_rng(1)
@@ -639,6 +647,92 @@ def test_covering_flags_the_dini_precheck():
     res = covering_lemma(NormedSpace(3, 4), l4_saddle_21(), np.zeros(21), 2,
                          CoverConfig(chi=0.1, delta=1e-6, max_depth=2))
     assert "dini precheck: measured delta 0.000156 exceeds configured 1e-06" in res.flags
+
+
+def _straddling_arc():
+    """Ten atoms on a shallow arc inside B_1(0), a cluster of four
+    non-collinear atoms just past the unit sphere and one more atom on the
+    other side: the cluster's own small balls have large beta, so its
+    atoms carry the largest Dini sums of the measure."""
+    t = np.linspace(-0.9, 0.9, 10)
+    arc = np.stack([t, 0.05 * np.sin(3 * t)], axis=1)
+    outside = np.array([[1.25, 0.1], [1.35, -0.1], [1.3, 0.12], [1.4, 0.0], [-1.3, 0.0]])
+    pts = np.concatenate([arc, outside])
+    return PointMeasure(pts, np.full(len(pts), 0.1))
+
+
+_PRECHECK_CFG = CoverConfig(chi=0.1, max_depth=2, delta=0.05)
+
+
+@pytest.mark.parametrize("p", [2.0, 4.0])
+def test_dini_precheck_scopes_to_support_in_unit_ball(p):
+    # oracle: one single-centre profile per atom of norm <= 1, over all of
+    # mu, with the atom's own index as seed
+    space, mu, cfg = NormedSpace(2, p), _straddling_arc(), _PRECHECK_CFG
+    rs = np.zeros(len(mu))
+    alpha = cfg.resolve_alpha(space)
+
+    def dini(i):
+        return measures.dini_profile(space, mu, mu.points[i], max(rs[i], cfg.chi**cfg.max_depth),
+                                     2.0, 1, alpha, cfg.chi, seed=cfg.seed + i).dini_sum
+
+    inside = np.flatnonzero(space.norms(mu.points) <= 1.0)
+    assert inside.tolist() == list(range(10))
+    oracle = max(dini(i) for i in inside) ** (1 / alpha)
+    assert covering_lemma(space, mu, rs, 1, cfg).measured_delta == oracle
+    # the atoms past the unit sphere would have set it
+    assert max(dini(i) for i in range(len(mu))) ** (1 / alpha) > 5 * oracle
+
+
+@pytest.mark.parametrize("p", [2.0, 4.0])
+def test_dini_precheck_ignores_a_far_cluster(p):
+    # four non-collinear atoms at norm >= 5 lie more than 2 from B_1(0), so
+    # no profiled ball reaches them.  Profiling every atom raised the arc's
+    # measured delta from 0.0105 to 0.381 at p = 2 (0.0103 to 0.334 at
+    # p = 4) and flagged it against the configured 0.05
+    space, cfg = NormedSpace(2, p), _PRECHECK_CFG
+    mu = PointMeasure(_straddling_arc().points[:10], np.full(10, 0.1))
+    far = np.array([[5.0, 0.0], [5.1, 0.0], [5.05, 0.09], [5.02, -0.05]])
+    with_far = PointMeasure(np.concatenate([mu.points, far]),
+                            np.concatenate([mu.weights, np.full(4, 0.1)]))
+    base = covering_lemma(space, mu, np.zeros(len(mu)), 1, cfg)
+    res = covering_lemma(space, with_far, np.zeros(len(with_far)), 1, cfg)
+    assert res.measured_delta == base.measured_delta < cfg.delta
+    assert res.flags == base.flags
+    assert not any(f.startswith("dini precheck") for f in res.flags)
+
+
+def test_dini_precheck_with_no_atom_in_unit_ball():
+    space = NormedSpace(2, 2)
+    far = PointMeasure([[5.0, 0.0], [5.1, 0.0], [5.05, 0.09], [5.02, -0.05]], np.full(4, 0.1))
+    res = covering_lemma(space, far, np.zeros(4), 1, CoverConfig(chi=0.1, max_depth=2, delta=1e-6))
+    assert res.measured_delta == 0.0
+    assert not any(f.startswith("dini precheck") for f in res.flags)
+
+
+def test_packing_precheck_profiles_only_the_unit_ball(monkeypatch):
+    # each sub-covering gets every atom with r_s < rho, rescaled so that
+    # B_rho(x) becomes B_1(0); its precheck profiles the atoms of norm <= 1
+    # of that rescaled measure, seeded by their indices in it.  The counts
+    # repeat exactly: profiling every atom took 85,400 centres in the same
+    # 427 calls
+    cfg = CoverConfig(chi=0.1, delta=0.1, max_depth=3)
+    calls = []
+    dini_profile = cover.dini_profile
+
+    def recording(space, mu, x, *args, seed, **kwargs):
+        inside = np.flatnonzero(space.norms(mu.points) <= 1.0)
+        assert np.array_equal(x, mu.points[inside])
+        assert np.array_equal(seed, cfg.seed + inside)
+        calls.append((len(x), len(mu)))
+        return dini_profile(space, mu, x, *args, seed=seed, **kwargs)
+
+    monkeypatch.setattr(cover, "dini_profile", recording)
+    main_packing(NormedSpace(3, 2), graph_measure_200(kappa=0.01), np.zeros(200), 2,
+                 M=0.01, cfg=cfg, budget=2)
+    assert len(calls) == 427
+    assert sum(n for n, _ in calls) == 626
+    assert sum(m for _, m in calls) == 85_400
 
 
 def test_pad_to_dim_keeps_rows_and_adds_orthogonal_units():

@@ -390,6 +390,10 @@ def test_dini_profile_validation(l2_plane):
         dini_profile(l2_plane, mu, [0, 0], 1.0, 0.5, 1, 2.0, 0.5)
     with pytest.raises(ValueError):
         dini_profile(l2_plane, mu, [0, 0], 0.1, 1.0, 1, 2.0, 1.5)
+    # a non-finite r_hi would grow the scale grid r_hi chi^j without end
+    for r_lo, r_hi in [(0.1, math.inf), (0.1, math.nan)]:
+        with pytest.raises(ValueError, match="r_hi < inf"):
+            dini_profile(l2_plane, mu, [0, 0], r_lo, r_hi, 1, 2.0, 0.5)
 
 
 def _cloud_with_sparse_balls(seed):
