@@ -662,6 +662,7 @@ def _straddling_arc():
 
 
 _PRECHECK_CFG = CoverConfig(chi=0.1, max_depth=2, delta=0.05)
+_FAR_CLUSTER = np.array([[5.0, 0.0], [5.1, 0.0], [5.05, 0.09], [5.02, -0.05]])
 
 
 @pytest.mark.parametrize("p", [2.0, 4.0])
@@ -692,8 +693,7 @@ def test_dini_precheck_ignores_a_far_cluster(p):
     # p = 4) and flagged it against the configured 0.05
     space, cfg = NormedSpace(2, p), _PRECHECK_CFG
     mu = PointMeasure(_straddling_arc().points[:10], np.full(10, 0.1))
-    far = np.array([[5.0, 0.0], [5.1, 0.0], [5.05, 0.09], [5.02, -0.05]])
-    with_far = PointMeasure(np.concatenate([mu.points, far]),
+    with_far = PointMeasure(np.concatenate([mu.points, _FAR_CLUSTER]),
                             np.concatenate([mu.weights, np.full(4, 0.1)]))
     base = covering_lemma(space, mu, np.zeros(len(mu)), 1, cfg)
     res = covering_lemma(space, with_far, np.zeros(len(with_far)), 1, cfg)
@@ -704,7 +704,7 @@ def test_dini_precheck_ignores_a_far_cluster(p):
 
 def test_dini_precheck_with_no_atom_in_unit_ball():
     space = NormedSpace(2, 2)
-    far = PointMeasure([[5.0, 0.0], [5.1, 0.0], [5.05, 0.09], [5.02, -0.05]], np.full(4, 0.1))
+    far = PointMeasure(_FAR_CLUSTER, np.full(4, 0.1))
     res = covering_lemma(space, far, np.zeros(4), 1, CoverConfig(chi=0.1, max_depth=2, delta=1e-6))
     assert res.measured_delta == 0.0
     assert not any(f.startswith("dini precheck") for f in res.flags)
