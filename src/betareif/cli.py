@@ -214,8 +214,6 @@ def _check_args(args, space) -> float:
         raise _ValidationError(f"chi ** max-depth must be > 0, got {args.chi} ** {args.max_depth}")
     if args.command == "beta" and not (0 < args.r_lo < args.r_hi < math.inf):
         raise _ValidationError(f"need 0 < r_lo < r_hi < inf, got r_lo={args.r_lo}, r_hi={args.r_hi}")
-    if args.command == "pack" and not (0 <= args.M < math.inf):
-        raise _ValidationError(f"M must be a finite number >= 0, got {args.M}")
     if args.command == "pack" and args.budget < 0:
         raise _ValidationError(f"budget must be >= 0, got {args.budget}")
     return alpha
@@ -273,8 +271,11 @@ def _dispatch(args) -> int:
             res = covering_lemma(space, mu, rs, args.k, cfg)
             _write(args.out, emit_report(res, "json"))
             return 3 if res.estimate_violated else 0
-        res = main_packing(space, mu, rs, args.k,
-                           M=args.M, cfg=cfg, budget=args.budget)
+        try:
+            res = main_packing(space, mu, rs, args.k,
+                               M=args.M, cfg=cfg, budget=args.budget)
+        except ValueError as e:     # M out of range, or too small for the measure's mass
+            raise _ValidationError(str(e))
         _write(args.out, emit_report(res, "json"))
         return 3 if not res.valid else 0
 

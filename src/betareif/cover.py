@@ -757,6 +757,9 @@ def main_packing(space: NormedSpace, mu: PointMeasure, r_s, k: int,
     constants.  Raises nothing on claim failure: results are flagged."""
     if not 0 <= M < math.inf:
         raise ValueError(f"M must be a finite number >= 0, got {M}")
+    scale = _DELTA0**2 / M if M > 0 else 1.0
+    if not math.isfinite(scale * mu.total_mass):
+        raise ValueError(f"M = {M} is too small: the rescaled mass delta0^2/M * mu(R^n) overflows")
     cfg = cfg or CoverConfig()
     # the per-atom M-hypothesis check is the covering precheck at _DELTA0 on
     # the rescaled measure
@@ -764,7 +767,6 @@ def main_packing(space: NormedSpace, mu: PointMeasure, r_s, k: int,
     chi = cfg.chi
     rs = np.asarray(r_s, dtype=float).reshape(-1)
     flags = []
-    scale = _DELTA0**2 / M if M > 0 else 1.0
     mu_s = PointMeasure(mu.points, mu.weights * scale)
     pts = mu_s.points
     ledger = cfg.ledger(space, k)
@@ -795,9 +797,19 @@ def main_packing(space: NormedSpace, mu: PointMeasure, r_s, k: int,
     for level in range(1, budget + 1):
         if not bads:
             break
-        new_bads = []
+        new_bads, unrefined = [], 0
         for b in bads:
             c, r = b.center, b.radius
+            # each sub-covering runs on B_1(0): scale B_rho(x) down to it and
+            # its balls and witness planes back up
+            rho = chi * r
+            small = rs < rho
+            with np.errstate(over="ignore", divide="ignore"):
+                sub_w = mu_s.weights[small] / rho**k
+                if not np.isfinite(sub_w.sum()):    # the ball stays bad, unrefined
+                    new_bads.append(b)
+                    unrefined += 1
+                    continue
             V = best_plane(space, mu_s.subset(rs < r), c, r, k, seed=cfg.seed + level).plane
             # original balls with chi r <= r_s < r near V (Vitali)
             d_to_V = distances_to_affine(space, V, pts)
@@ -815,14 +827,9 @@ def main_packing(space: NormedSpace, mu: PointMeasure, r_s, k: int,
             net = _farthest_net(space, net_pts, 2 * chi * r / 5.0)
             if len(net) > C.c_packing_count(k) * chi ** (1 - k):
                 flags.append(f"level {level}: net size {len(net)} exceeds c_B chi^(1-k)")
-            # each sub-covering runs on B_1(0): scale B_rho(x) down to it and
-            # its balls and witness planes back up
-            rho = chi * r
-            small = rs < rho
             for j in net:
                 x = net_pts[j]
-                sub = covering_lemma(space, PointMeasure((pts[small] - x) / rho,
-                                                         mu_s.weights[small] / rho**k),
+                sub = covering_lemma(space, PointMeasure((pts[small] - x) / rho, sub_w),
                                      rs[small] / rho, k, cfg)
                 kept_all.extend((kc * rho + x, kr * rho) for kc, kr in sub.kept_originals)
                 flags.extend(f"level {level}: {f}" for f in sub.flags)
@@ -832,6 +839,9 @@ def main_packing(space: NormedSpace, mu: PointMeasure, r_s, k: int,
                     sb.witness_plane = AffinePlane(sb.witness_plane.base * rho + x,
                                                    sb.witness_plane.basis)
                 new_bads.extend(sub.bad_balls)
+        if unrefined:
+            flags.append(f"level {level}: {unrefined} bad balls not refined: the rescaled "
+                         "mass of their sub-coverings overflows")
         bads = new_bads
         levels.append(_packing_level(space, mu_s, rs, level, kept_all, bads, k))
     valid = all(l.claim_A_ok and l.claim_B_S_ok and l.claim_B_bad_ok for l in levels)

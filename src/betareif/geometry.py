@@ -230,17 +230,13 @@ def _dists_hyperplane(space, bases, rows, Z):
     s_val = ((Z[None, :, :] - bases[:, None, :]) @ a[:, :, None])[:, :, 0]
     A = np.abs(a)
     q = space.q
+    dq = _row_dual_norms(space, a)
     if q == math.inf:           # p = 1: move along max-|a| coordinates, split ties
-        dq = A.max(axis=1)
         ties = A >= dq[:, None] * (1 - 1e-12)
         w = np.where(ties, np.sign(a) / (ties.sum(axis=1) * dq)[:, None], 0.0)
     elif q == 1.0:              # p = inf: move every supported coordinate
-        dq = A.sum(axis=1)
         w = np.sign(a) / dq[:, None]
     else:
-        # the root per element, as `space.dual_norm` takes it (an array
-        # power can differ from it by an ulp)
-        dq = np.array([t ** (1.0 / q) for t in (A ** q).sum(axis=1)])
         w = np.sign(a) * A ** (q - 1.0)
         w = w / np.maximum(space.norms(w), 1e-300)[:, None]  # Hoelder-extremal unit direction
     aw = (a[:, None, :] @ w[:, :, None])[:, 0, 0]  # rescale so the foot lands exactly on the plane
@@ -248,27 +244,28 @@ def _dists_hyperplane(space, bases, rows, Z):
     return np.abs(s_val) / dq[:, None], feet
 
 
+def _row_dual_norms(space, A):
+    """||a_i||_q for the rows a_i of A, the same to the bit whatever the
+    stack: the root is taken per element (an array power can differ from
+    it by an ulp)."""
+    q = space.q
+    if q == 1.0 or q == math.inf:
+        return space.dual_norms(A)
+    return np.array([t ** (1.0 / q) for t in (np.abs(A) ** q).sum(axis=1)])
+
+
 def _dist_lp_linprog(space, M, w):
-    """Epigraph LP for min ||w - M lam||_p, p in {1, inf}, least-l2 tie-break."""
+    """Epigraph LP for min ||w - M lam||_p, p in {1, inf}: the coefficients
+    of its optimal vertex."""
     n, k = M.shape
-    p = space.p
     # variables (lam, s): min sum s, -S s <= w - M lam <= S s, with one
     # slack per coordinate for p = 1 and one shared slack for p = inf
-    S = np.eye(n) if p == 1.0 else np.ones((n, 1))
+    S = np.eye(n) if space.p == 1.0 else np.ones((n, 1))
     c = np.concatenate([np.zeros(k), np.ones(S.shape[1])])
     A = np.block([[-M, -S], [M, -S]])
-    b = np.concatenate([-w, w])
-    res = linprog(c, A_ub=A, b_ub=b, bounds=[(None, None)] * len(c), method="highs")
-    lam0, dstar = res.x[:k], res.fun
-    # least-l2 foot among minimizers: min ||w - M lam||_2^2 over the
-    # sublevel set ||w - M lam||_p <= d*, that is the LP's own constraints
-    # with the objective held at d* (for p = inf it is the box |r_i| <= d*)
-    tol = dstar + 1e-10 + 1e-9 * abs(dstar)
-    cons = [{"type": "ineq", "fun": lambda x: b - A @ x, "jac": lambda x: -A},
-            {"type": "ineq", "fun": lambda x: tol - c @ x, "jac": lambda x: -c}]
-    r2 = minimize(lambda x: np.sum((w - M @ x[:k]) ** 2), res.x, method="SLSQP",
-                  constraints=cons, options={"maxiter": 200, "ftol": 1e-14})
-    return r2.x[:k] if r2.success else lam0
+    res = linprog(c, A_ub=A, b_ub=np.concatenate([-w, w]),
+                  bounds=[(None, None)] * len(c), method="highs")
+    return res.x[:k]
 
 
 def _dist_newton_batch(space, M, W, lam):
@@ -348,8 +345,8 @@ def distance_to_affine(space: NormedSpace, plane: AffinePlane, z) -> tuple[float
 
     Closed form for points, for p = 2 and for hyperplanes; damped Newton
     from the l^2 foot for 1 < p < inf; for p in {1, inf} the exact
-    breakpoint minimum on lines and an epigraph LP with the least-l2
-    tie-break for 2 <= k <= n - 2."""
+    breakpoint minimum on lines and the optimal vertex of an epigraph LP
+    for 2 <= k <= n - 2."""
     d, feet = _dists_to_flat_batch(space, plane.base, plane.basis, z)
     return float(d[0]), feet[0]
 
@@ -514,21 +511,10 @@ def make_projection(space: NormedSpace, V: AffinePlane, kind: str) -> AlmostProj
         for i in range(k):
             Phi[i] = _min_dual_norm_extension(space, Wrows, np.eye(k)[i])
         P = Wrows.T @ Phi
+        # unit rows w_i: ||Px|| <= sum |<phi_i, x>| ||w_i|| <= sum ||phi_i||_q ||x||
         bound = float(sum(space.dual_norm(Phi[i]) for i in range(k)))
-        emp = _empirical_op_norm(space, P)
-        return AlmostProjection(Wrows, Phi, kind, float(max(bound, emp)), P)
+        return AlmostProjection(Wrows, Phi, kind, bound, P)
     raise ValueError(f"unknown projection kind {kind!r}")
-
-
-def _empirical_op_norm(space, P) -> float:
-    n = space.dim
-    dirs = [np.eye(n), -np.eye(n)]
-    rng = np.random.default_rng(0)
-    dirs.append(rng.standard_normal((2048, n)))
-    U = np.vstack(dirs)
-    nu = space.norms(U)
-    U = U[nu > 1e-12] / nu[nu > 1e-12, None]
-    return float((space.norms(U @ P.T)).max())
 
 
 # ---------------------------------------------------------------------------

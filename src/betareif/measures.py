@@ -13,7 +13,7 @@ import numpy as np
 
 from .constants import norm_equivalence
 from .geometry import (AffinePlane, _dists_to_flat_batch, _dists_to_flats,
-                       distances_to_affine)
+                       _row_dual_norms, distances_to_affine)
 from .spaces import NormedSpace, real_number
 
 __all__ = [
@@ -484,16 +484,6 @@ def _hull_edges(space, REL, starts):
         best[rows[gain]], edges[rows[gain]] = score[gain], e[gain]
         V, D, left = W, e, left - 1
         go = ~(W == home).all(axis=1) & (left > 0)
-
-
-def _row_dual_norms(space, A):
-    """||a_i||_q for the rows a_i of A, the same to the bit whatever the
-    stack: the root is taken per element (an array power can differ from
-    it by an ulp)."""
-    q = space.q
-    if q == 1.0 or q == math.inf:
-        return space.dual_norms(A)
-    return np.array([t ** (1.0 / q) for t in (np.abs(A) ** q).sum(axis=1)])
 
 
 def _minimax_refine(space, base, basis, pts):

@@ -500,6 +500,32 @@ def test_pack_cli_exit_three(tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("M,code", [(5e-324, 2), (1e-310, 3)])
+def test_pack_cli_too_small_M(tmp_path, capsys, M, code):
+    # on a 5-atom segment, M = 5e-324 makes the mass scale delta0^2/M inf,
+    # and at M = 1e-310 the weights w / rho^k of the level-1 sub-covering
+    # overflow: an error line, or a flagged bad ball that stays bad, and
+    # neither a traceback nor a warning
+    import json as _json
+    import warnings
+    mu = PointMeasure([[x, 0.0] for x in (0.0, 0.1, -0.1, 0.2, -0.2)], np.full(5, 0.2))
+    path, out = tmp_path / "segment.json", tmp_path / "pack.json"
+    path.write_text(_json.dumps(mu.to_json(NormedSpace(2, 2))))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["pack", str(path), "--k", "1", "--M", str(M), "--out", str(out)]) == code
+    if code == 2:
+        assert capsys.readouterr().err.startswith("error: M = 5e-324 is too small")
+        assert not out.exists()
+    else:
+        text = out.read_text()
+        assert "nan" not in text and "inf" not in text
+        doc = _json.loads(text)
+        assert doc["valid"] is False
+        assert ("level 1: 1 bad balls not refined: the rescaled mass of their "
+                "sub-coverings overflows") in doc["flags"]
+
+
 def test_covering_l3_curve_j_projection_path():
     # k = 1 in a smooth non-Hilbert space: sigma stages use J-projections
     s = NormedSpace(2, 3)

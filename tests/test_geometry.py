@@ -6,7 +6,7 @@ import pytest
 
 from betareif.constants import c1, c2, c3, stability_constant
 from betareif.geometry import (_dist_newton_batch, _dists_hyperplane, _dists_to_flat_batch,
-                               _dists_to_flats, affine_plane, distance_to_affine,
+                               _dists_to_flats, _duality_rows, affine_plane, distance_to_affine,
                                distances_to_affine, general_position_margin,
                                grassmann_distance, graph_check,
                                hausdorff_distance, make_projection,
@@ -223,8 +223,9 @@ def test_distance_dispatch_matches_batch_and_brute_force(p, n, k):
     # distance_to_affine is the one-row case of the batch, to the bit; a
     # row of a larger batch may differ from it by an ulp (by the stopping
     # tolerance after Newton), since numpy's products take other kernels
-    # for other row counts.  For p = 1 the LP tie-break must keep the foot
-    # in the l^1 ball sum |r_i| <= d*, not in the box |r_i| <= d*.
+    # for other row counts.  For p in {1, inf} and 2 <= k <= n - 2 the
+    # solver's foot is the LP's optimal vertex, so the distance is the LP
+    # optimum to rounding.
     s = NormedSpace(n, p)
     rng = np.random.default_rng([n, k, 7])
     pl = affine_plane(s, rng.standard_normal(n), rng.standard_normal((k, n)))
@@ -236,7 +237,10 @@ def test_distance_dispatch_matches_batch_and_brute_force(p, n, k):
         assert type(d) is float
         assert np.array_equal(np.float64(d), bd[0])
         assert np.array_equal(foot, bfeet[0])
-        assert d == pytest.approx(_brute_distance(s, pl, z, rng), abs=1e-6)
+        brute = _brute_distance(s, pl, z, rng)
+        assert d == pytest.approx(brute, abs=1e-6)
+        if p in (1.0, math.inf) and 2 <= k <= n - 2:
+            assert d <= brute * (1 + 1e-11) + 1e-14     # 1e-14: the row on the plane
         # the foot lies on the plane and realizes the distance
         off = foot - pl.base
         if k == 0:
@@ -456,18 +460,28 @@ def test_j_projection_requires_line():
                         "j_projection")
 
 
-def test_hahn_banach_projection_l4():
-    s = NormedSpace(3, 4)
-    V = affine_plane(s, np.zeros(3), [[1, 1, 0], [0, 1, 1]])
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 4.0, math.inf])
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_hahn_banach_projection(k, p):
+    s = NormedSpace(3, p)
+    V = affine_plane(s, np.zeros(3), np.array([[1, 1, 0], [0, 1, 1]])[:k])
     pj = make_projection(s, V, "hahn_banach")
     # restriction is the identity on the target
     for v in V.basis:
         assert np.allclose(pj.apply(v), v, atol=1e-9)
-    # empirical operator norm on a sphere net stays under 10
+    # the estimate is the Hoelder bound sum ||phi_i||_q, and the operator
+    # norm sampled on a sphere net stays under it
+    assert pj.op_norm_estimate == sum(s.dual_norm(phi) for phi in pj.row_functionals)
     net = sphere_net(s, np.eye(3), 4096)
     emp = s.norms(pj.apply(net)).max()
-    assert emp <= 10.0
-    assert pj.op_norm_estimate >= emp - 1e-12
+    assert emp <= pj.op_norm_estimate * (1 + 1e-12)
+    assert pj.op_norm_estimate <= 10.0
+    if k == 0:
+        assert not pj.matrix.any()
+    if p == 2.0:        # the minimal-norm extension is the orthogonal projector
+        Q = np.linalg.qr(V.basis.T)[0]
+        assert np.allclose(pj.matrix, Q @ Q.T, rtol=0, atol=1e-15)
+        assert pj.op_norm_estimate == pytest.approx(k, rel=1e-15)
 
 
 @pytest.mark.parametrize("p", [1.0, math.inf])
@@ -516,6 +530,18 @@ def test_pythagorean_j_projection_holds():
     assert rep.violations == 0
     assert rep.max_ratio_general <= 1.0
     assert rep.max_ratio_improved <= 1.0
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 4.0])
+def test_pythagorean_hahn_banach_pairs_with_the_duality_map(p):
+    # the report pairs with `_duality_rows`, the duality map row by row
+    s = NormedSpace(3, p)
+    V = affine_plane(s, np.zeros(3), [[1, 0.5, 0], [0, 1, -0.5]])
+    pj = make_projection(s, V, "hahn_banach")
+    X = pj.apply(np.random.default_rng(0).standard_normal((200, 3)))
+    J = np.array([s.duality_map(x).coefficients for x in X])
+    np.testing.assert_allclose(_duality_rows(s, X), J, rtol=1e-15 if p == 4.0 else 0.0, atol=0.0)
+    assert pythagorean_report(s, pj, samples=2000, seed=3).violations == 0
 
 
 def test_pythagorean_x_in_V_both_sides_zero():
