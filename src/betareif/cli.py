@@ -1,7 +1,7 @@
 """Command-line front end: ingest measures/sets, run analyses, emit reports.
 
-Exit codes: 0 success, 2 validation error (malformed JSON, bad flags),
-3 estimate-violated runs.
+Exit codes: 0 success, 2 validation error (malformed JSON, bad flags,
+a path that cannot be read or written), 3 estimate-violated runs.
 """
 
 from __future__ import annotations
@@ -26,17 +26,14 @@ from .spaces import NormedSpace
 __all__ = ["main", "run"]
 
 
-def _parse_space(text: str) -> NormedSpace:
-    return NormedSpace.from_descriptor(json.loads(text))
-
-
 def _load_measure(path: str):
-    with open(path) as fh:
-        text = fh.read()
     try:
-        doc = json.loads(text)
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
     except json.JSONDecodeError as e:
         raise _ValidationError(f"{path}: invalid JSON at line {e.lineno} column {e.colno}")
+    except UnicodeDecodeError as e:
+        raise _ValidationError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})")
     try:
         return PointMeasure.from_json(doc)
     except (KeyError, ValueError) as e:
@@ -64,6 +61,14 @@ def _count(text) -> int:
     return n
 
 
+def _seed(text) -> int:
+    """An integer >= 0."""
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text}")
+    return n
+
+
 def _exponent(text) -> float:
     """An l^p exponent: a number >= 1 or inf."""
     p = float(text)
@@ -88,16 +93,23 @@ def _write(out_path, data: bytes):
         sys.stdout.buffer.write(data)
 
 
-def _add_common(sp):
+# the analysis flags; each measure command takes those it reads
+_ANALYSIS_FLAGS = {"--alpha": {"default": "auto"}, "--delta": {"type": float},
+                   "--theta": {"type": float}, "--max-depth": {"type": int, "default": 6},
+                   "--seed": {"type": _seed, "default": 0}}
+
+
+def _measure_parser(sub, name, summary, *flags):
+    """A measure command: the input, the flags every one reads, and `flags`."""
+    sp = sub.add_parser(name, help=summary)
+    sp.add_argument("input")
     sp.add_argument("--space", help="space descriptor JSON (overrides the measure's)")
     sp.add_argument("--k", type=int, default=1)
-    sp.add_argument("--alpha", default="auto")
     sp.add_argument("--chi", type=float, default=0.1)
-    sp.add_argument("--delta", type=float, default=None)
-    sp.add_argument("--theta", type=float, default=None)
-    sp.add_argument("--max-depth", type=int, default=6)
-    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", default=None)
+    for flag in flags:
+        sp.add_argument(flag, **_ANALYSIS_FLAGS[flag])
+    return sp
 
 
 def _build_parser():
@@ -105,24 +117,17 @@ def _build_parser():
                                  description="beta-numbers and Reifenberg coverings in l^p spaces")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    b = sub.add_parser("beta", help="per-atom Dini profiles (CSV)")
-    b.add_argument("input")
+    b = _measure_parser(sub, "beta", "per-atom Dini profiles (CSV)", "--alpha", "--seed")
     b.add_argument("--atom", type=int, default=None, help="profile a single atom index")
     b.add_argument("--r-lo", type=float, default=1 / 16)
     b.add_argument("--r-hi", type=float, default=2.0)
     b.add_argument("--format", choices=("json", "csv"), default="json",
                    help="report of --atom (the all-atom table is always CSV)")
-    _add_common(b)
 
-    c = sub.add_parser("cover", help="run the covering lemma (JSON report)")
-    c.add_argument("input")
-    _add_common(c)
-
-    p = sub.add_parser("pack", help="run the packing driver (JSON report)")
-    p.add_argument("input")
+    _measure_parser(sub, "cover", "run the covering lemma (JSON report)", *_ANALYSIS_FLAGS)
+    p = _measure_parser(sub, "pack", "run the packing driver (JSON report)", *_ANALYSIS_FLAGS)
     p.add_argument("--M", type=float, default=0.01)
     p.add_argument("--budget", type=int, default=4)
-    _add_common(p)
 
     s = sub.add_parser("snowflake", help="generate snowflakes and lengths")
     s.add_argument("--p", type=_exponent, default=2.0)
@@ -138,7 +143,7 @@ def _build_parser():
     m.add_argument("--t-list", type=_positives, default="0.05,0.1,0.3")
     m.add_argument("--dim", type=_count, default=3)
     m.add_argument("--samples", type=_count, default=10000)
-    m.add_argument("--seed", type=int, default=0)
+    m.add_argument("--seed", type=_seed, default=0)
     m.add_argument("--out", default=None)
 
     n = sub.add_parser("nopowergain", help="det certificate + witness scan (JSON)")
@@ -146,11 +151,9 @@ def _build_parser():
     n.add_argument("--grid-step", type=_positive, default=0.05)
     n.add_argument("--out", default=None)
 
-    g = sub.add_parser("goodball", help="classify one ball (JSON)")
-    g.add_argument("input")
+    g = _measure_parser(sub, "goodball", "classify one ball (JSON)", "--theta")
     g.add_argument("--center", default=None, help="JSON list, default origin")
     g.add_argument("--r", type=_positive, default=1.0)
-    _add_common(g)
     return ap
 
 
@@ -171,12 +174,16 @@ def _parse_eta(spec_text: str, depth: int):
 
 
 def _space_from_args(args, default_space):
-    if getattr(args, "space", None):
-        try:
-            return _parse_space(args.space)
-        except (json.JSONDecodeError, ValueError, KeyError) as e:
-            raise _ValidationError(f"--space: {e}")
-    return default_space
+    if not args.space:
+        return default_space
+    try:
+        space = NormedSpace.from_descriptor(json.loads(args.space))
+    except (json.JSONDecodeError, ValueError, KeyError) as e:
+        raise _ValidationError(f"--space: {e}")
+    if space.dim != default_space.dim:
+        raise _ValidationError(f"--space: dim {space.dim} does not match "
+                               f"the measure's dim {default_space.dim}")
+    return space
 
 
 def _parse_center(text: str, dim: int) -> np.ndarray:
@@ -189,32 +196,34 @@ def _parse_center(text: str, dim: int) -> np.ndarray:
     return c
 
 
-def _check_args(args, space) -> float:
-    """Bounds of the analysis flags that argparse's types do not give.
-    Returns the resolved alpha."""
-    try:
-        alpha = CoverConfig(alpha=args.alpha).resolve_alpha(space)
-    except ValueError:
-        raise _ValidationError(f"alpha must be 'auto' or a finite number > 0, got {args.alpha!r}")
+def _check_args(args, space):
+    """Bounds that argparse's types do not give, of each flag the command
+    has.  Returns the resolved alpha (None without --alpha)."""
+    alpha = None
+    if hasattr(args, "alpha"):
+        try:
+            alpha = CoverConfig(alpha=args.alpha).resolve_alpha(space)
+        except ValueError:
+            raise _ValidationError(f"alpha must be 'auto' or a finite number > 0, got {args.alpha!r}")
     for name in ("delta", "theta"):
-        value = getattr(args, name)
+        value = getattr(args, name, None)
         if value is not None and not (math.isfinite(value) and value > 0):
             raise _ValidationError(f"{name} must be a finite number > 0, got {value}")
     if not (0 <= args.k < space.dim):
         raise _ValidationError(f"k must satisfy 0 <= k < dim = {space.dim}, got {args.k}")
     if not (0 < args.chi < 1):
         raise _ValidationError(f"chi must lie in (0, 1), got {args.chi}")
-    if args.command in ("cover", "pack", "goodball") and args.chi > 0.1:
+    if args.command != "beta" and args.chi > 0.1:
         # classify_ball's good-ball conditions need chi <= 1/10
         raise _ValidationError(f"{args.command} needs chi in (0, 1/10], got {args.chi}")
-    if args.command in ("cover", "pack") and args.max_depth < 0:
+    if hasattr(args, "max_depth") and args.max_depth < 0:
         raise _ValidationError(f"max-depth must be >= 0, got {args.max_depth}")
-    if args.command in ("cover", "pack") and not args.chi ** args.max_depth > 0:
+    if hasattr(args, "max_depth") and not args.chi ** args.max_depth > 0:
         # the precheck's floor scale chi^max_depth must not underflow to 0
         raise _ValidationError(f"chi ** max-depth must be > 0, got {args.chi} ** {args.max_depth}")
-    if args.command == "beta" and not (0 < args.r_lo < args.r_hi < math.inf):
+    if hasattr(args, "r_lo") and not (0 < args.r_lo < args.r_hi < math.inf):
         raise _ValidationError(f"need 0 < r_lo < r_hi < inf, got r_lo={args.r_lo}, r_hi={args.r_hi}")
-    if args.command == "pack" and args.budget < 0:
+    if hasattr(args, "budget") and args.budget < 0:
         raise _ValidationError(f"budget must be >= 0, got {args.budget}")
     return alpha
 
@@ -230,17 +239,19 @@ def run(argv) -> int:
     except _ValidationError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except FileNotFoundError as e:
+    except OSError as e:       # an input or --out path that cannot be read or written
         print(f"error: {e}", file=sys.stderr)
         return 2
 
 
 def _dispatch(args) -> int:
     cmd = args.command
-    if cmd == "beta":
-        space0, mu, _rs = _load_measure(args.input)
+    if hasattr(args, "input"):      # the measure commands
+        space0, mu, rs = _load_measure(args.input)
         space = _space_from_args(args, space0)
         alpha = _check_args(args, space)
+
+    if cmd == "beta":
         if args.atom is not None:
             if not 0 <= args.atom < len(mu):
                 raise _ValidationError(f"atom must satisfy 0 <= atom < {len(mu)}, got {args.atom}")
@@ -258,9 +269,6 @@ def _dispatch(args) -> int:
         return 0
 
     if cmd in ("cover", "pack"):
-        space0, mu, rs = _load_measure(args.input)
-        space = _space_from_args(args, space0)
-        _check_args(args, space)
         bad = rs[~((0 <= rs) & (rs < 1))]       # NaN fails both tests
         if len(bad):
             # the covering runs on the unit ball, whose radius bounds r_s
@@ -338,9 +346,6 @@ def _dispatch(args) -> int:
         return 0
 
     if cmd == "goodball":
-        space0, mu, _rs = _load_measure(args.input)
-        space = _space_from_args(args, space0)
-        _check_args(args, space)
         center = _parse_center(args.center, space.dim) if args.center else np.zeros(space.dim)
         lab = classify_ball(space, mu, center, args.r, args.k, args.chi, args.theta)
         doc = lab.to_dict()

@@ -408,17 +408,10 @@ _DELTA0 = 0.1                # main_packing's delta: mass scale delta0^2/M
 def _vitali_keep(space, centers, radii):
     """Greedy Vitali: keep balls by descending radius (ties by index) whose
     1/5-balls stay disjoint from all kept 1/5-balls."""
-    m = len(radii)
-    if m == 0:
-        return []
     kept = []
-    for i in sorted(range(m), key=lambda i: (-radii[i], i)):
-        ok = True
-        for j in kept:
-            if space.norm(centers[i] - centers[j]) < (radii[i] + radii[j]) / 5.0 - 1e-12:
-                ok = False
-                break
-        if ok:
+    for i in sorted(range(len(radii)), key=lambda i: (-radii[i], i)):
+        gaps = space.norms(centers[kept] - centers[i][None, :])
+        if not (gaps < (radii[i] + radii[kept]) / 5.0 - 1e-12).any():
             kept.append(i)
     return kept
 

@@ -130,18 +130,28 @@ def test_exit_code_on_unknown_flag():
 
 
 @pytest.mark.parametrize("argv", [
-    ["cover", "IN", "--k", "2"],
-    ["pack", "IN", "--k", "2"],
-    ["goodball", "IN", "--k", "2"],
-    ["smoothness", "--samples", "10"],
-    ["nopowergain"],
+    ["cover", "IN", "--k", "2", "--format", "csv"],
+    ["pack", "IN", "--k", "2", "--format", "csv"],
+    ["goodball", "IN", "--k", "2", "--format", "csv"],
+    ["smoothness", "--samples", "10", "--format", "csv"],
+    ["nopowergain", "--format", "csv"],
+    ["beta", "IN", "--delta", "0.1"],
+    ["beta", "IN", "--theta", "0.01"],
+    ["beta", "IN", "--max-depth", "3"],
+    ["goodball", "IN", "--k", "2", "--alpha", "2"],
+    ["goodball", "IN", "--k", "2", "--delta", "0.1"],
+    ["goodball", "IN", "--k", "2", "--max-depth", "3"],
+    ["goodball", "IN", "--k", "2", "--seed", "1"],
 ])
 def test_format_flag_only_where_it_acts(planar_json, tmp_path, capsys, argv):
-    # these commands write one format only, so --format is unknown to them
+    # a command takes only the flags it reads: the one-format commands have
+    # no --format, beta's scale grid ends at --r-lo, and classify_ball is
+    # deterministic and has no alpha, so the flag before the last value is
+    # unknown to its command, whatever that value
     out = tmp_path / "out"
     argv = [planar_json if a == "IN" else a for a in argv]
-    assert run(argv + ["--format", "csv", "--out", str(out)]) == 2
-    assert "--format" in capsys.readouterr().err
+    assert run(argv + ["--out", str(out)]) == 2
+    assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -202,6 +212,40 @@ def test_exit_code_on_bad_flag_value(planar_json, tmp_path, capsys, argv):
     assert not out.exists()
 
 
+_SPACE2 = json.dumps({"dim": 2, "norm": {"type": "lp", "p": 2}})
+_SPACE3 = json.dumps({"dim": 3, "norm": {"type": "lp", "p": 2}})
+
+
+@pytest.mark.parametrize("argv,message", [
+    *[([cmd, "IN3", "--k", "1", "--space", _SPACE2],
+       "error: --space: dim 2 does not match the measure's dim 3")
+      for cmd in ("beta", "cover", "pack", "goodball")],
+    *[([cmd, "IN2", "--k", "1", "--space", _SPACE3],
+       "error: --space: dim 3 does not match the measure's dim 2")
+      for cmd in ("beta", "cover", "pack", "goodball")],
+    *[([cmd, "IN3", "--k", "2", "--seed", "-10"], "argument --seed: must be an integer >= 0")
+      for cmd in ("beta", "cover", "pack")],
+    (["smoothness", "--samples", "10", "--seed", "-1"], "argument --seed: must be an integer >= 0"),
+    (["beta", "DIR"], "error: [Errno 21] Is a directory"),
+    (["beta", "LATIN1"], "not UTF-8 text"),
+    (["cover", "IN3", "--k", "2", "--max-depth", "0", "--out", "DIR"],
+     "error: [Errno 21] Is a directory"),
+])
+def test_exit_code_names_the_bad_input(planar_json, dirac_json, tmp_path, capsys, argv, message):
+    # a --space of another dim than the measure's, a negative seed, and an
+    # input or --out path that cannot be read or written: exit 2 with one
+    # error line that names it, never a traceback and never a report
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"space": "\xe9"}')
+    paths = {"IN3": planar_json, "IN2": dirac_json, "DIR": str(tmp_path), "LATIN1": str(latin1)}
+    out = tmp_path / "out"
+    argv = [paths.get(a, a) for a in argv]
+    assert run(argv if "--out" in argv else argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and err.count("error: ") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag,value", [
     ("--alpha", "foo"), ("--alpha", "0"), ("--alpha", "-1"), ("--alpha", "nan"),
     ("--alpha", "inf"), ("--delta", "-1"), ("--delta", "0"), ("--delta", "nan"),
@@ -209,9 +253,17 @@ def test_exit_code_on_bad_flag_value(planar_json, tmp_path, capsys, argv):
 ])
 @pytest.mark.parametrize("cmd", ["beta", "cover", "pack", "goodball"])
 def test_exit_code_on_bad_alpha_delta_theta(planar_json, tmp_path, capsys, cmd, flag, value):
+    # a command checks the range of each of these flags that it takes; to
+    # the others the flag is unknown
+    takes = {"--alpha": ("beta", "cover", "pack"), "--delta": ("cover", "pack"),
+             "--theta": ("cover", "pack", "goodball")}[flag]
     out = tmp_path / "out"
     assert run([cmd, planar_json, "--k", "2", flag, value, "--out", str(out)]) == 2
-    assert capsys.readouterr().err.startswith(f"error: {flag[2:]} must be")
+    err = capsys.readouterr().err
+    if cmd in takes:
+        assert err.startswith(f"error: {flag[2:]} must be")
+    else:
+        assert f"unrecognized arguments: {flag} {value}" in err
     assert not out.exists()
 
 
