@@ -7,8 +7,10 @@ a path that cannot be read or written), 3 estimate-violated runs.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -83,6 +85,16 @@ def _exponents(text) -> list:
 
 def _positives(text) -> list:
     return [_positive(s) for s in text.split(",")]
+
+
+def _check_out(out_path):
+    """Before the run, open's own error for an --out path that is a
+    directory or lies in a missing one.  The file is not opened, so an
+    existing report survives a run that then fails validation."""
+    if os.path.isdir(out_path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), out_path)
+    if not os.path.isdir(os.path.dirname(out_path) or "."):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), out_path)
 
 
 def _write(out_path, data: bytes):
@@ -246,6 +258,8 @@ def run(argv) -> int:
 
 def _dispatch(args) -> int:
     cmd = args.command
+    if args.out:
+        _check_out(args.out)
     if hasattr(args, "input"):      # the measure commands
         space0, mu, rs = _load_measure(args.input)
         space = _space_from_args(args, space0)
@@ -339,6 +353,9 @@ def _dispatch(args) -> int:
         fs = linear_graph_samples([1.0, 0.0, 0.0], euclidean_normal(), args.eps,
                                   step=args.grid_step)
         pair, bound = no_power_gain_witness(fs)
+        if not math.isfinite(bound):
+            raise _ValidationError(f"--eps {args.eps:g} overflows the witness scan "
+                                   f"(bound {bound}); take a smaller --eps")
         doc = {"det": det, "row_normalized_det": row_normalized_det(M),
                "witness_bound": bound, "witness_pair": [list(pair[0]), list(pair[1])],
                "eps": args.eps, "measured_c": args.eps / bound if bound > 0 else None}

@@ -104,8 +104,9 @@ def general_position_margin(vectors, space: NormedSpace) -> float:
 
 def riesz_basis(space: NormedSpace, spanning_set, tau: float = DEFAULT_TAU) -> np.ndarray:
     """Unit vectors in tau-general position spanning span(spanning_set),
-    chosen greedily: each new vector maximizes its distance to the span of
-    the previous ones (the Riesz-lemma step).  Returns (k, n) rows."""
+    chosen greedily: each new vector is the first row of a `sphere_net` of
+    the span farthest from the span of the previous ones (the Riesz-lemma
+    step, `_farthest_row`).  Returns (k, n) rows."""
     if tau >= 1.0:
         raise ValueError("tau must be < 1")
     S = np.asarray(spanning_set, dtype=float).reshape(-1, space.dim)
@@ -120,13 +121,45 @@ def riesz_basis(space: NormedSpace, spanning_set, tau: float = DEFAULT_TAU) -> n
     chosen = [first]
     W = sphere_net(space, Q)
     while len(chosen) < k:
-        prev = np.asarray(chosen)
-        d, _ = _dists_to_flat_batch(space, np.zeros(space.dim), prev, W)
-        i = int(np.argmax(d))
-        if d[i] < tau:
-            raise ValueError(f"requested tau={tau} unattainable (best {d[i]:.3f})")
+        i, d = _farthest_row(space, np.asarray(chosen), W)
+        if d < tau:
+            raise ValueError(f"requested tau={tau} unattainable (best {d:.3f})")
         chosen.append(W[i])
     return np.asarray(chosen)
+
+
+_PRUNE_HEAD = 32
+_PRUNE_MARGIN = 1e-9
+
+
+def _farthest_row(space, rows, W):
+    """First index of the row of W farthest from span(rows), and its
+    distance: the argmax of one `_dists_to_flat_batch` call over W.
+
+    On a Newton line (k = 1, n >= 3, 1 < p < inf, p != 2) a row's distance
+    is at most its l^2-foot residual, the start of a search that accepts no
+    step raising the objective.  Newton runs first on the _PRUNE_HEAD rows
+    of largest bound; a row whose bound is below their largest distance
+    times (1 - _PRUNE_MARGIN) can neither beat nor tie it, so Newton then
+    runs on the head and the rows whose bound reaches it, never on one row
+    alone (see `_dist_newton_batch`).  Every other branch takes the full
+    call: the closed forms cost no more than the bound, Newton with k >= 2
+    forms products that differ by an ulp on a subset, and the LP optimum
+    holds only to the solver's tolerance."""
+    origin = np.zeros(space.dim)
+    k, n = rows.shape
+    if k != 1 or space.p == 2.0 or _stacked_solver(space, k, n) is not None:
+        d, _ = _dists_to_flat_batch(space, origin, rows, W)
+    else:
+        bound = space.norms(W - _l2_coefficients(rows, W) @ rows)
+        head = np.argsort(-bound, kind="stable")[:_PRUNE_HEAD]
+        d_head, _ = _dists_to_flat_batch(space, origin, rows, W[head])
+        keep = bound >= d_head.max() * (1.0 - _PRUNE_MARGIN)
+        keep[head] = True
+        d = np.full(len(W), -np.inf)
+        d[keep], _ = _dists_to_flat_batch(space, origin, rows, W[keep])
+    i = int(np.argmax(d))
+    return i, float(d[i])
 
 
 def _coefficient_directions(k: int, count: int) -> np.ndarray:
@@ -165,8 +198,7 @@ def _dists_to_flat_batch(space, base, rows, Z):
     p = space.p
     M = rows.T                                   # (n, k)
     # Euclidean solution is exact for p = 2 and the Newton start otherwise.
-    G = rows @ rows.T
-    lam = np.linalg.solve(G, rows @ W.T).T       # (m, k)
+    lam = _l2_coefficients(rows, W)
     if p == 2.0:
         feet = base[None, :] + lam @ rows
         return space.norms(Z - feet), feet
@@ -176,6 +208,11 @@ def _dists_to_flat_batch(space, base, rows, Z):
     lam = _dist_newton_batch(space, M, W, lam)
     feet = base[None, :] + lam @ rows
     return space.norms(Z - feet), feet
+
+
+def _l2_coefficients(rows, W):
+    """Coefficients (m, k) of the l^2 feet of the rows of W on span(rows)."""
+    return np.linalg.solve(rows @ rows.T, rows @ W.T).T
 
 
 def _stacked_solver(space, k, n):
@@ -278,7 +315,13 @@ def _dist_newton_batch(space, M, W, lam):
     its step moved, and keeps the value of every accepted row.  The
     residuals W - lam @ M.T are still formed for all the rows of the
     search at once: for k >= 2 a product over a subset of the rows can
-    differ from the same rows of the full product by an ulp."""
+    differ from the same rows of the full product by an ulp.  For k = 1
+    the rows are solved independently (outer products, 1 x 1 solves with a
+    pivot of at least 1e-14, and a backtrack whose one shared exit comes at
+    its last halving), except in BLAS: a round with one active row takes
+    the dot kernel for -S @ M, which can round differently from the
+    matrix-vector kernel.  The pruned search of `_farthest_row` relies on
+    this independence."""
     p = space.p
     m = len(W)
     R = W - lam @ M.T
@@ -447,7 +490,12 @@ def _min_dual_norm_extension(space: NormedSpace, Wrows: np.ndarray, target: np.n
     """phi minimizing ||phi||_q subject to <phi, w_j> = target_j.
 
     This is the Hahn-Banach extension of the coordinate functional: the
-    minimum dual norm over extensions equals the norm on the subspace."""
+    minimum dual norm over extensions equals the norm on the subspace.
+    q = 2 is the least-squares solution, q in {1, inf} an LP.  Otherwise
+    SLSQP from the least-squares phi0 takes the k equations as one stacked
+    constraint, each row `float(Wrows[j] @ phi - target[j])` with Jacobian
+    Wrows (the k scalar constraints SLSQP would concatenate to the same
+    arrays); when it fails, phi0 is returned."""
     q = space.q
     k, n = Wrows.shape
     phi0, *_ = np.linalg.lstsq(Wrows, target, rcond=None)
@@ -468,8 +516,8 @@ def _min_dual_norm_extension(space: NormedSpace, Wrows: np.ndarray, target: np.n
         A_eq = np.hstack([Wrows, -Wrows])
         res = linprog(c, A_eq=A_eq, b_eq=target, bounds=[(0, None)] * 2 * n, method="highs")
         return res.x[:n] - res.x[n:]
-    cons = [{"type": "eq", "fun": lambda phi, j=j: float(Wrows[j] @ phi - target[j]),
-             "jac": lambda phi, j=j: Wrows[j]} for j in range(k)]
+    cons = {"type": "eq", "jac": lambda phi: Wrows,
+            "fun": lambda phi: np.array([float(Wrows[j] @ phi - target[j]) for j in range(k)])}
     obj = lambda phi: float((np.abs(phi) ** q).sum())
     jac = lambda phi: q * np.sign(phi) * np.abs(phi) ** (q - 1.0)
     res = minimize(obj, phi0, jac=jac, method="SLSQP", constraints=cons,

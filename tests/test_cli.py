@@ -246,6 +246,46 @@ def test_exit_code_names_the_bad_input(planar_json, dirac_json, tmp_path, capsys
     assert not out.exists()
 
 
+def test_nopowergain_rejects_an_eps_that_overflows_the_witness(tmp_path, capsys):
+    # at eps = 1e308 the witness scan overflows to a NaN bound: exit 2 with
+    # one error line, never a report with "witness_bound": "nan"
+    out = tmp_path / "out"
+    assert run(["nopowergain", "--eps", "1e308", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "error: --eps 1e+308 overflows the witness scan" in err and err.count("error: ") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cmd", ["cover", "pack"])
+@pytest.mark.parametrize("target,message", [
+    ("DIR", "[Errno 21] Is a directory"),
+    ("MISSING", "[Errno 2] No such file or directory"),
+])
+def test_out_path_is_checked_before_the_run(planar_json, tmp_path, capsys, monkeypatch,
+                                            cmd, target, message):
+    # an --out path that is a directory or lies in a missing directory
+    # exits 2 before the analysis starts
+    def never(*args, **kwargs):
+        raise AssertionError("the analysis ran")
+
+    monkeypatch.setattr("betareif.cli.covering_lemma", never)
+    monkeypatch.setattr("betareif.cli.main_packing", never)
+    out = {"DIR": tmp_path, "MISSING": tmp_path / "missing" / "out.json"}[target]
+    assert run([cmd, planar_json, "--k", "2", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {message}" in err and err.count("error: ") == 1
+
+
+def test_existing_report_survives_a_failed_validation(planar_json, tmp_path, capsys):
+    # the --out check does not open the file: a run that then fails
+    # validation leaves an existing report as it was
+    out = tmp_path / "report.json"
+    out.write_text("earlier report")
+    assert run(["cover", planar_json, "--k", "2", "--delta", "-1", "--out", str(out)]) == 2
+    assert "error: delta must be" in capsys.readouterr().err
+    assert out.read_text() == "earlier report"
+
+
 @pytest.mark.parametrize("flag,value", [
     ("--alpha", "foo"), ("--alpha", "0"), ("--alpha", "-1"), ("--alpha", "nan"),
     ("--alpha", "inf"), ("--delta", "-1"), ("--delta", "0"), ("--delta", "nan"),

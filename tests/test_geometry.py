@@ -6,7 +6,8 @@ import pytest
 
 from betareif.constants import c1, c2, c3, stability_constant
 from betareif.geometry import (_dist_newton_batch, _dists_hyperplane, _dists_to_flat_batch,
-                               _dists_to_flats, _duality_rows, affine_plane, distance_to_affine,
+                               _dists_to_flats, _duality_rows, _euclid_orthonormal,
+                               _farthest_row, affine_plane, distance_to_affine,
                                distances_to_affine, general_position_margin,
                                grassmann_distance, graph_check,
                                hausdorff_distance, make_projection,
@@ -917,3 +918,108 @@ def test_newton_batch_cap_hit_warns_like_the_oracle(p, n, k, monkeypatch):
     with pytest.warns(RuntimeWarning, match="iteration cap"):
         want = _dist_newton_batch_full(space, M, W, lam0.copy())
     assert got.tobytes() == want.tobytes()
+
+
+# -- the pruned farthest-row search of the Riesz-lemma step -----------------
+
+def _riesz_nets(space, rng):
+    """(line, net) pairs of a Riesz-lemma step: the first net row spans the
+    line, the net is a `sphere_net` of a random plane through it."""
+    for _ in range(3):
+        W = sphere_net(space, _euclid_orthonormal(rng.standard_normal((2, space.dim))))
+        yield W[:1], W
+
+
+@pytest.mark.parametrize("p", [4 / 3, 3.0, 4.0])
+@pytest.mark.parametrize("n", [3, 4])
+def test_newton_line_rows_are_independent_of_their_batch(p, n):
+    # on a line (k = 1) each net row's distance and foot are the same bits
+    # in any batch of two or more rows as in the full call; a one-row call
+    # takes BLAS's vector kernels, so the pruned search never makes one
+    space = NormedSpace(n, p)
+    rng = np.random.default_rng(int(3 * p) + 10 * n)
+    origin = np.zeros(n)
+    for v, W in _riesz_nets(space, rng):
+        d, feet = _dists_to_flat_batch(space, origin, v, W)
+        subsets = [np.sort(rng.choice(len(W), size, replace=False))
+                   for size in (2, 3, 5, 17, 33, 200, len(W) // 2)]
+        subsets += [np.arange(len(W) - 2, len(W)), np.arange(33)]
+        for sub in subsets:
+            ds, fs = _dists_to_flat_batch(space, origin, v, W[sub])
+            assert ds.tobytes() == d[sub].tobytes()
+            assert fs.tobytes() == feet[sub].tobytes()
+
+
+@pytest.mark.parametrize("p", [4 / 3, 3.0, 4.0])
+@pytest.mark.parametrize("n", [3, 4])
+def test_farthest_row_is_the_full_argmax(p, n, monkeypatch):
+    from betareif import geometry
+    space = NormedSpace(n, p)
+    rng = np.random.default_rng(int(3 * p) + 10 * n + 1)
+    origin = np.zeros(n)
+    newton_rows = []
+
+    def counted(space, M, W, lam):
+        newton_rows.append(len(W))
+        return _dist_newton_batch(space, M, W, lam)
+
+    monkeypatch.setattr(geometry, "_dist_newton_batch", counted)
+    for v, W in _riesz_nets(space, rng):
+        d, _ = _dists_to_flat_batch(space, origin, v, W)
+        i = int(np.argmax(d))
+        newton_rows.clear()
+        assert _farthest_row(space, v, W) == (i, d[i])
+        assert newton_rows[0] == 32 and sum(newton_rows) < len(W) // 2   # the bound prunes
+        # exact ties: a copy of the farthest row before it is the answer,
+        # a copy after it is not
+        for j in (0, i + 1):
+            T = np.insert(W, j, W[i], axis=0)
+            assert _farthest_row(space, v, T) == (min(i, j), d[i])
+    # a net where every row survives: all rows tie, and the first wins
+    v, W = next(_riesz_nets(space, rng))
+    T = np.repeat(W[len(W) // 3][None, :], 80, axis=0)
+    d, _ = _dists_to_flat_batch(space, origin, v, T)
+    newton_rows.clear()
+    assert _farthest_row(space, v, T) == (0, d[0])
+    assert newton_rows == [32, 80]
+
+
+# -- Hahn-Banach extension: one stacked SLSQP constraint --------------------
+
+def _per_row_extension(space, Wrows, target):
+    """`_min_dual_norm_extension`'s SLSQP with the k equations as k scalar
+    constraints, and scipy's result."""
+    from scipy.optimize import minimize
+    q, k = space.q, len(Wrows)
+    phi0, *_ = np.linalg.lstsq(Wrows, target, rcond=None)
+    cons = [{"type": "eq", "fun": lambda phi, j=j: float(Wrows[j] @ phi - target[j]),
+             "jac": lambda phi, j=j: Wrows[j]} for j in range(k)]
+    obj = lambda phi: float((np.abs(phi) ** q).sum())
+    jac = lambda phi: q * np.sign(phi) * np.abs(phi) ** (q - 1.0)
+    res = minimize(obj, phi0, jac=jac, method="SLSQP", constraints=cons,
+                   options={"maxiter": 500, "ftol": 1e-16})
+    return (res.x if res.success else phi0), res, phi0
+
+
+@pytest.mark.parametrize("q", [4 / 3, 1.5, 3.0])
+@pytest.mark.parametrize("k", [1, 2])
+def test_stacked_constraint_extension_matches_per_row_constraints(q, k):
+    from betareif.geometry import _min_dual_norm_extension
+    space = NormedSpace(3, q / (q - 1.0))
+    assert space.q == pytest.approx(q)
+    rng = np.random.default_rng(int(10 * q) + k)
+    bases = [riesz_basis(space, rng.standard_normal((k, 3))) for _ in range(4)]
+    bases += [rng.standard_normal((k, 3)) * 10.0 ** rng.uniform(-3, 3, (k, 1)) for _ in range(2)]
+    if k == 2:      # nearly dependent rows: SLSQP hits maxiter, phi0 stays
+        bases.append(np.array([[1.0, 2.0, 3.0], [1.0, 2.0, 3.001]]))
+    statuses = []
+    for W in bases:
+        for target in np.eye(k):
+            want, res, phi0 = _per_row_extension(space, W, target)
+            statuses.append(res.status)
+            got = _min_dual_norm_extension(space, W, target)
+            assert got.tobytes() == want.tobytes()
+            if res.status == 9:
+                assert got.tobytes() == phi0.tobytes()
+    if k == 2:
+        assert 9 in statuses
