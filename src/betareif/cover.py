@@ -799,7 +799,9 @@ def main_packing(space: NormedSpace, mu: PointMeasure, r_s, k: int,
             small = rs < rho
             with np.errstate(over="ignore", divide="ignore"):
                 sub_w = mu_s.weights[small] / rho**k
-                if not np.isfinite(sub_w.sum()):    # the ball stays bad, unrefined
+                # 16 bounds the squared diameter of a Dini ball of radius 2:
+                # a mass finite times 16 keeps the PCA moments finite
+                if not np.isfinite(16.0 * sub_w.sum()):    # the ball stays bad, unrefined
                     new_bads.append(b)
                     unrefined += 1
                     continue

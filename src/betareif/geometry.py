@@ -11,7 +11,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog, minimize
+from scipy.optimize import linprog
+from scipy.optimize._slsqplib import slsqp
 
 from .constants import DEFAULT_TAU
 from .spaces import NormedSpace
@@ -492,10 +493,15 @@ def _min_dual_norm_extension(space: NormedSpace, Wrows: np.ndarray, target: np.n
     This is the Hahn-Banach extension of the coordinate functional: the
     minimum dual norm over extensions equals the norm on the subspace.
     q = 2 is the least-squares solution, q in {1, inf} an LP.  Otherwise
-    SLSQP from the least-squares phi0 takes the k equations as one stacked
-    constraint, each row `float(Wrows[j] @ phi - target[j])` with Jacobian
-    Wrows (the k scalar constraints SLSQP would concatenate to the same
-    arrays); when it fails, phi0 is returned."""
+    SLSQP runs from the least-squares phi0, driven here through its kernel
+    (`scipy.optimize._slsqplib.slsqp`) by the loop of scipy's own
+    `_minimize_slsqp` for this one problem: no bounds, the k equations and
+    an analytic gradient, with maxiter 500 and ftol 1e-16.  It skips the
+    wrapper's per-evaluation checks and copies, so the iterates are the
+    same bits as `minimize(..., method="SLSQP")`.  The constraint rows stay
+    one `float(Wrows[j] @ phi - target[j])` each: `Wrows @ phi - target`
+    rounds differently, and that changes the SLSQP path.  When SLSQP does
+    not exit with mode 0, phi0 is returned."""
     q = space.q
     k, n = Wrows.shape
     phi0, *_ = np.linalg.lstsq(Wrows, target, rcond=None)
@@ -516,13 +522,34 @@ def _min_dual_norm_extension(space: NormedSpace, Wrows: np.ndarray, target: np.n
         A_eq = np.hstack([Wrows, -Wrows])
         res = linprog(c, A_eq=A_eq, b_eq=target, bounds=[(0, None)] * 2 * n, method="highs")
         return res.x[:n] - res.x[n:]
-    cons = {"type": "eq", "jac": lambda phi: Wrows,
-            "fun": lambda phi: np.array([float(Wrows[j] @ phi - target[j]) for j in range(k)])}
     obj = lambda phi: float((np.abs(phi) ** q).sum())
     jac = lambda phi: q * np.sign(phi) * np.abs(phi) ** (q - 1.0)
-    res = minimize(obj, phi0, jac=jac, method="SLSQP", constraints=cons,
-                   options={"maxiter": 500, "ftol": 1e-16})
-    return res.x if res.success else phi0
+    cons = lambda phi: [float(Wrows[j] @ phi - target[j]) for j in range(k)]
+    state = {"acc": 1e-16, "alpha": 0.0, "f0": 0.0, "gs": 0.0, "h1": 0.0, "h2": 0.0,
+             "h3": 0.0, "h4": 0.0, "t": 0.0, "t0": 0.0, "tol": 1e-15,
+             "exact": 0, "inconsistent": 0, "reset": 0, "iter": 0, "itermax": 500,
+             "line": 0, "m": k, "meq": k, "mode": 0, "n": n}
+    # scipy's workspace for m = meq = k, with its top-up for no inequalities
+    size = (n * (n + 1) // 2 + 3 * k * n - (k + 5 * n + 7) * k + 9 * k + 8 * n * n
+            + 35 * n + k * k + 28 + 2 * n * (n + 1))
+    buffer, mult = np.zeros(size), np.zeros(k + 2 * n + 2)
+    indices = np.zeros(k + 2 * n + 2, dtype=np.int32)
+    xl, xu = np.full(n, np.nan), np.full(n, np.nan)
+    x = phi0.copy()
+    fx, g, d = obj(x), jac(x), np.array(cons(x))
+    C = np.array(Wrows, dtype=np.float64, order="F")
+    while True:
+        slsqp(state, fx, g, C, d, x, mult, xl, xu, buffer, indices)
+        mode = state["mode"]
+        if mode == 1:
+            fx = obj(x)
+            d[:] = cons(x)
+        elif mode == -1:
+            g = jac(x)
+            C[:] = Wrows
+        else:
+            break
+    return x if mode == 0 else phi0
 
 
 def make_projection(space: NormedSpace, V: AffinePlane, kind: str) -> AlmostProjection:

@@ -248,9 +248,13 @@ def test_exit_code_names_the_bad_input(planar_json, dirac_json, tmp_path, capsys
 
 def test_nopowergain_rejects_an_eps_that_overflows_the_witness(tmp_path, capsys):
     # at eps = 1e308 the witness scan overflows to a NaN bound: exit 2 with
-    # one error line, never a report with "witness_bound": "nan"
+    # one error line and no numpy warning, never a report with
+    # "witness_bound": "nan"
+    import warnings
     out = tmp_path / "out"
-    assert run(["nopowergain", "--eps", "1e308", "--out", str(out)]) == 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["nopowergain", "--eps", "1e308", "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "error: --eps 1e+308 overflows the witness scan" in err and err.count("error: ") == 1
     assert not out.exists()

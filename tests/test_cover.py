@@ -500,12 +500,13 @@ def test_pack_cli_exit_three(tmp_path):
     assert code == 3
 
 
-@pytest.mark.parametrize("M,code", [(5e-324, 2), (1e-310, 3)])
+@pytest.mark.parametrize("M,code", [(5e-324, 2), (1e-310, 3), (1e-309, 3), (3e-309, 3)])
 def test_pack_cli_too_small_M(tmp_path, capsys, M, code):
     # on a 5-atom segment, M = 5e-324 makes the mass scale delta0^2/M inf,
-    # and at M = 1e-310 the weights w / rho^k of the level-1 sub-covering
-    # overflow: an error line, or a flagged bad ball that stays bad, and
-    # neither a traceback nor a warning
+    # at M = 1e-310 the weights w / rho^k of the level-1 sub-covering
+    # overflow, and at 1e-309 and 3e-309 their mass times 16 does, which
+    # would overflow the moments of a PCA fit: an error line, or a flagged
+    # bad ball that stays bad, and neither a traceback nor a warning
     import json as _json
     import warnings
     mu = PointMeasure([[x, 0.0] for x in (0.0, 0.1, -0.1, 0.2, -0.2)], np.full(5, 0.2))

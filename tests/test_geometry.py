@@ -984,11 +984,11 @@ def test_farthest_row_is_the_full_argmax(p, n, monkeypatch):
     assert newton_rows == [32, 80]
 
 
-# -- Hahn-Banach extension: one stacked SLSQP constraint --------------------
+# -- Hahn-Banach extension: SLSQP's kernel loop against scipy's minimize ----
 
 def _per_row_extension(space, Wrows, target):
-    """`_min_dual_norm_extension`'s SLSQP with the k equations as k scalar
-    constraints, and scipy's result."""
+    """`_min_dual_norm_extension`'s SLSQP through scipy's `minimize`, with
+    the k equations as k scalar constraints, and scipy's result."""
     from scipy.optimize import minimize
     q, k = space.q, len(Wrows)
     phi0, *_ = np.linalg.lstsq(Wrows, target, rcond=None)
@@ -1002,24 +1002,45 @@ def _per_row_extension(space, Wrows, target):
 
 
 @pytest.mark.parametrize("q", [4 / 3, 1.5, 3.0])
-@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_stacked_constraint_extension_matches_per_row_constraints(q, k):
+    # the kernel loop's workspace sizes depend on n and k: every k < n for
+    # n in {3, 4, 5}, the n = 3 bases drawn first
     from betareif.geometry import _min_dual_norm_extension
-    space = NormedSpace(3, q / (q - 1.0))
-    assert space.q == pytest.approx(q)
     rng = np.random.default_rng(int(10 * q) + k)
-    bases = [riesz_basis(space, rng.standard_normal((k, 3))) for _ in range(4)]
-    bases += [rng.standard_normal((k, 3)) * 10.0 ** rng.uniform(-3, 3, (k, 1)) for _ in range(2)]
-    if k == 2:      # nearly dependent rows: SLSQP hits maxiter, phi0 stays
-        bases.append(np.array([[1.0, 2.0, 3.0], [1.0, 2.0, 3.001]]))
     statuses = []
-    for W in bases:
-        for target in np.eye(k):
-            want, res, phi0 = _per_row_extension(space, W, target)
-            statuses.append(res.status)
-            got = _min_dual_norm_extension(space, W, target)
-            assert got.tobytes() == want.tobytes()
-            if res.status == 9:
-                assert got.tobytes() == phi0.tobytes()
+    for n in range(max(3, k + 1), 6):
+        space = NormedSpace(n, q / (q - 1.0))
+        assert space.q == pytest.approx(q)
+        bases = [riesz_basis(space, rng.standard_normal((k, n))) for _ in range(4)]
+        bases += [rng.standard_normal((k, n)) * 10.0 ** rng.uniform(-3, 3, (k, 1))
+                  for _ in range(2)]
+        if (k, n) == (2, 3):      # nearly dependent rows: SLSQP hits maxiter, phi0 stays
+            bases.append(np.array([[1.0, 2.0, 3.0], [1.0, 2.0, 3.001]]))
+        for W in bases:
+            for target in np.eye(k):
+                want, res, phi0 = _per_row_extension(space, W, target)
+                statuses.append(res.status)
+                got = _min_dual_norm_extension(space, W, target)
+                assert got.tobytes() == want.tobytes()
+                if res.status == 9:
+                    assert got.tobytes() == phi0.tobytes()
     if k == 2:
         assert 9 in statuses
+
+
+def test_hahn_banach_projection_runs_without_minimize(monkeypatch):
+    # the extension drives SLSQP's kernel itself: neither scipy's minimize
+    # nor the SLSQP wrapper behind it is called
+    import scipy.optimize
+    import scipy.optimize._minimize
+
+    def never(*args, **kwargs):
+        raise AssertionError("scipy's minimize was called")
+
+    monkeypatch.setattr(scipy.optimize, "minimize", never)
+    monkeypatch.setattr(scipy.optimize._minimize, "_minimize_slsqp", never)
+    space = NormedSpace(3, 4)
+    basis = np.array([[1.0, 0.2, -0.1], [0.3, 1.0, 0.4]])
+    proj = make_projection(space, affine_plane(space, np.zeros(3), basis), "hahn_banach")
+    assert proj.kind == "hahn_banach" and proj.report()["residuals"] < 1e-9
