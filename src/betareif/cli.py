@@ -111,6 +111,10 @@ _ANALYSIS_FLAGS = {"--alpha": {"default": "auto"}, "--delta": {"type": float},
                    "--seed": {"type": _seed, "default": 0}}
 
 
+# the witness scan takes time as the square of its ~2.6 / step^2 samples
+_MIN_GRID_STEP = 0.01
+
+
 def _measure_parser(sub, name, summary, *flags):
     """A measure command: the input, the flags every one reads, and `flags`."""
     sp = sub.add_parser(name, help=summary)
@@ -340,15 +344,25 @@ def _dispatch(args) -> int:
         lines = ["p,t,empirical,bound"]
         for p in args.p_list:
             sp = NormedSpace(args.dim, p)
+            ptag = "inf" if p == math.inf else f"{p:g}"
             for t in args.t_list:
-                emp = sp.modulus_smoothness_empirical(t, args.samples, args.seed)
-                bnd = sp.modulus_smoothness_bound(t)
-                ptag = "inf" if p == math.inf else f"{p:g}"
+                try:
+                    with np.errstate(over="ignore", invalid="ignore"):    # a huge t: error below
+                        emp = sp.modulus_smoothness_empirical(t, args.samples, args.seed)
+                        bnd = sp.modulus_smoothness_bound(t)
+                except OverflowError:
+                    emp = bnd = math.inf
+                if not (math.isfinite(emp) and math.isfinite(bnd)):
+                    raise _ValidationError(f"--t-list: t = {t:g} overflows the modulus at "
+                                           f"p = {ptag}; take a smaller t")
                 lines.append(f"{ptag},{t:.12g},{emp:.12g},{bnd:.12g}")
         _write(args.out, ("\n".join(lines) + "\n").encode())
         return 0
 
     if cmd == "nopowergain":
+        if args.grid_step < _MIN_GRID_STEP:
+            raise _ValidationError(f"--grid-step must be >= {_MIN_GRID_STEP:g}, "
+                                   f"got {args.grid_step:g}")
         det, M = no_power_gain_matrix(npg_reference_points())
         fs = linear_graph_samples([1.0, 0.0, 0.0], euclidean_normal(), args.eps,
                                   step=args.grid_step)

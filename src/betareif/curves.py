@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass
 import numpy as np
 
-from .measures import PointMeasure
+from .measures import PointMeasure, _distance_blocks
 from .spaces import NormedSpace
 
 __all__ = [
@@ -238,27 +238,35 @@ def no_power_gain_witness(f_samples) -> tuple[tuple, float]:
     """Scan sampled pairs for the maximizer of
     |<J(x-y), f(x)-f(y)>| / ||x-y||^2 and return ((x, y), bound).
 
-    f_samples maps grid points of L cap B_1 (tuples) to R^3 values."""
+    f_samples maps grid points of L cap B_1 (tuples) to R^3 values.  The
+    pairs are scanned in row blocks (`measures._distance_blocks`), so the
+    tables stay within the block budget for any sample count; the pair
+    is the first maximizer in row-major order, as one argmax over the whole
+    pair table gives it."""
     items = list(f_samples.items())
     if len(items) < 2:
         raise ValueError("need at least two samples")
     X = np.array([np.asarray(k, dtype=float) for k, _ in items])
     F = np.array([np.asarray(v, dtype=float) for _, v in items])
     m = len(X)
-    sep = NPG_SPACE.norms(X[:, None, :] - X[None, :, :])
-    iu = np.triu_indices(m, k=1)
-    if sep[iu].max() < 1e-6:
-        raise ValueError("sample set too sparse: all separations below 1e-6")
-    D = X[:, None, :] - X[None, :, :]
-    DF = F[:, None, :] - F[None, :, :]
     p = 4.0
-    # <J(d), df> / ||d||^2 = sum sign(d)|d|^(p-1) df / ||d||^p
-    num = np.abs((np.sign(D) * np.abs(D) ** (p - 1.0) * DF).sum(axis=-1))
-    vals = num / np.maximum(sep, 1e-75) ** p
-    vals[sep <= 1e-12] = -1.0
-    flat = int(np.argmax(vals))
-    i, j = divmod(flat, m)
-    return (tuple(X[i]), tuple(X[j])), float(vals[i, j])
+    seps, flats, tops = [], [], []      # per block
+    for rows, sep in _distance_blocks(NPG_SPACE, X, X):
+        seps.append(sep.max())      # the table is symmetric with a zero diagonal
+        D = X[rows, None, :] - X[None, :, :]
+        DF = F[rows, None, :] - F[None, :, :]
+        # <J(d), df> / ||d||^2 = sum sign(d)|d|^(p-1) df / ||d||^p
+        num = np.abs((np.sign(D) * np.abs(D) ** (p - 1.0) * DF).sum(axis=-1))
+        vals = num / np.maximum(sep, 1e-75) ** p
+        vals[sep <= 1e-12] = -1.0
+        j = int(np.argmax(vals))
+        flats.append(rows.start * m + j)
+        tops.append(vals.flat[j])
+    if np.max(seps) < 1e-6:
+        raise ValueError("sample set too sparse: all separations below 1e-6")
+    b = int(np.argmax(tops))
+    i, j = divmod(flats[b], m)
+    return (tuple(X[i]), tuple(X[j])), float(tops[b])
 
 
 def linear_graph_samples(direction, target, eps: float, step: float = 0.05) -> dict:

@@ -10,6 +10,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .constants import norm_equivalence
 from .geometry import (AffinePlane, _dists_to_flat_batch, _dists_to_flats,
@@ -255,8 +256,8 @@ def _descend(space, base, basis, pts, w, iters):
     and then tests one backtracking trial; the gradients, the trials' rank
     tests, distance tables and objectives are stacked.  Each descent takes
     the steps it would take alone: every stacked operation acts on one
-    descent at a time, and only the foot coordinates take one `lstsq` per
-    descent.  Returns the final (base, basis, F) stacks."""
+    descent at a time; the foot coordinates take one `_lstsq_stack` per
+    round.  Returns the final (base, basis, F) stacks."""
     base, basis = base.copy(), basis.copy()
     D, k, _n = basis.shape
     # (d, feet) always belong to the current (base, basis)
@@ -289,8 +290,9 @@ def _descend(space, base, basis, pts, w, iters):
                 U = np.sign(R) * np.abs(R) ** (p - 1.0) / nr[:, :, None] ** (p - 1.0)
             # envelope gradient of sum w d^2 wrt base and basis rows
             g = np.matmul((-2.0 * (w * d[need]))[:, None, :], U)[:, 0, :]
-            lam = np.array([np.linalg.lstsq(basis[i].T, (feet[i] - base[i][None, :]).T,
-                                            rcond=None)[0].T for i in need])
+            lam = _lstsq_stack(basis[need].transpose(0, 2, 1),
+                               (feet[need] - base[need][:, None, :]).transpose(0, 2, 1)
+                               ).transpose(0, 2, 1)
             G = -2.0 * np.einsum("m,dm,dmk,dmn->dkn", w, d[need], lam, U)
             gb[need], gB[need] = g, G
             gnorm = np.sqrt((g * g).sum(axis=1) + (G * G).reshape(len(need), -1).sum(axis=1))
@@ -319,6 +321,22 @@ def _descend(space, base, basis, pts, w, iters):
         t[rej] *= 0.5
         tries[rej] += 1
         live[rej[tries[rej] == 25]] = False
+
+
+def _raise_lstsq(err, flag):
+    raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+
+def _lstsq_stack(A, B):
+    """np.linalg.lstsq(A[i], B[i], rcond=None)[0] for every slice of the
+    stacks A (D, m, n) and B (D, m, nrhs), nrhs >= 1, to the bit.  The
+    public function wraps the gufunc called here, which takes a stack and
+    makes the same LAPACK dgelsd call on each slice; this is its rcond
+    default and its error state."""
+    rcond = np.finfo(float).eps * max(A.shape[-2:])
+    with np.errstate(call=_raise_lstsq, invalid="call", over="ignore", divide="ignore",
+                     under="ignore"):
+        return _umath_linalg.lstsq(A, B, rcond, signature="ddd->ddid")[0]
 
 
 def beta(space: NormedSpace, mu: PointMeasure, x, r: float, k: int,

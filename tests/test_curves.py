@@ -290,6 +290,38 @@ def test_witness_adversarial_families():
     assert bound2 >= 0.02 / 100.0
 
 
+# the unblocked scan that the row blocks replaced: every pair table whole
+def _witness_whole_table(f_samples):
+    X = np.array([np.asarray(k, dtype=float) for k in f_samples])
+    F = np.array([np.asarray(v, dtype=float) for v in f_samples.values()])
+    m = len(X)
+    sep = NPG_SPACE.norms(X[:, None, :] - X[None, :, :])
+    assert sep[np.triu_indices(m, k=1)].max() >= 1e-6
+    D = X[:, None, :] - X[None, :, :]
+    DF = F[:, None, :] - F[None, :, :]
+    num = np.abs((np.sign(D) * np.abs(D) ** 3.0 * DF).sum(axis=-1))
+    vals = num / np.maximum(sep, 1e-75) ** 4.0
+    vals[sep <= 1e-12] = -1.0
+    i, j = divmod(int(np.argmax(vals)), m)
+    return (tuple(X[i]), tuple(X[j])), float(vals[i, j])
+
+
+@pytest.mark.parametrize("block_entries", [None, 1 << 14])
+@pytest.mark.parametrize("step", [0.05, 0.04])
+def test_witness_row_blocks_match_the_whole_table(step, block_entries, monkeypatch):
+    # 1,027 samples at step 0.05 and 1,615 at 0.04: 13 and 30 blocks at the
+    # default budget, and 3-5 rows a block at 2^14 entries.  The bound of a
+    # linear f depends only on x - y, so it ties across blocks, and
+    # the whole table's first argmax must win, pair and bound to the bit
+    from betareif import measures
+    if block_entries is not None:
+        monkeypatch.setattr(measures, "_BLOCK_ENTRIES", block_entries)
+    for fs in (linear_graph_samples([1.0, 0.0, 0.0], euclidean_normal(), 0.02, step=step),
+               linear_graph_samples([0.0, 1.0, -1.0], [1.0, 0.2, 0.1], 0.02, step=step)):
+        assert measures._BLOCK_ENTRIES < 3 * len(fs) ** 2 / 10
+        assert no_power_gain_witness(fs) == _witness_whole_table(fs)
+
+
 def test_witness_bound_scales_linearly():
     n = euclidean_normal()
     bounds = []

@@ -7,7 +7,8 @@ from betareif.constants import norm_equivalence
 from betareif.curves import dirac_example
 from betareif.geometry import _dists_to_flat_batch, _dists_to_flats, affine_plane
 from betareif.measures import (BetaInfResult, BetaResult, PointMeasure, _ball_atoms,
-                               _degenerate_plane, _descend, _fit_seeds, _objective, _rand_rotation,
+                               _degenerate_plane, _descend, _fit_seeds, _lstsq_stack, _objective,
+                               _rand_rotation,
                                _weighted_l2_plane, best_plane, beta, beta_inf,
                                density_report, dini_profile, restrict)
 from betareif.spaces import NormedSpace
@@ -609,6 +610,51 @@ def _descend_scalar(space, base, basis, pts, w, iters):
         if not improved:
             break
     return base, basis, F
+
+
+@pytest.mark.parametrize("n,k", [(2, 1), (3, 1), (3, 2), (4, 2), (5, 3)])
+@pytest.mark.parametrize("D", [1, 2, 17])
+def test_lstsq_stack_matches_per_slice_lstsq(D, n, k):
+    # _descend's foot coordinates: a stack of bases (D, k, n) and feet
+    # (D, m, n), passed as transposed views.  Each slice is the public
+    # lstsq's solution to the bit, also for a basis with a repeated row or
+    # a nearly dependent one, a zero coordinate row and scales of 1e-8 and
+    # 1e8
+    rng = np.random.default_rng(1000 * D + 10 * n + k)
+    for m in (1, 2, 40):
+        basis = rng.standard_normal((D, k, n))
+        feet = rng.standard_normal((D, m, n))
+        if k > 1:
+            # a least singular value between the rcond default's
+            # eps * max(n, k) and eps * k
+            Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+            s_k = np.ones(k)
+            s_k[-1] = (n + k) / 2 * np.finfo(float).eps
+            basis[-1] = (Q[:, :k] * s_k).T
+            basis[0, 1] = basis[0, 0]
+        basis[0, :, -1] = 0.0
+        feet[0, :, -1] = 0.0
+        scale = np.array([1.0, 1e-8, 1e8])[np.arange(D) % 3]
+        basis *= scale[:, None, None]
+        feet *= scale[:, None, None]
+        A, B = basis.transpose(0, 2, 1), feet.transpose(0, 2, 1)
+        got = _lstsq_stack(A, B)
+        assert got.shape == (D, k, m)
+        for i in range(D):
+            want = np.linalg.lstsq(A[i], B[i], rcond=None)[0]
+            assert got[i].tobytes() == want.tobytes()
+
+
+def test_lstsq_stack_raises_the_public_error_on_a_nan_slice():
+    rng = np.random.default_rng(3)
+    A, B = rng.standard_normal((4, 3, 2)), rng.standard_normal((4, 3, 5))
+    A[2, 0, 0] = np.nan
+    with pytest.raises(np.linalg.LinAlgError) as public:
+        np.linalg.lstsq(A[2], B[2], rcond=None)
+    with pytest.raises(np.linalg.LinAlgError) as stacked:
+        _lstsq_stack(A, B)
+    assert str(stacked.value) == str(public.value) == \
+        "SVD did not converge in Linear Least Squares"
 
 
 def _best_plane_scalar(space, mu, x, r, k, seed, starts, iters):
