@@ -293,8 +293,8 @@ def _row_dual_norms(space, A):
 
 
 def _dist_lp_linprog(space, M, w):
-    """Epigraph LP for min ||w - M lam||_p, p in {1, inf}: the coefficients
-    of its optimal vertex."""
+    """Epigraph LP for min ||w - M lam||_p, p in {1, inf}, 2 <= k <= n - 2
+    (the one `linprog` call): the coefficients of its optimal vertex."""
     n, k = M.shape
     # variables (lam, s): min sum s, -S s <= w - M lam <= S s, with one
     # slack per coordinate for p = 1 and one shared slack for p = inf
@@ -492,7 +492,9 @@ def _min_dual_norm_extension(space: NormedSpace, Wrows: np.ndarray, target: np.n
 
     This is the Hahn-Banach extension of the coordinate functional: the
     minimum dual norm over extensions equals the norm on the subspace.
-    q = 2 is the least-squares solution, q in {1, inf} an LP.  Otherwise
+    q = 2 is the least-squares solution phi0.  For q in {1, inf} it is, at
+    k = 1, the least-l2 minimizer (`_dists_hyperplane`'s tie rule), and at
+    k >= 2, phi0 less its l^q-nearest point of null(W).  Otherwise
     SLSQP runs from the least-squares phi0, driven here through its kernel
     (`scipy.optimize._slsqplib.slsqp`) by the loop of scipy's own
     `_minimize_slsqp` for this one problem: no bounds, the k equations and
@@ -507,21 +509,15 @@ def _min_dual_norm_extension(space: NormedSpace, Wrows: np.ndarray, target: np.n
     phi0, *_ = np.linalg.lstsq(Wrows, target, rcond=None)
     if q == 2.0:
         return phi0
-    if q == math.inf:
-        # min max|phi_j| s.t. W phi = target
-        c = np.concatenate([np.zeros(n), [1.0]])
-        A_ub = np.block([[np.eye(n), -np.ones((n, 1))], [-np.eye(n), -np.ones((n, 1))]])
-        b_ub = np.zeros(2 * n)
-        A_eq = np.hstack([Wrows, np.zeros((k, 1))])
-        res = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=target,
-                      bounds=[(None, None)] * n + [(0, None)], method="highs")
-        return res.x[:n]
-    if q == 1.0:
-        # min sum|phi| via phi = u - v, u,v >= 0
-        c = np.ones(2 * n)
-        A_eq = np.hstack([Wrows, -Wrows])
-        res = linprog(c, A_eq=A_eq, b_eq=target, bounds=[(0, None)] * 2 * n, method="highs")
-        return res.x[:n] - res.x[n:]
+    if q in (1.0, math.inf):
+        if k == 1:  # sign(w) on the max-|w| ties (q = 1) or the support (q = inf)
+            w, A = Wrows[0], np.abs(Wrows[0])
+            on = A >= A.max() * (1 - 1e-12) if q == 1.0 else A > A.max() * 1e-12
+            u = np.where(on, np.sign(w), 0.0)
+            return u * (target[0] / (u @ w))
+        N = np.linalg.svd(Wrows)[2][k:]                  # null(W)
+        _, foot = _dists_to_flat_batch(NormedSpace(n, q), np.zeros(n), N, phi0)
+        return phi0 - foot[0]
     obj = lambda phi: float((np.abs(phi) ** q).sum())
     jac = lambda phi: q * np.sign(phi) * np.abs(phi) ** (q - 1.0)
     cons = lambda phi: [float(Wrows[j] @ phi - target[j]) for j in range(k)]

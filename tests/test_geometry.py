@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from betareif.constants import c1, c2, c3, stability_constant
+from betareif.cover import reifenberg_flat_map
 from betareif.geometry import (_dist_newton_batch, _dists_hyperplane, _dists_to_flat_batch,
                                _dists_to_flats, _duality_rows, _euclid_orthonormal,
                                _farthest_row, affine_plane, distance_to_affine,
@@ -14,7 +15,7 @@ from betareif.geometry import (_dist_newton_batch, _dists_hyperplane, _dists_to_
                                pythagorean_report, riesz_basis, sphere_net)
 from betareif.spaces import NormedSpace
 
-from conftest import gamma2_sample
+from conftest import gamma2_sample, snowflake_sample
 
 
 # -- general position --------------------------------------------------------
@@ -1044,3 +1045,89 @@ def test_hahn_banach_projection_runs_without_minimize(monkeypatch):
     basis = np.array([[1.0, 0.2, -0.1], [0.3, 1.0, 0.4]])
     proj = make_projection(space, affine_plane(space, np.zeros(3), basis), "hahn_banach")
     assert proj.kind == "hahn_banach" and proj.report()["residuals"] < 1e-9
+
+
+# -- Hahn-Banach extension at p in {1, inf}: closed form and dual nearest point
+
+def _lp_extension_norm(q, Wrows, target):
+    """min ||phi||_q subject to W phi = target, q in {1, inf}, as the HiGHS
+    linear program the extension solved before its exact forms."""
+    from scipy.optimize import linprog
+    k, n = Wrows.shape
+    if q == math.inf:       # variables (phi, s): min s, -s <= phi_j <= s
+        A_ub = np.block([[np.eye(n), -np.ones((n, 1))], [-np.eye(n), -np.ones((n, 1))]])
+        res = linprog(np.r_[np.zeros(n), 1.0], A_ub=A_ub, b_ub=np.zeros(2 * n),
+                      A_eq=np.hstack([Wrows, np.zeros((k, 1))]), b_eq=target,
+                      bounds=[(None, None)] * n + [(0, None)], method="highs")
+    else:                   # phi = u - v with u, v >= 0: min sum (u + v)
+        res = linprog(np.ones(2 * n), A_eq=np.hstack([Wrows, -Wrows]), b_eq=target,
+                      bounds=[(0, None)] * 2 * n, method="highs")
+    assert res.status == 0
+    return float(res.fun)
+
+
+def _extension_rows(rng, k, n):
+    """Full-rank k x n rows: Gaussian, with a zero column, with a 1e-17
+    entry, and small integers, whose max-|w| entries tie."""
+    out = [rng.standard_normal((k, n)) for _ in range(2)]
+    W = rng.standard_normal((k, n))
+    W[:, rng.integers(n)] = 0.0
+    out.append(W)
+    W = rng.standard_normal((k, n))
+    W[rng.integers(k), rng.integers(n)] = 1e-17
+    out.append(W)
+    out += [rng.integers(-2, 3, (k, n)).astype(float) for _ in range(4)]
+    return [W for W in out if np.linalg.matrix_rank(W) == k]
+
+
+@pytest.mark.parametrize("p", [1.0, math.inf])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_extension_at_p_1_inf_attains_the_lp_optimum(p, n):
+    # the closed form (k = 1) and the dual nearest point (k >= 2) reach the
+    # LP's optimal dual norm, and meet the equations
+    from betareif.geometry import _min_dual_norm_extension
+    space = NormedSpace(n, p)
+    rng = np.random.default_rng(100 * n + int(p == 1.0))
+    cases = 0
+    for k in range(1, n):
+        for W in _extension_rows(rng, k, n):
+            for target in np.eye(k):
+                phi = _min_dual_norm_extension(space, W, target)
+                want = _lp_extension_norm(space.q, W, target)
+                assert abs(space.dual_norm(phi) - want) <= 1e-12 * want
+                assert np.abs(W @ phi - target).max() <= 1e-12
+                cases += 1
+    assert cases >= 6 * n * (n - 1) // 2
+
+
+@pytest.mark.parametrize("p,w,want", [
+    (1.0, [1.0, -6.123233995736766e-17], [1.0, 0.0]),   # a rounding residue is no support
+    (math.inf, [1.0, -1.0, 0.5], [0.5, -0.5, 0.0]),    # the max-|w| ties split equally
+])
+def test_extension_at_p_1_inf_is_the_least_l2_minimizer(p, w, want):
+    from betareif.geometry import _min_dual_norm_extension
+    space = NormedSpace(len(w), p)
+    phi = _min_dual_norm_extension(space, np.array([w]), np.ones(1))
+    assert phi.tolist() == want
+
+
+def test_hahn_banach_projection_runs_without_linprog(monkeypatch):
+    # at p in {1, inf} the extension solves no linear program: the flat maps
+    # and the projections of (R^3, l^p) with k in {1, 2} never call linprog
+    from betareif import geometry
+
+    def never(*args, **kwargs):
+        raise AssertionError("linprog was called")
+
+    monkeypatch.setattr(geometry, "linprog", never)
+    basis = np.array([[1.0, 0.2, -0.1], [0.3, 1.0, 0.4]])
+    S = snowflake_sample([0.08] * 12, 4, 2200)
+    for p in (1.0, math.inf):
+        space = NormedSpace(3, p)
+        for k in (1, 2):
+            V = affine_plane(space, np.zeros(3), basis[:k])
+            proj = make_projection(space, V, "hahn_banach")
+            assert proj.kind == "hahn_banach" and proj.report()["residuals"] < 1e-12
+        stages, rep = reifenberg_flat_map(NormedSpace(2, p), S, 1, chi=1 / 3, delta=0.2,
+                                          max_depth=7, pair_count=120)
+        assert rep.n_stages == len(stages) == 2

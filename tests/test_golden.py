@@ -126,10 +126,18 @@ NOPOWERGAIN_SHA256 = (
 # p = inf: q_alpha 0.09374824863301214 -> 0.09374824863301204,
 #   certified_delta as at p = 1.5, lip_constant_fit 1.184260016388409e-14
 #   -> 1.1842600163884102e-14.
+# Under the exact Hahn-Banach extension at p in {1, inf} (no linear program)
+# only p = 1 moves: distortion 1.0777794663337468 -> 1.0726665785742204,
+#   holder_exponent 0.9815589737871602 -> 0.9806752765485447 and
+#   lip_constant_fit 0.8522441862100489 -> 0.7981395996216774; q_alpha,
+#   certified_delta and n_stages keep every bit.  20 of the map's 22 LP
+#   solutions were sign(w) / ||w||_1 bit for bit, as now.  The other 2 have
+#   w = (1, -6.1e-17): there HiGHS returned phi = (1, 1), a vertex optimal
+#   only to its feasibility tolerance; the least-l2 minimizer is (1, 0).
 FLAT_MAP_SNOWFLAKE_D4_LP = {
     1: ("hahn_banach", {
-        "distortion": 1.0777794663337468,
-        "holder_exponent": 0.9815589737871602,
+        "distortion": 1.0726665785742204,
+        "holder_exponent": 0.9806752765485447,
         "q_alpha": 0.08788898309344878,
         "certified_delta": 0.03200000000000001,
     }),
@@ -153,10 +161,29 @@ FLAT_MAP_SNOWFLAKE_D4_LP = {
     }),
 }
 FLAT_MAP_SNOWFLAKE_D4_LP_SHA256 = {
-    1: "a0bd309c22117f62e9e16948cda72ad417b9f9ef41d2199e804625c3d0ac9a04",
+    1: "fa8aa6bcb67bd4426c2d855339b8383fc0d9be5bc4ad7bd19471d56c1bfefad1",
     1.5: "66ca44893f488db0132caad44e6ad9079fd10bbea9ebdecebc903eeeb7a9e461",
     4: "0b1369c8f9bf1d2c131974bc8e9c2fc91575139ef886da592a5a58e5982dc64d",
     math.inf: "421718bcbdf03f30a310e41b5d2f6e661b819839a180bcbe3ddcef98a42e334b",
+}
+# the depth-6 snowflake (1,025 atoms, five stages) read in (R^2, l^p) for
+# p in {1, inf}, where every sigma is built from exact Hahn-Banach
+# extensions: values from the extension's closed form.  At p = inf they
+# equal those of the earlier LP extension; at p = 1 its distortion was
+# 1.1085232297890695, with the same q_alpha and certified_delta.
+FLAT_MAP_SNOWFLAKE_D6_LP = {
+    1: ({
+        "distortion": 1.0768642199189489,
+        "holder_exponent": 0.9823421479172408,
+        "q_alpha": 0.17464143261131632,
+        "certified_delta": 0.03674074074074075,
+    }, "0962a06d94f31b4bae1892c4841c01f804dd2022f5d78c3cb46f2af8145b3fda"),
+    math.inf: ({
+        "distortion": 1.0332192567567842,
+        "holder_exponent": 0.999200455088443,
+        "q_alpha": 0.1772779792313435,
+        "certified_delta": 0.038507821901323715,
+    }, "129967d40bb96c97c0700fe4260abf80ed03a443e8033b55fba00263c5ffd234"),
 }
 # k = 2 coverings in (R^3, l^2) that reach the branches no workload does:
 # (kept originals, bad balls, stages, excess mass) and the report SHA-256
@@ -213,6 +240,18 @@ def test_flat_map_snowflake_depth4_lp_golden(p):
         assert doc[key] == pytest.approx(want, rel=1e-9), key
     blob = json.dumps(doc, sort_keys=True).encode()
     assert hashlib.sha256(blob).hexdigest() == FLAT_MAP_SNOWFLAKE_D4_LP_SHA256[p]
+
+
+@pytest.mark.parametrize("p", list(FLAT_MAP_SNOWFLAKE_D6_LP))
+def test_flat_map_snowflake_depth6_lp_golden(p):
+    stages, doc = _flat_map_report(NormedSpace(2, p), 6)
+    values, digest = FLAT_MAP_SNOWFLAKE_D6_LP[p]
+    assert doc["n_stages"] == len(stages) == 5
+    assert {pj.kind for sg in stages for pj in sg.projections} == {"hahn_banach"}
+    for key, want in values.items():
+        assert doc[key] == pytest.approx(want, rel=1e-9), key
+    blob = json.dumps(doc, sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == digest
 
 
 def test_flat_map_snowflake_depth4_linf_keeps_first_coordinate():
