@@ -12,6 +12,9 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+# np.median looks for masked arrays, and numpy loads numpy.ma on that first
+# look; load it here, so that no covering call pays for the import
+import numpy.ma
 
 from . import constants as C
 from .geometry import (AffinePlane, AlmostProjection, _euclid_orthonormal,

@@ -6,13 +6,16 @@ k = 0 planes are single points.  All solvers are deterministic.
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.optimize._slsqplib import slsqp
 
 from .constants import DEFAULT_TAU
 from .spaces import NormedSpace
@@ -295,6 +298,7 @@ def _row_dual_norms(space, A):
 def _dist_lp_linprog(space, M, w):
     """Epigraph LP for min ||w - M lam||_p, p in {1, inf}, 2 <= k <= n - 2
     (the one `linprog` call): the coefficients of its optimal vertex."""
+    from scipy.optimize import linprog
     n, k = M.shape
     # variables (lam, s): min sum s, -S s <= w - M lam <= S s, with one
     # slack per coordinate for p = 1 and one shared slack for p = inf
@@ -487,6 +491,35 @@ class AlmostProjection:
                 "residuals": resid}
 
 
+@functools.cache
+def _slsqp_kernel():
+    """scipy's SLSQP kernel module, `scipy.optimize._slsqplib`, loaded
+    from its extension file without running `scipy.optimize`'s package
+    init (about 0.4 s of imports, against 2 ms for the file alone).
+
+    The file is looked up next to scipy's `__init__.py`, one extension
+    suffix at a time; a missing file raises ImportError.  The module is
+    taken out of `sys.modules` again (a single-phase extension enters
+    itself there), so a later `import scipy.optimize` loads it as usual."""
+    name = "scipy.optimize._slsqplib"
+    scipy_spec = importlib.util.find_spec("scipy")
+    if scipy_spec is None:
+        raise ImportError(f"cannot find {name}: scipy is not installed")
+    stem = os.path.join(os.path.dirname(scipy_spec.origin), "optimize", "_slsqplib")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        if os.path.isfile(stem + suffix):
+            break
+    else:
+        raise ImportError(f"cannot find {name}: no extension file {stem}.*")
+    loaded = name in sys.modules
+    spec = importlib.util.spec_from_file_location(name, stem + suffix)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    if not loaded:
+        sys.modules.pop(name, None)
+    return module
+
+
 def _min_dual_norm_extension(space: NormedSpace, Wrows: np.ndarray, target: np.ndarray) -> np.ndarray:
     """phi minimizing ||phi||_q subject to <phi, w_j> = target_j.
 
@@ -496,11 +529,11 @@ def _min_dual_norm_extension(space: NormedSpace, Wrows: np.ndarray, target: np.n
     k = 1, the least-l2 minimizer (`_dists_hyperplane`'s tie rule), and at
     k >= 2, phi0 less its l^q-nearest point of null(W).  Otherwise
     SLSQP runs from the least-squares phi0, driven here through its kernel
-    (`scipy.optimize._slsqplib.slsqp`) by the loop of scipy's own
-    `_minimize_slsqp` for this one problem: no bounds, the k equations and
-    an analytic gradient, with maxiter 500 and ftol 1e-16.  It skips the
-    wrapper's per-evaluation checks and copies, so the iterates are the
-    same bits as `minimize(..., method="SLSQP")`.  The constraint rows stay
+    (`scipy.optimize._slsqplib.slsqp`, loaded by `_slsqp_kernel`) by the
+    loop of scipy's own `_minimize_slsqp` for this one problem: no bounds,
+    the k equations and an analytic gradient, with maxiter 500 and ftol
+    1e-16.  It skips the wrapper's per-evaluation checks and copies, so
+    the iterates are the same bits as `minimize(..., method="SLSQP")`.  The constraint rows stay
     one `float(Wrows[j] @ phi - target[j])` each: `Wrows @ phi - target`
     rounds differently, and that changes the SLSQP path.  When SLSQP does
     not exit with mode 0, phi0 is returned."""
@@ -534,6 +567,7 @@ def _min_dual_norm_extension(space: NormedSpace, Wrows: np.ndarray, target: np.n
     x = phi0.copy()
     fx, g, d = obj(x), jac(x), np.array(cons(x))
     C = np.array(Wrows, dtype=np.float64, order="F")
+    slsqp = _slsqp_kernel().slsqp
     while True:
         slsqp(state, fx, g, C, d, x, mult, xl, xu, buffer, indices)
         mode = state["mode"]

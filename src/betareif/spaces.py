@@ -10,6 +10,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+# numpy loads numpy.random on first use; load it here, with the package,
+# so that no call of the engine pays for the import
+import numpy.random
 
 __all__ = ["NormedSpace", "Functional", "hilbert_modulus"]
 

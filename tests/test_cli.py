@@ -265,13 +265,15 @@ def test_nopowergain_rejects_an_eps_that_overflows_the_witness(tmp_path, capsys)
                                           "at p = 1.5"),
     (["smoothness", "--t-list", "1e200"], "error: --t-list: t = 1e+200 overflows the modulus "
                                           "at p = 2"),
-    (["nopowergain", "--grid-step", "1e-300"], "error: --grid-step must be >= 0.01, got 1e-300"),
-], ids=["t-1e308", "t-1e200", "grid-step-1e-300"])
+    (["nopowergain", "--grid-step", "1e-300"], "error: --grid-step must be >= 0.02, got 1e-300"),
+    (["nopowergain", "--grid-step", "0.015"], "error: --grid-step must be >= 0.02, got 0.015"),
+], ids=["t-1e308", "t-1e200", "grid-step-1e-300", "grid-step-0.015"])
 def test_sweeps_reject_a_value_that_overflows(tmp_path, capsys, argv, message):
     # a t whose bound overflows (t ** 1.5 raises OverflowError at 1e308, and
-    # sqrt(1 + t^2) is inf at 1e200), and a grid step whose sample grid
-    # numpy cannot allocate: exit 2 with one error line that names the
-    # value, no numpy warning and no report
+    # sqrt(1 + t^2) is inf at 1e200), a grid step whose sample grid numpy
+    # cannot allocate, and one whose scan would run for minutes: exit 2
+    # with one error line that names the value, no numpy warning and no
+    # report
     import warnings
     out = tmp_path / "out"
     with warnings.catch_warnings():

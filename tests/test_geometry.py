@@ -1114,12 +1114,16 @@ def test_extension_at_p_1_inf_is_the_least_l2_minimizer(p, w, want):
 def test_hahn_banach_projection_runs_without_linprog(monkeypatch):
     # at p in {1, inf} the extension solves no linear program: the flat maps
     # and the projections of (R^3, l^p) with k in {1, 2} never call linprog
+    # (geometry imports it from scipy.optimize on each use)
+    import scipy.optimize
     from betareif import geometry
 
     def never(*args, **kwargs):
         raise AssertionError("linprog was called")
 
-    monkeypatch.setattr(geometry, "linprog", never)
+    monkeypatch.setattr(scipy.optimize, "linprog", never)
+    with pytest.raises(AssertionError, match="linprog was called"):   # the patch reaches it
+        geometry._dist_lp_linprog(NormedSpace(4, 1.0), np.eye(4)[:, :2], np.ones(4))
     basis = np.array([[1.0, 0.2, -0.1], [0.3, 1.0, 0.4]])
     S = snowflake_sample([0.08] * 12, 4, 2200)
     for p in (1.0, math.inf):
