@@ -22,8 +22,7 @@ from .cover import (CoverConfig, classify_ball, covering_lemma, default_theta,
                     main_packing)
 from .curves import (SnowflakeSpec, no_power_gain_matrix, no_power_gain_witness,
                      npg_reference_points, polyline_length, rademacher_norm,
-                     row_normalized_det, snowflake, euclidean_normal,
-                     linear_graph_samples)
+                     row_normalized_det, snowflake, euclidean_normal)
 from .measures import PointMeasure, dini_profile
 from .report import emit_report, profile_csv
 from .spaces import NormedSpace
@@ -114,11 +113,6 @@ _ANALYSIS_FLAGS = {"--alpha": {"default": "auto"}, "--delta": {"type": float},
                    "--seed": {"type": _seed, "default": 0}}
 
 
-# the witness scan takes time as the square of its ~2.6 / step^2 samples:
-# about 6 s at step 0.02, and some two minutes at 0.01
-_MIN_GRID_STEP = 0.02
-
-
 def _measure_parser(sub, name, summary, *flags):
     """A measure command: the input, the flags every one reads, and `flags`."""
     sp = sub.add_parser(name, help=summary)
@@ -166,9 +160,8 @@ def _build_parser():
     m.add_argument("--seed", type=_seed, default=0)
     m.add_argument("--out", default=None)
 
-    n = sub.add_parser("nopowergain", help="det certificate + witness scan (JSON)")
+    n = sub.add_parser("nopowergain", help="det certificate + exact witness (JSON)")
     n.add_argument("--eps", type=_positive, default=0.02)
-    n.add_argument("--grid-step", type=_positive, default=0.05)
     n.add_argument("--out", default=None)
 
     g = _measure_parser(sub, "goodball", "classify one ball (JSON)", "--theta")
@@ -364,17 +357,8 @@ def _dispatch(args) -> int:
         return 0
 
     if cmd == "nopowergain":
-        if args.grid_step < _MIN_GRID_STEP:
-            raise _ValidationError(f"--grid-step must be >= {_MIN_GRID_STEP:g}, "
-                                   f"got {args.grid_step:g}")
         det, M = no_power_gain_matrix(npg_reference_points())
-        fs = linear_graph_samples([1.0, 0.0, 0.0], euclidean_normal(), args.eps,
-                                  step=args.grid_step)
-        with np.errstate(over="ignore", invalid="ignore"):    # a huge eps: error below
-            pair, bound = no_power_gain_witness(fs)
-        if not math.isfinite(bound):
-            raise _ValidationError(f"--eps {args.eps:g} overflows the witness scan "
-                                   f"(bound {bound}); take a smaller --eps")
+        pair, bound = no_power_gain_witness([1.0, 0.0, 0.0], euclidean_normal(), args.eps)
         doc = {"det": det, "row_normalized_det": row_normalized_det(M),
                "witness_bound": bound, "witness_pair": [list(pair[0]), list(pair[1])],
                "eps": args.eps, "measured_c": args.eps / bound if bound > 0 else None}

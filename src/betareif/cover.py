@@ -12,9 +12,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-# np.median looks for masked arrays, and numpy loads numpy.ma on that first
-# look; load it here, so that no covering call pays for the import
-import numpy.ma
 
 from . import constants as C
 from .geometry import (AffinePlane, AlmostProjection, _euclid_orthonormal,
@@ -965,4 +962,7 @@ def _nearest_neighbor_scale(space, S):
     for rows, D in _distance_blocks(space, S[idx], S):
         D[D <= 0] = np.inf
         nearest[rows] = D.min(axis=1)
-    return float(np.median(nearest))
+    # the median by sorting: np.median would import numpy.ma on first use
+    nearest.sort()
+    h = len(nearest) // 2
+    return float(nearest[h] if len(nearest) % 2 else (nearest[h - 1] + nearest[h]) / 2)

@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass
 import numpy as np
 
-from .measures import PointMeasure, _distance_blocks
+from .measures import PointMeasure
 from .spaces import NormedSpace
 
 __all__ = [
@@ -234,58 +234,43 @@ def row_normalized_det(M: np.ndarray) -> float:
     return float(np.linalg.det(M / norms[:, None]))
 
 
-def no_power_gain_witness(f_samples) -> tuple[tuple, float]:
-    """Scan sampled pairs for the maximizer of
-    |<J(x-y), f(x)-f(y)>| / ||x-y||^2 and return ((x, y), bound).
+def no_power_gain_witness(direction, target, eps: float) -> tuple[tuple, float]:
+    """The exact supremum over x != y in L of |<J(x-y), f(x)-f(y)>| / ||x-y||^2
+    for the linear family f(x) = eps * <a, x>_E * w; returns ((0, d*), bound).
 
-    f_samples maps grid points of L cap B_1 (tuples) to R^3 values.  The
-    pairs are scanned in row blocks (`measures._distance_blocks`), so the
-    tables stay within the block budget for any sample count; the pair
-    is the first maximizer in row-major order, as one argmax over the whole
-    pair table gives it."""
-    items = list(f_samples.items())
-    if len(items) < 2:
-        raise ValueError("need at least two samples")
-    X = np.array([np.asarray(k, dtype=float) for k, _ in items])
-    F = np.array([np.asarray(v, dtype=float) for _, v in items])
-    m = len(X)
-    p = 4.0
-    seps, flats, tops = [], [], []      # per block
-    for rows, sep in _distance_blocks(NPG_SPACE, X, X):
-        seps.append(sep.max())      # the table is symmetric with a zero diagonal
-        D = X[rows, None, :] - X[None, :, :]
-        DF = F[rows, None, :] - F[None, :, :]
-        # <J(d), df> / ||d||^2 = sum sign(d)|d|^(p-1) df / ||d||^p
-        num = np.abs((np.sign(D) * np.abs(D) ** (p - 1.0) * DF).sum(axis=-1))
-        vals = num / np.maximum(sep, 1e-75) ** p
-        vals[sep <= 1e-12] = -1.0
-        j = int(np.argmax(vals))
-        flats.append(rows.start * m + j)
-        tops.append(vals.flat[j])
-    if np.max(seps) < 1e-6:
-        raise ValueError("sample set too sparse: all separations below 1e-6")
-    b = int(np.argmax(tops))
-    i, j = divmod(flats[b], m)
-    return (tuple(X[i]), tuple(X[j])), float(tops[b])
-
-
-def linear_graph_samples(direction, target, eps: float, step: float = 0.05) -> dict:
-    """Adversarial family: f(x) = eps * <a, x>_E * w on a grid of L cap B_1,
-    with a a dual-unit functional on the plane and w a unit target vector;
-    Lip(f) is eps up to the duality normalization."""
+    a is scaled to dual norm 1 and w to norm 1, so Lip(f) <= eps.  The
+    ratio depends only on the direction d = x - y: at p = 4 it is
+    eps |<a, d>| |sum w_i d_i^3| / sum d_i^4, at most eps by Hoelder.  On
+    d = u v1 + v2 the numerator N and the denominator Q are quartics in u,
+    so the maximum lies at a real root of N'Q - NQ' or at d = v1 (u -> inf).
+    Each candidate is scaled to ||d||_4 = 1, and d* is the first maximizer
+    by ascending u, with v1 last; 0 and d* lie in L cap B_1."""
     a = np.asarray(direction, dtype=float)
-    a = a / NPG_SPACE.dual_norm(a)
     w = np.asarray(target, dtype=float)
-    w = w / NPG_SPACE.norm(w)
+    if not (np.isfinite(a).all() and np.isfinite(w).all() and a.any() and w.any()):
+        raise ValueError("direction and target must be finite and nonzero")
+    if not (math.isfinite(eps) and eps >= 0):
+        raise ValueError(f"need a finite eps >= 0, got {eps}")
+    a = a / np.abs(a).max()             # so that the dual norm cannot overflow
+    a, w = a / NPG_SPACE.dual_norm(a), w / NPG_SPACE.norm(w)
+    # d_i = v1_i u + v2_i as coefficient rows; np.convolve keeps leading
+    # zeros (np.polymul trims them), so the sums over i stay aligned.  The
+    # pairings are sums of products, not matmuls: a fused multiply-add would
+    # leave a rounding residue where <a, d> vanishes
     v1, v2 = NPG_PLANE_SPAN
-    out = {}
-    grid = np.arange(-1.0, 1.0 + step / 2, step)
-    for s in grid:
-        for t in grid:
-            x = s * v1 + t * v2
-            if NPG_SPACE.norm(x) <= 1.0:
-                out[tuple(x)] = eps * float(a @ x) * w
-    return out
+    lin = NPG_PLANE_SPAN.T
+    cubes = np.array([np.convolve(np.convolve(c, c), c) for c in lin])
+    N = np.convolve((a[:, None] * lin).sum(axis=0), (w[:, None] * cubes).sum(axis=0))
+    Q = np.array([np.convolve(q, c) for q, c in zip(cubes, lin)]).sum(axis=0)
+    crit = np.convolve(np.polyder(N), Q) - np.convolve(N, np.polyder(Q))
+    u = np.sort(np.roots(crit).real)
+    D = np.vstack([u[:, None] * v1 + v2, v1])
+    D /= NPG_SPACE.norms(D)[:, None]
+    ratios = (np.abs((D * a).sum(axis=1)) * np.abs((D ** 3 * w).sum(axis=1))
+              / (D ** 4).sum(axis=1))
+    j = int(np.argmax(ratios))
+    # ratios <= 1 but for rounding, so the bound cannot overflow
+    return ((0.0, 0.0, 0.0), tuple(D[j])), eps * min(float(ratios[j]), 1.0)
 
 
 def euclidean_normal(plane_span=NPG_PLANE_SPAN) -> np.ndarray:

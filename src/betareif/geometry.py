@@ -351,7 +351,7 @@ def _dist_newton_batch(space, M, W, lam):
         h = (p - 1.0) * np.abs(np.clip(np.abs(Rs), 1e-14, None)) ** (p - 2.0)
         H = np.einsum("mi,ij,ik->mjk", h, M, M)
         H += 1e-14 * np.eye(M.shape[1])[None, :, :]
-        g = -(np.sign(Rs) * np.abs(Rs) ** (p - 1.0)) @ M
+        g = -S[~done] @ M      # not G[~done]: a product of other shape can round otherwise
         try:
             step = np.linalg.solve(H, -g[:, :, None])[:, :, 0]
         except np.linalg.LinAlgError:

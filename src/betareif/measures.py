@@ -578,7 +578,7 @@ def dini_profile(space: NormedSpace, mu: PointMeasure, x, r_lo, r_hi: float,
     # each center's sum over its own scales, in groups of equal length:
     # padding with zeros would change numpy's pairwise sums from 8 terms
     dini = np.empty(m)
-    for n in np.unique(n_scales):
+    for n in sorted(set(n_scales.tolist())):     # np.unique would import numpy.ma
         rows = n_scales == n
         dini[rows] = (betas[rows, :n] ** alpha).sum(axis=1) * log
     profiles = [DiniProfile(c, grid[:n], betas[i, :n], alpha, chi, float(dini[i]))

@@ -15,9 +15,9 @@ import pytest
 from betareif.cover import (CoverConfig, build_sigma, covering_lemma,
                             main_packing)
 from betareif.curves import (SnowflakeSpec, dirac_example, euclidean_normal,
-                             linear_graph_samples, no_power_gain_matrix,
-                             no_power_gain_witness, npg_reference_points,
-                             polyline_length, row_normalized_det, snowflake)
+                             no_power_gain_matrix, no_power_gain_witness,
+                             npg_reference_points, polyline_length,
+                             row_normalized_det, snowflake)
 from betareif.geometry import (affine_plane, grassmann_distance,
                                make_projection)
 from betareif.measures import PointMeasure, best_plane, beta
@@ -167,12 +167,11 @@ def test_criterion_7_no_power_gain_certificate():
     t0 = time.time()
     det, M = no_power_gain_matrix(npg_reference_points())
     det_norm = row_normalized_det(M)
-    # witness scan: measured c stable within +-20% across eps
+    # exact witness: measured c stable within +-20% across eps
     n = euclidean_normal()
     cs = []
     for eps in (0.01, 0.02, 0.04):
-        fs = linear_graph_samples([1.0, 0.0, 0.0], n, eps, step=0.05)
-        _, bound = no_power_gain_witness(fs)
+        _, bound = no_power_gain_witness([1.0, 0.0, 0.0], n, eps)
         cs.append(eps / bound)
     stable = all(abs(c - cs[0]) <= 0.2 * cs[0] for c in cs)
     det_ok = abs(det_norm) > 1e-10

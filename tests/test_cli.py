@@ -198,8 +198,8 @@ def test_exit_code_on_out_of_range_flag(planar_json, argv, capsys):
     ["smoothness", "--t-list", "-1"],
     ["smoothness", "--dim", "0"],
     ["smoothness", "--samples", "0"],
-    ["nopowergain", "--grid-step", "0"],
-    ["nopowergain", "--grid-step", "-1"],
+    ["nopowergain", "--eps", "-1"],
+    ["nopowergain", "--eps", "inf"],
     ["nopowergain", "--eps", "nan"],
 ])
 def test_exit_code_on_bad_flag_value(planar_json, tmp_path, capsys, argv):
@@ -246,17 +246,28 @@ def test_exit_code_names_the_bad_input(planar_json, dirac_json, tmp_path, capsys
     assert not out.exists()
 
 
-def test_nopowergain_rejects_an_eps_that_overflows_the_witness(tmp_path, capsys):
-    # at eps = 1e308 the witness scan overflows to a NaN bound: exit 2 with
-    # one error line and no numpy warning, never a report with
-    # "witness_bound": "nan"
+def test_nopowergain_huge_eps_gives_a_finite_bound(tmp_path):
+    # the exact witness bound is eps times a ratio <= 1 (Hoelder), so at
+    # eps = 1e308 it is finite, with no numpy warning, and c = eps / bound
+    # is the one of eps = 0.02
     import warnings
+    docs = {}
+    for eps in ("0.02", "1e308"):
+        out = tmp_path / f"{eps}.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["nopowergain", "--eps", eps, "--out", str(out)]) == 0
+        docs[eps] = json.loads(out.read_text())
+    assert 0 < docs["1e308"]["witness_bound"] <= 1e308
+    assert docs["1e308"]["measured_c"] == docs["0.02"]["measured_c"]
+
+
+def test_nopowergain_takes_no_grid_step(tmp_path, capsys):
+    # the witness is exact, so there is no sample grid to set: --grid-step
+    # is an unknown option
     out = tmp_path / "out"
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert run(["nopowergain", "--eps", "1e308", "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert "error: --eps 1e+308 overflows the witness scan" in err and err.count("error: ") == 1
+    assert run(["nopowergain", "--grid-step", "0.05", "--out", str(out)]) == 2
+    assert "error: unrecognized arguments: --grid-step 0.05" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -265,15 +276,11 @@ def test_nopowergain_rejects_an_eps_that_overflows_the_witness(tmp_path, capsys)
                                           "at p = 1.5"),
     (["smoothness", "--t-list", "1e200"], "error: --t-list: t = 1e+200 overflows the modulus "
                                           "at p = 2"),
-    (["nopowergain", "--grid-step", "1e-300"], "error: --grid-step must be >= 0.02, got 1e-300"),
-    (["nopowergain", "--grid-step", "0.015"], "error: --grid-step must be >= 0.02, got 0.015"),
-], ids=["t-1e308", "t-1e200", "grid-step-1e-300", "grid-step-0.015"])
+], ids=["t-1e308", "t-1e200"])
 def test_sweeps_reject_a_value_that_overflows(tmp_path, capsys, argv, message):
     # a t whose bound overflows (t ** 1.5 raises OverflowError at 1e308, and
-    # sqrt(1 + t^2) is inf at 1e200), a grid step whose sample grid numpy
-    # cannot allocate, and one whose scan would run for minutes: exit 2
-    # with one error line that names the value, no numpy warning and no
-    # report
+    # sqrt(1 + t^2) is inf at 1e200): exit 2 with one error line that names
+    # the value, no numpy warning and no report
     import warnings
     out = tmp_path / "out"
     with warnings.catch_warnings():

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from betareif.curves import (RademacherVector, SnowflakeSpec, dirac_example,
-                             euclidean_normal, linear_graph_samples,
-                             no_power_gain_matrix, no_power_gain_witness,
-                             npg_reference_points, polyline_length,
+                             euclidean_normal, no_power_gain_matrix,
+                             no_power_gain_witness, npg_reference_points, polyline_length,
                              rademacher_norm, row_normalized_det, snowflake,
                              NPG_PLANE_SPAN, NPG_SPACE)
 
@@ -266,15 +265,53 @@ def test_npg_matrix_validation():
 
 
 def test_witness_zero_function():
-    fs = {tuple(x): np.zeros(3) for x in npg_reference_points()}
-    _, bound = no_power_gain_witness(fs)
+    # eps = 0 is the zero map: no pair distorts
+    _, bound = no_power_gain_witness([1.0, 0.0, 0.0], euclidean_normal(), 0.0)
     assert bound == 0.0
 
 
-def test_witness_sparse_raises():
-    fs = {(0.0, 0.0, 0.0): np.zeros(3), (1e-9, 0.0, 0.0): np.zeros(3)}
+def test_witness_functional_vanishing_on_the_plane():
+    # a = (1, -1, 1) annihilates v1 = (1, 1, 0) and v2 = (0, 1, 1): f = 0 on L
+    _, bound = no_power_gain_witness([1.0, -1.0, 1.0], [1.0, 0.2, 0.1], 0.02)
+    assert bound == 0.0
+
+
+@pytest.mark.parametrize("direction,target,eps", [
+    ([0.0, 0.0, 0.0], [1.0, 0.0, 0.0], 0.02),
+    ([1.0, 0.0, 0.0], [0.0, 0.0, 0.0], 0.02),
+    ([math.nan, 0.0, 0.0], [1.0, 0.0, 0.0], 0.02),
+    ([1.0, 0.0, 0.0], [math.inf, 0.0, 0.0], 0.02),
+    ([1.0, 0.0, 0.0], [1.0, 0.0, 0.0], -0.01),
+    ([1.0, 0.0, 0.0], [1.0, 0.0, 0.0], math.nan),
+    ([1.0, 0.0, 0.0], [1.0, 0.0, 0.0], math.inf),
+])
+def test_witness_rejects_bad_input(direction, target, eps):
+    # a zero or non-finite a or w, or an eps that is not a finite number >= 0
     with pytest.raises(ValueError):
-        no_power_gain_witness(fs)
+        no_power_gain_witness(direction, target, eps)
+
+
+def test_witness_scales_out_a_and_w():
+    # only the directions of a and w count, at any size
+    _, bound = no_power_gain_witness([0.0, 1.0, -1.0], [1.0, 0.2, 0.1], 0.02)
+    for k in (1e-300, 1e300):
+        _, scaled = no_power_gain_witness([0.0, k, -k], [k, 0.2 * k, 0.1 * k], 0.02)
+        assert scaled == pytest.approx(bound, rel=1e-14)
+
+
+def test_witness_bound_is_at_most_eps():
+    # a = J(d) and w = d for one d in L meet Hoelder's bound: the ratio is 1
+    # up to rounding, and can round above 1, yet the bound stays <= eps even
+    # at the largest float
+    v1, v2 = NPG_PLANE_SPAN
+    rng = np.random.default_rng(0)
+    for _ in range(50):
+        c = rng.normal(size=2)
+        d = c[0] * v1 + c[1] * v2
+        _, bound = no_power_gain_witness(d ** 3, d, 1.0)
+        assert bound == pytest.approx(1.0, rel=1e-14) and bound <= 1.0
+        _, bound = no_power_gain_witness(d ** 3, d, np.finfo(float).max)
+        assert 0 < bound <= np.finfo(float).max
 
 
 def test_witness_adversarial_families():
@@ -282,15 +319,33 @@ def test_witness_adversarial_families():
     # witness pair with bound >= eps/c, c <= 100
     n = euclidean_normal()
     for eps in (0.01, 0.02, 0.04):
-        fs = linear_graph_samples([1.0, 0.0, 0.0], n, eps, step=0.05)
-        _, bound = no_power_gain_witness(fs)
+        _, bound = no_power_gain_witness([1.0, 0.0, 0.0], n, eps)
         assert bound >= eps / 100.0
-    fs2 = linear_graph_samples([0.0, 1.0, -1.0], [1.0, 0.2, 0.1], 0.02, step=0.05)
-    _, bound2 = no_power_gain_witness(fs2)
+    _, bound2 = no_power_gain_witness([0.0, 1.0, -1.0], [1.0, 0.2, 0.1], 0.02)
     assert bound2 >= 0.02 / 100.0
 
 
-# the unblocked scan that the row blocks replaced: every pair table whole
+def linear_graph_samples(direction, target, eps: float, step: float = 0.05) -> dict:
+    """Adversarial family: f(x) = eps * <a, x>_E * w on a grid of L cap B_1,
+    with a a dual-unit functional on the plane and w a unit target vector;
+    Lip(f) is eps up to the duality normalization."""
+    a = np.asarray(direction, dtype=float)
+    a = a / NPG_SPACE.dual_norm(a)
+    w = np.asarray(target, dtype=float)
+    w = w / NPG_SPACE.norm(w)
+    v1, v2 = NPG_PLANE_SPAN
+    out = {}
+    grid = np.arange(-1.0, 1.0 + step / 2, step)
+    for s in grid:
+        for t in grid:
+            x = s * v1 + t * v2
+            if NPG_SPACE.norm(x) <= 1.0:
+                out[tuple(x)] = eps * float(a @ x) * w
+    return out
+
+
+# the sampled pair scan that the exact witness replaced: the first argmax
+# of |<J(x-y), f(x)-f(y)>| / ||x-y||^2 over the whole pair table
 def _witness_whole_table(f_samples):
     X = np.array([np.asarray(k, dtype=float) for k in f_samples])
     F = np.array([np.asarray(v, dtype=float) for v in f_samples.values()])
@@ -306,31 +361,52 @@ def _witness_whole_table(f_samples):
     return (tuple(X[i]), tuple(X[j])), float(vals[i, j])
 
 
-@pytest.mark.parametrize("block_entries", [None, 1 << 14])
-@pytest.mark.parametrize("step", [0.05, 0.04])
-def test_witness_row_blocks_match_the_whole_table(step, block_entries, monkeypatch):
-    # 1,027 samples at step 0.05 and 1,615 at 0.04: 13 and 30 blocks at the
-    # default budget, and 3-5 rows a block at 2^14 entries.  The bound of a
-    # linear f depends only on x - y, so it ties across blocks, and
-    # the whole table's first argmax must win, pair and bound to the bit
-    from betareif import measures
-    if block_entries is not None:
-        monkeypatch.setattr(measures, "_BLOCK_ENTRIES", block_entries)
-    for fs in (linear_graph_samples([1.0, 0.0, 0.0], euclidean_normal(), 0.02, step=step),
-               linear_graph_samples([0.0, 1.0, -1.0], [1.0, 0.2, 0.1], 0.02, step=step)):
-        assert measures._BLOCK_ENTRIES < 3 * len(fs) ** 2 / 10
-        assert no_power_gain_witness(fs) == _witness_whole_table(fs)
+def _witness_ratios(direction, target, D):
+    """|<a, d>| |sum w_i d_i^3| / ||d||_4^4 over the rows d of D."""
+    a = np.asarray(direction, dtype=float)
+    a = a / NPG_SPACE.dual_norm(a)
+    w = np.asarray(target, dtype=float)
+    w = w / NPG_SPACE.norm(w)
+    return np.abs((D * a).sum(axis=1)) * np.abs((D ** 3 * w).sum(axis=1)) / (D ** 4).sum(axis=1)
+
+
+@pytest.mark.parametrize("family", ["cli", "zero-on-v2", "generic"])
+def test_witness_is_the_exact_maximum(family):
+    # the exact bound is at least the maximum over 2e5 directions of L and
+    # over every pair of the step-0.05 and step-0.04 grids (1,027 and
+    # 1,615 samples); the CLI family's maximizer d ~ -2 v1 + v2 lies on
+    # both grids, which must find it to 1e-12.  The pair is (0, d*) with
+    # ||d*||_4 = 1 in L, and d* attains the bound
+    direction, target = {"cli": ([1.0, 0.0, 0.0], euclidean_normal()),
+                         "zero-on-v2": ([0.0, 1.0, -1.0], [1.0, 0.2, 0.1]),
+                         "generic": ([0.3, -0.7, 0.2], [0.5, -0.1, 0.9])}[family]
+    eps = 0.02
+    (x, d), bound = no_power_gain_witness(direction, target, eps)
+    assert 0 < bound <= eps
+    assert x == (0.0, 0.0, 0.0)
+    d = np.array(d)
+    assert NPG_SPACE.norm(d) == pytest.approx(1.0, rel=1e-15)
+    coef = np.linalg.lstsq(NPG_PLANE_SPAN.T, d, rcond=None)[0]
+    assert np.abs(coef @ NPG_PLANE_SPAN - d).max() < 1e-15
+    assert eps * _witness_ratios(direction, target, d[None, :])[0] == pytest.approx(bound, rel=1e-14)
+    theta = np.linspace(0.0, math.pi, 200_000, endpoint=False)
+    D = np.cos(theta)[:, None] * NPG_PLANE_SPAN[0] + np.sin(theta)[:, None] * NPG_PLANE_SPAN[1]
+    assert bound >= (1 - 1e-12) * eps * _witness_ratios(direction, target, D).max()
+    for step in (0.05, 0.04):
+        _, sampled = _witness_whole_table(linear_graph_samples(direction, target, eps, step))
+        assert bound >= (1 - 1e-12) * sampled
+        if family == "cli":
+            assert bound == pytest.approx(sampled, rel=1e-12)
 
 
 def test_witness_bound_scales_linearly():
     n = euclidean_normal()
     bounds = []
     for eps in (0.01, 0.02, 0.04):
-        fs = linear_graph_samples([1.0, 0.0, 0.0], n, eps, step=0.05)
-        _, bound = no_power_gain_witness(fs)
+        _, bound = no_power_gain_witness([1.0, 0.0, 0.0], n, eps)
         bounds.append(bound / eps)
     for b in bounds[1:]:
-        assert b == pytest.approx(bounds[0], rel=0.2)
+        assert b == pytest.approx(bounds[0], rel=1e-12)
 
 
 def test_witness_graph_distortion_lower_bound():

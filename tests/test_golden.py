@@ -106,8 +106,11 @@ TILTING_GRAPH_MEASURE_SHA256 = (
     "1955b497cd914eb24004b58d5fb03954a1b5a544e432c2e3d9e449587e69b16e")
 PYTHAGOREAN_LINF_SHA256 = (
     "9166ada6c9645cebd9309ddf4f3414041d29cdaddece997f4e339eaeee88e3be")
+# the exact witness keeps every digit of the grid scan's bound and c; only
+# witness_pair moved, from the grid pair [[-0.6, -0.95, -0.35],
+# [-0.5, -0.9, -0.4]] to (0, d*) with d* = (-2, -1, 1) / 18^(1/4)
 NOPOWERGAIN_SHA256 = (
-    "6cdcce518f4df3fe43301b792abac3cd06d33921c28dd5a9d23f2f32ad602a46")
+    "478523c8e750d9b015c6e715f23d487e95fede4eb6d26805c88ddc595b7226ce")
 # the depth-4 snowflake of FLAT_MAP_SNOWFLAKE_D4 read in (R^2, l^p): the
 # projection kind of both stages, then the report values.  Under the
 # hull-edge beta_inf every value moves by ulps only:

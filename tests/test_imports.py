@@ -1,5 +1,5 @@
-"""The import path: `import betareif.cli` loads no scipy module, and a
-call of the engine imports no module.
+"""The import path: `import betareif.cli` loads no scipy module, nor
+numpy.ma or numpy.polynomial, and a call of the engine imports no module.
 
 Each test runs a fresh interpreter, since this pytest process has long
 since imported scipy.  The child prints one JSON line."""
@@ -52,13 +52,18 @@ if ARGS["call"] == "pack":
 elif ARGS["call"] == "cover":
     argv = ["cover", ARGS["l4"], *ARGS["cover"], "--out", ARGS["out"]]
     call = lambda: cli.run(argv)
+elif ARGS["call"] == "nopowergain":
+    argv = ["nopowergain", "--eps", "0.02", "--out", ARGS["out"]]
+    call = lambda: cli.run(argv)
 else:
     S = json.loads(open(ARGS["flake"]).read())
     call = lambda: cover.reifenberg_flat_map(NormedSpace(2, 2), S, 1, chi=1 / 3, delta=0.2,
                                              max_depth=7, pair_count=120)
+doc = {"preloaded": sorted(m for m in ("numpy.ma", "numpy.polynomial") if m in sys.modules)}
 before = set(sys.modules)
 call()
-print(json.dumps(sorted(set(sys.modules) - before)))
+doc["added"] = sorted(set(sys.modules) - before)
+print(json.dumps(doc))
 """
 
 
@@ -98,12 +103,14 @@ def test_import_path_loads_no_scipy_module(tmp_path):
     assert doc["same_file"]
 
 
-@pytest.mark.parametrize("call", ["pack", "cover", "flatmap"])
+@pytest.mark.parametrize("call", ["pack", "cover", "flatmap", "nopowergain"])
 def test_a_call_imports_no_module(tmp_path, call):
-    # after `import betareif.cli`, a first l^2 pack, l^4 cover or depth-4
-    # flat map imports nothing: the modules that numpy and argparse load
-    # on first use (numpy.ma for np.median, numpy.random for default_rng,
-    # locale for gettext) load with the package
+    # after `import betareif.cli`, a first l^2 pack, l^4 cover, depth-4
+    # flat map or no-power-gain witness imports nothing: the modules that
+    # numpy and argparse load on first use (numpy.random for default_rng,
+    # locale for gettext) load with the package.  numpy.ma (which
+    # np.median and np.unique import) and numpy.polynomial load neither
+    # with the package nor on a call
     args = _inputs(tmp_path)
     args["call"] = call
-    assert _child(CALL, args) == []
+    assert _child(CALL, args) == {"preloaded": [], "added": []}
