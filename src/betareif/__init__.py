@@ -1,7 +1,7 @@
 """Jones beta-numbers and effective Reifenberg constructions for atomic
 measures in finite-dimensional l^p spaces."""
 
-from .spaces import Functional, NormedSpace, hilbert_modulus
+from .spaces import NormedSpace, hilbert_modulus
 from .geometry import (AffinePlane, AlmostProjection, affine_plane,
                        distance_to_affine, distances_to_affine,
                        general_position_margin, grassmann_distance,

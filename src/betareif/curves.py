@@ -212,20 +212,16 @@ def no_power_gain_matrix(points) -> tuple[float, np.ndarray]:
     P = np.atleast_2d(np.asarray(points, dtype=float))
     if P.shape != (6, 3):
         raise ValueError("expected six points in R^3")
-    for i in range(6):
-        for j in range(i + 1, 6):
-            if np.allclose(P[i], P[j], atol=1e-14):
-                raise ValueError(f"points {i} and {j} coincide")
-    M = np.zeros((15, 15))
-    row = 0
-    for i in range(6):
-        for j in range(i + 1, 6):
-            d = P[i] - P[j]
-            u = NPG_SPACE.duality_map(d).coefficients / NPG_SPACE.norm(d)
-            if i > 0:
-                M[row, 3 * (i - 1): 3 * i] += u
-            M[row, 3 * (j - 1): 3 * j] -= u
-            row += 1
+    i, j = np.triu_indices(6, 1)
+    same = np.isclose(P[i], P[j], atol=1e-14).all(axis=1)
+    if same.any():
+        raise ValueError(f"points {i[same][0]} and {j[same][0]} coincide")
+    D = P[i] - P[j]
+    U = NPG_SPACE.duality_map(D) / NPG_SPACE.norms(D)[:, None]
+    M = np.zeros((15, 6, 3))     # row (i, j): +u in block i, -u in block j
+    M[range(15), i] += U
+    M[range(15), j] -= U
+    M = M[:, 1:].reshape(15, 15)  # f(x_0) = 0 drops block 0
     return float(np.linalg.det(M)), M
 
 

@@ -271,7 +271,7 @@ def _dists_hyperplane(space, bases, rows, Z):
     s_val = ((Z[None, :, :] - bases[:, None, :]) @ a[:, :, None])[:, :, 0]
     A = np.abs(a)
     q = space.q
-    dq = _row_dual_norms(space, a)
+    dq = space.dual_norms(a)
     if q == math.inf:           # p = 1: move along max-|a| coordinates, split ties
         ties = A >= dq[:, None] * (1 - 1e-12)
         w = np.where(ties, np.sign(a) / (ties.sum(axis=1) * dq)[:, None], 0.0)
@@ -283,16 +283,6 @@ def _dists_hyperplane(space, bases, rows, Z):
     aw = (a[:, None, :] @ w[:, :, None])[:, 0, 0]  # rescale so the foot lands exactly on the plane
     feet = Z[None, :, :] - (s_val / aw[:, None])[:, :, None] * w[:, None, :]
     return np.abs(s_val) / dq[:, None], feet
-
-
-def _row_dual_norms(space, A):
-    """||a_i||_q for the rows a_i of A, the same to the bit whatever the
-    stack: the root is taken per element (an array power can differ from
-    it by an ulp)."""
-    q = space.q
-    if q == 1.0 or q == math.inf:
-        return space.dual_norms(A)
-    return np.array([t ** (1.0 / q) for t in (np.abs(A) ** q).sum(axis=1)])
 
 
 def _dist_lp_linprog(space, M, w):
@@ -526,8 +516,12 @@ def _min_dual_norm_extension(space: NormedSpace, Wrows: np.ndarray, target: np.n
     This is the Hahn-Banach extension of the coordinate functional: the
     minimum dual norm over extensions equals the norm on the subspace.
     q = 2 is the least-squares solution phi0.  For q in {1, inf} it is, at
-    k = 1, the least-l2 minimizer (`_dists_hyperplane`'s tie rule), and at
-    k >= 2, phi0 less its l^q-nearest point of null(W).  Otherwise
+    k = 1, the least-l2 minimizer: a multiple of sign(w) on the
+    coordinates within 1e-12 relative of max |w_i| at q = 1 (the tie rule
+    of `_dists_hyperplane` at p = 1), and on the coordinates above
+    1e-12 * max |w_i| at q = inf (`_dists_hyperplane` at p = inf keeps
+    every nonzero one).  At k >= 2 it is phi0 less its l^q-nearest point
+    of null(W).  Otherwise
     SLSQP runs from the least-squares phi0, driven here through its kernel
     (`scipy.optimize._slsqplib.slsqp`, loaded by `_slsqp_kernel`) by the
     loop of scipy's own `_minimize_slsqp` for this one problem: no bounds,
@@ -608,16 +602,14 @@ def make_projection(space: NormedSpace, V: AffinePlane, kind: str) -> AlmostProj
         if not (1.0 < space.p < math.inf):
             raise ValueError("j_projection requires 1 < p < inf")
         v = basis[0] / space.norm(basis[0])
-        phi = space.duality_map(v).coefficients
+        phi = space.duality_map(v)
         return AlmostProjection(v[None, :], phi[None, :], kind, 1.0, np.outer(v, phi))
     if kind == "hahn_banach":
         Wrows = riesz_basis(space, basis, DEFAULT_TAU)
-        Phi = np.empty_like(Wrows)
-        for i in range(k):
-            Phi[i] = _min_dual_norm_extension(space, Wrows, np.eye(k)[i])
+        Phi = np.array([_min_dual_norm_extension(space, Wrows, e) for e in np.eye(k)])
         P = Wrows.T @ Phi
         # unit rows w_i: ||Px|| <= sum |<phi_i, x>| ||w_i|| <= sum ||phi_i||_q ||x||
-        bound = float(sum(space.dual_norm(Phi[i]) for i in range(k)))
+        bound = float(space.dual_norms(Phi).sum())
         return AlmostProjection(Wrows, Phi, kind, bound, P)
     raise ValueError(f"unknown projection kind {kind!r}")
 
@@ -644,51 +636,27 @@ def pythagorean_report(space: NormedSpace, proj: AlmostProjection,
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((samples, space.dim)) * np.exp(rng.uniform(-2, 2, size=(samples, 1)))
     nx = space.norms(X)
-    X = X[nx > 1e-9]
+    X, n_x = X[nx > 1e-9], nx[nx > 1e-9]
     c = proj.op_norm_estimate
     PX = proj.apply(X)
     QX = X - PX
-    n_x = space.norms(X)
     n_px = space.norms(PX)
     n_qx = space.norms(QX)
     lhs = np.abs(n_x**2 - n_px**2)
     rho = np.array([space.modulus_smoothness_bound(min(t, 1e6)) for t in n_qx / n_x])
-    tol = 1.0 + 1e-9
-    viol = 0
+
+    def worst(rhs):
+        """(max of lhs / rhs, inf where rhs = 0 < lhs; count above 1 + 1e-9)"""
+        ratio = np.where(rhs > 0, lhs / np.maximum(rhs, 1e-300), np.where(lhs > 0, np.inf, 0.0))
+        return float(ratio.max()) if len(ratio) else 0.0, int((ratio > 1.0 + 1e-9).sum())
+
     skipped = space.p == math.inf
-    if skipped:
-        max_general = float("nan")
-    else:
-        Jpx = _duality_rows(space, PX)
-        pairing = np.abs((Jpx * QX).sum(axis=1))
-        rhs = 2.0 * pairing + 8.0 * c * c * n_x**2 * rho
-        general = np.where(rhs > 0, lhs / np.maximum(rhs, 1e-300), np.where(lhs > 0, np.inf, 0.0))
-        max_general = float(general.max()) if len(general) else 0.0
-        viol += int((general > tol).sum())
-    if proj.kind in ("orthogonal", "j_projection"):
-        rhs2 = 8.0 * n_x**2 * rho
-        improved = np.where(rhs2 > 0, lhs / np.maximum(rhs2, 1e-300), np.where(lhs > 0, np.inf, 0.0))
-        max_improved = float(improved.max()) if len(improved) else 0.0
-        viol += int((improved > tol).sum())
-    else:
-        max_improved = float("nan")
-    if proj.kind == "orthogonal":
-        slack = float(np.abs(n_x**2 - n_px**2 - n_qx**2).max())
-    else:
-        slack = float("nan")
-    return PythagoreanReport(len(X), max_general, max_improved, slack, viol, skipped)
-
-
-def _duality_rows(space: NormedSpace, X: np.ndarray) -> np.ndarray:
-    """Row-wise duality map (vectorized J)."""
-    p = space.p
-    nx = space.norms(X)
-    safe = np.maximum(nx, 1e-300)
-    if p == 2.0:
-        return X
-    if p == 1.0:
-        return nx[:, None] * np.sign(X)
-    return (safe ** (2.0 - p))[:, None] * np.sign(X) * np.abs(X) ** (p - 1.0)
+    none = (float("nan"), 0)
+    general = none if skipped else worst(
+        2.0 * np.abs((space.duality_map(PX) * QX).sum(axis=1)) + 8.0 * c * c * n_x**2 * rho)
+    improved = worst(8.0 * n_x**2 * rho) if proj.kind in ("orthogonal", "j_projection") else none
+    slack = float(np.abs(n_x**2 - n_px**2 - n_qx**2).max()) if proj.kind == "orthogonal" else float("nan")
+    return PythagoreanReport(len(X), general[0], improved[0], slack, general[1] + improved[1], skipped)
 
 
 def graph_check(space: NormedSpace, points, plane: AffinePlane,

@@ -14,7 +14,7 @@ from numpy.linalg import _umath_linalg
 
 from .constants import norm_equivalence
 from .geometry import (AffinePlane, _dists_to_flat_batch, _dists_to_flats,
-                       _row_dual_norms, distances_to_affine)
+                       distances_to_affine)
 from .spaces import NormedSpace, real_number
 
 __all__ = [
@@ -497,7 +497,7 @@ def _hull_edges(space, REL, starts):
         normal = np.stack([-e[:, 1], e[:, 0]], axis=1)
         s = E[:, 0] * normal[own, 0] + E[:, 1] * normal[own, 1]
         width = np.maximum.reduceat(s, seg) - np.minimum.reduceat(s, seg)
-        score = 0.5 * width / _row_dual_norms(space, normal)
+        score = 0.5 * width / space.dual_norms(normal)
         gain = score < best[rows]
         best[rows[gain]], edges[rows[gain]] = score[gain], e[gain]
         V, D, left = W, e, left - 1

@@ -14,7 +14,7 @@ import numpy as np
 # so that no call of the engine pays for the import
 import numpy.random
 
-__all__ = ["NormedSpace", "Functional", "hilbert_modulus"]
+__all__ = ["NormedSpace", "hilbert_modulus"]
 
 
 def hilbert_modulus(t: float) -> float:
@@ -39,15 +39,27 @@ def _reduce_last(ufunc, A):
     return s[()]
 
 
-@dataclass(frozen=True)
-class Functional:
-    """A dual vector acting by the standard pairing <phi, x> = sum phi_i x_i."""
+_TINY, _HUGE = np.finfo(float).tiny, np.finfo(float).max
 
-    coefficients: np.ndarray
-    dual_norm: float
 
-    def __call__(self, x) -> float:
-        return float(np.dot(self.coefficients, np.asarray(x, dtype=float)))
+def _rescaled(f, X, out, *checks):
+    """out, with each row of X where an entry of `checks` is not a finite
+    normal number (and the row is neither zero nor infinite) recomputed as
+    m * f(X / m), m the row's largest |entry|: f is positively homogeneous
+    along the last axis, and a row of largest entry 1 does not over- or
+    underflow."""
+    ok = True
+    for v in checks:
+        ok = ok & (v >= _TINY) & (v <= _HUGE)
+    if ok.all():
+        return out
+    X = X.reshape(-1, X.shape[-1])
+    m = np.abs(X).max(axis=1)
+    rows = np.flatnonzero(~ok.ravel() & (m > 0) & (m <= _HUGE))
+    m, out = m[rows, None], np.array(out)
+    flat = out.reshape(len(X), -1)
+    flat[rows] = m * f(X[rows] / m).reshape(flat[rows].shape)
+    return out[()]
 
 
 @dataclass(frozen=True)
@@ -113,38 +125,56 @@ class NormedSpace:
         return float(self.dual_norms(phi))
 
     def dual_norms(self, Phi) -> np.ndarray:
-        """l^q norms (q the dual exponent) along the last axis of Phi."""
+        """l^q norms (q the dual exponent) along the last axis of Phi.
+
+        The root is a scalar power per row (an array power can differ by an
+        ulp), so a row of a C-ordered stack has the bits of the row alone.
+        A row whose power sum is not a finite normal number is rescaled by
+        its largest entry first, as `norms` rescales every row."""
         q = self.q
         A = np.abs(np.asarray(Phi, dtype=float))
         if q == math.inf:
             return _reduce_last(np.maximum, A)
         if q == 1.0:
             return _reduce_last(np.add, A)
-        return _reduce_last(np.add, A ** q) ** (1.0 / q)
+        with np.errstate(over="ignore", under="ignore"):
+            S = _reduce_last(np.add, A ** q)
+        # Python's float power is the C pow; a root of a sum cannot overflow
+        R = np.array([t ** (1.0 / q) for t in np.ravel(S).tolist()]).reshape(np.shape(S))
+        return _rescaled(self.dual_norms, A, R[()], S)
 
     # -- duality map ----------------------------------------------------
 
-    def duality_map(self, x) -> Functional:
-        """The normalized duality map J with ||J(x)||_q = ||x|| and <J(x),x> = ||x||^2.
+    def duality_map(self, x) -> np.ndarray:
+        """The normalized duality map J along the last axis of x, (n,) or
+        (m, n): ||J(x)||_q = ||x|| and <J(x),x> = ||x||^2.
 
         For 1 < p < inf, J(x) = ||x||^(2-p) * sign(x)|x|^(p-1) and is unique.
         For p = 1 the sign-vector formula is used with sign(0) = 0 (J is not
         unique on l^1; this is the symmetric selection).  p = inf is rejected.
+        ||x||^(2-p) is a scalar power per row, so a row of a C-ordered stack
+        has the bits of the row alone; a row whose factor, largest power or
+        largest entry is not a finite normal number is rescaled first.
         """
         x = self._check(x)
-        if self.p == math.inf:
+        p = self.p
+        if p == math.inf:
             raise ValueError("duality map is not available for p = inf")
-        nx = self.norm(x)
-        if nx == 0.0:
-            coeffs = np.zeros(self.dim)
-            return Functional(coeffs, 0.0)
-        if self.p == 1.0:
-            coeffs = nx * np.sign(x)
-        elif self.p == 2.0:
-            coeffs = x.copy()
+        X = x.reshape(-1, self.dim)
+        if p == 2.0:
+            J = X.copy()
+        elif p == 1.0:
+            J = self.norms(X)[:, None] * np.sign(X)
         else:
-            coeffs = nx ** (2.0 - self.p) * np.sign(x) * np.abs(x) ** (self.p - 1.0)
-        return Functional(coeffs, self.dual_norm(coeffs))
+            with np.errstate(all="ignore"):
+                # numpy's scalar power: the C pow, as Python's, but it does
+                # not raise where ||x||^(2-p) over- or underflows
+                c = np.array([t ** (2.0 - p) for t in self.norms(X)])
+                P = np.abs(X) ** (p - 1.0)
+                J = c[:, None] * np.sign(X) * P
+            J = _rescaled(self.duality_map, X, J, c, P.max(axis=1), np.abs(J).max(axis=1))
+        J[~X.any(axis=1)] = 0.0
+        return J.reshape(x.shape)
 
     # -- modulus of smoothness -------------------------------------------
 

@@ -209,7 +209,7 @@ def test_criterion_8_projection_pythagorean_suite():
             lhs = abs(s.norm(x + y) ** 2 - nx**2)
             J = s.duality_map(x)
             rho = s.modulus_smoothness_bound(min(4 * ny / math.sqrt(nx**2 + ny**2), 1e6))
-            rhs = 2 * abs(J(y)) + 4 * (nx**2 + ny**2) * rho
+            rhs = 2 * abs(float(np.dot(J, y))) + 4 * (nx**2 + ny**2) * rho
             checks += 1
             if lhs > rhs * (1 + 1e-9):
                 violations += 1

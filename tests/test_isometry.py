@@ -8,7 +8,10 @@ change is rounding only, at most 1e-12 * (1 + |value|):
 - the PCA `best_plane` at p = 2, also under a random orthogonal map;
 - distances to hyperplanes for p in {1, 1.5, 4, inf}, and to lines in R^3
   at p in {1, inf} (the exact breakpoint minimum);
-- the planar hull-walk `beta_inf` (lines in R^2) for p in {1, 1.5, 2, 4, inf}.
+- the planar hull-walk `beta_inf` (lines in R^2) for p in {1, 1.5, 2, 4, inf};
+- the dual side: a signed permutation T is an isometry of l^q too, so it
+  keeps the dual norms, and the duality map moves with it, J(Tx) = T J(x),
+  for p in {1, 1.5, 2, 4}.
 
 Left out, because they are not invariant today: the descent `best_plane`
 (every non-Hilbert fit that is not exact; up to 6.3% under a signed
@@ -93,3 +96,16 @@ def test_planar_hull_walk_beta_inf_is_invariant(p):
         for T in _signed_permutations(2):
             b1 = beta_inf(space, S @ T.T + t, T @ x + t, 0.9, 1).value
             assert _close(b0, b1), (T, b0, b1)
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 4.0])
+def test_dual_norms_and_duality_map_are_equivariant(p):
+    rng = np.random.default_rng(int(10 * p))
+    for n in (2, 3):
+        space = NormedSpace(n, p)
+        X = rng.normal(size=(20, n)) * rng.uniform(0.1, 10.0, (20, 1))
+        d0, J0 = space.dual_norms(X), space.duality_map(X)
+        for T in _signed_permutations(n):
+            d1, J1 = space.dual_norms(X @ T.T), space.duality_map(X @ T.T)
+            assert all(_close(a, b) for a, b in zip(d0, d1)), (T, d0, d1)
+            assert all(_close(a, b) for a, b in zip((J0 @ T.T).ravel(), J1.ravel())), (T, J0, J1)

@@ -288,6 +288,21 @@ def test_beta_inf_2d_coincident_atoms(p):
         assert np.array_equal(a.plane.basis, b.plane.basis)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [1e-120, 1e120])
+@pytest.mark.parametrize("p", [1.5, 4.0])
+def test_beta_inf_2d_is_dilation_invariant(p, scale):
+    # the hull walk divides by the dual norms of its edge normals, whose
+    # power sums over- or underflow at these scales for p = 1.5
+    space = NormedSpace(2, p)
+    S = np.random.default_rng(0).uniform(-1.0, 1.0, (9, 2)) * [1.0, 0.2]
+    b0 = beta_inf(space, S, [0.0, 0.0], 1.0, 1)
+    b1 = beta_inf(space, S * scale, [0.0, 0.0], scale, 1)
+    assert b0.value > 0.0
+    assert abs(b1.value - b0.value) <= 1e-12 * b0.value
+    np.testing.assert_allclose(b1.plane.basis, b0.plane.basis, rtol=1e-12)
+
+
 @pytest.mark.parametrize("block_entries", [None, 1 << 15])
 @pytest.mark.parametrize("p", [1.0, 4 / 3, 2.0, 4.0, math.inf])
 def test_beta_inf_stack_matches_scalar_search(p, block_entries, monkeypatch):
