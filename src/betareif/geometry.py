@@ -9,6 +9,7 @@ from __future__ import annotations
 import functools
 import importlib.machinery
 import importlib.util
+import itertools
 import math
 import os
 import sys
@@ -147,9 +148,9 @@ def _farthest_row(space, rows, W):
     times (1 - _PRUNE_MARGIN) can neither beat nor tie it, so Newton then
     runs on the head and the rows whose bound reaches it, never on one row
     alone (see `_dist_newton_batch`).  Every other branch takes the full
-    call: the closed forms cost no more than the bound, Newton with k >= 2
-    forms products that differ by an ulp on a subset, and the LP optimum
-    holds only to the solver's tolerance."""
+    call: the closed forms and the vertex minimum of a line cost no more
+    than the bound, and for k >= 2 Newton and the vertex minimum form
+    products that can differ by an ulp on a subset."""
     origin = np.zeros(space.dim)
     k, n = rows.shape
     if k != 1 or space.p == 2.0 or _stacked_solver(space, k, n) is not None:
@@ -199,17 +200,10 @@ def _dists_to_flat_batch(space, base, rows, Z):
     if stacked is not None:
         d, feet = stacked(space, base[None, :], rows[None, :, :], Z)
         return d[0], feet[0]
-    p = space.p
-    M = rows.T                                   # (n, k)
     # Euclidean solution is exact for p = 2 and the Newton start otherwise.
     lam = _l2_coefficients(rows, W)
-    if p == 2.0:
-        feet = base[None, :] + lam @ rows
-        return space.norms(Z - feet), feet
-    if p == 1.0 or p == math.inf:
-        feet = np.array([base + M @ _dist_lp_linprog(space, M, w) for w in W]).reshape(Z.shape)
-        return space.norms(Z - feet), feet
-    lam = _dist_newton_batch(space, M, W, lam)
+    if space.p != 2.0:
+        lam = _dist_newton_batch(space, rows.T, W, lam)
     feet = base[None, :] + lam @ rows
     return space.norms(Z - feet), feet
 
@@ -223,7 +217,9 @@ def _stacked_solver(space, k, n):
     """The solver that takes a stack of flats for (p, k, n), or None."""
     if k == n - 1 and space.p != 2.0:
         return _dists_hyperplane
-    return _dists_line_golden if k == 1 and space.p in (1.0, math.inf) else None
+    if k >= 1 and space.p in (1.0, math.inf):
+        return _dists_line_golden if k == 1 else _dist_lp_linprog
+    return None
 
 
 def _dists_to_flats(space, bases, rows, Z):
@@ -237,25 +233,45 @@ def _dists_to_flats(space, bases, rows, Z):
     return np.array(d), np.array(feet)
 
 
-def _dists_line_golden(space, bases, rows, Z):
-    """Exact distances (D, m) and feet (D, m, n) to lines bases[i] + R v_i,
-    rows (D, 1, n), for p in {1, inf} (the tracer keys on this name).  The
-    convex, piecewise linear lam -> ||w - lam v|| is least at a breakpoint
-    w_i / v_i, or at p = inf also at a crossing (w_i -+ w_j) / (v_i -+ v_j),
-    a zero denominator giving 0; the foot is the first least candidate."""
-    v, W = rows[:, 0, :], Z[None, :, :] - bases[:, None, :]
-    n = v.shape[1]
-    C = np.eye(n)                   # candidate rows: e_i, then e_i -+ e_j
-    if space.p == math.inf:
-        i, j = np.triu_indices(n, 1)
-        C = np.vstack([C, (C[i, None] - [[1.0], [-1.0]] * C[j, None]).reshape(-1, n)])
-    # entries of C are 0 and +-1, so these products round once, as w_i -+ w_j
-    num, den = W @ C.T, (v @ C.T)[:, None, :]
-    lam = np.divide(num, den, out=np.zeros_like(num), where=den != 0.0)
-    f = space.norms(W[:, :, None, :] - lam[..., None] * v[:, None, None, :])
-    lam = np.take_along_axis(lam, np.argmin(f, axis=-1)[..., None], axis=-1)
-    feet = bases[:, None, :] + lam * v[:, None, :]
+def _dists_vertex(space, bases, rows, Z):
+    """Exact distances (D, m) and feet (D, m, n) to the flats bases[i] +
+    span(rows[i]), rows (D, k, n) with 1 <= k <= n - 2, for p in {1, inf}.
+
+    lam -> ||w - M lam|| is convex and piecewise linear, so it is least at
+    a vertex, where C M lam = C w for one of the `_vertex_systems` C:
+    C(n, k) of them, plus C(n, k+1) 2^k at p = inf (966 at n = 8, k = 4).
+    A line divides (a zero pivot gives 0); a singular plane system's
+    pseudo-inverse still gives a point of the flat.  First least wins."""
+    k, n = rows.shape[1:]
+    W = Z[None, :, :] - bases[:, None, :]
+    along = np.multiply if k == 1 else np.matmul    # a line's foot: one product, no sum
+    best, lam = np.full(W.shape[:2], np.inf), np.zeros(W.shape[:2] + (k,))
+    for C in _vertex_systems(n, k, space.p == math.inf):
+        # entries of C are 0 and +-1, so these products round once, as w_i -+ w_j
+        num, den = W @ C.T, rows @ C.T
+        cand = (np.divide(num, den, out=np.zeros_like(num), where=den != 0.0) if k == 1
+                else num @ np.linalg.pinv(den))
+        f = space.norms(W - along(cand, rows))
+        better = f < best
+        best[better], lam[better] = f[better], cand[better]
+    feet = bases[:, None, :] + along(lam, rows)
     return space.norms(Z[None, :, :] - feet), feet
+
+
+def _vertex_systems(n, k, sup):
+    """The k x n systems of `_dists_vertex`, one at a time: rows e_i over
+    the k-subsets of coordinates, then at p = inf (`sup`) e_i0 - s_j e_ij
+    over the (k+1)-subsets, for each s in {+-1}^k."""
+    E = np.eye(n)
+    for I in itertools.combinations(range(n), k):
+        yield E[list(I)]
+    for I in itertools.combinations(range(n), k + 1) if sup else ():
+        for s in itertools.product([[1.0], [-1.0]], repeat=k):
+            yield E[I[0]] - np.array(s) * E[list(I[1:])]
+
+
+# the names perfbench keys its solver branches on (renaming them is a benchmark change)
+_dists_line_golden = _dist_lp_linprog = _dists_vertex
 
 
 def _dists_hyperplane(space, bases, rows, Z):
@@ -283,21 +299,6 @@ def _dists_hyperplane(space, bases, rows, Z):
     aw = (a[:, None, :] @ w[:, :, None])[:, 0, 0]  # rescale so the foot lands exactly on the plane
     feet = Z[None, :, :] - (s_val / aw[:, None])[:, :, None] * w[:, None, :]
     return np.abs(s_val) / dq[:, None], feet
-
-
-def _dist_lp_linprog(space, M, w):
-    """Epigraph LP for min ||w - M lam||_p, p in {1, inf}, 2 <= k <= n - 2
-    (the one `linprog` call): the coefficients of its optimal vertex."""
-    from scipy.optimize import linprog
-    n, k = M.shape
-    # variables (lam, s): min sum s, -S s <= w - M lam <= S s, with one
-    # slack per coordinate for p = 1 and one shared slack for p = inf
-    S = np.eye(n) if space.p == 1.0 else np.ones((n, 1))
-    c = np.concatenate([np.zeros(k), np.ones(S.shape[1])])
-    A = np.block([[-M, -S], [M, -S]])
-    res = linprog(c, A_ub=A, b_ub=np.concatenate([-w, w]),
-                  bounds=[(None, None)] * len(c), method="highs")
-    return res.x[:k]
 
 
 def _dist_newton_batch(space, M, W, lam):
@@ -382,9 +383,8 @@ def distance_to_affine(space: NormedSpace, plane: AffinePlane, z) -> tuple[float
     `distances_to_affine` of the one row z, to the bit.
 
     Closed form for points, for p = 2 and for hyperplanes; damped Newton
-    from the l^2 foot for 1 < p < inf; for p in {1, inf} the exact
-    breakpoint minimum on lines and the optimal vertex of an epigraph LP
-    for 2 <= k <= n - 2."""
+    from the l^2 foot for 1 < p < inf; for p in {1, inf} the exact minimum
+    over the vertices of the piecewise linear objective (`_dists_vertex`)."""
     d, feet = _dists_to_flat_batch(space, plane.base, plane.basis, z)
     return float(d[0]), feet[0]
 

@@ -433,7 +433,12 @@ def _beta_inf_lines_2d(space, S, X, r):
     ball, atom = np.nonzero(inside[full])
     REL = S[atom] - X[full][ball]
     starts = np.searchsorted(ball, np.arange(len(full)))
-    edges, halfwidths = _hull_edges(space, REL, starts)
+    # the walk's products over- or underflow beyond about 2^+-330: such a
+    # ball's atoms are scaled by a power of two (exact), its half-width back
+    e = np.frexp(np.maximum.reduceat(np.abs(REL), starts).max(axis=1))[1]
+    e[np.abs(e) <= 330] = 0
+    edges, halfwidths = _hull_edges(space, np.ldexp(REL, -e[ball, None]), starts)
+    halfwidths = np.ldexp(halfwidths, e)
     for row, i in enumerate(full):
         ex, ey = edges[row]
         phi = math.atan2(-ex, ey) % math.pi if ex or ey else 0.0

@@ -226,8 +226,8 @@ def test_distance_dispatch_matches_batch_and_brute_force(p, n, k):
     # row of a larger batch may differ from it by an ulp (by the stopping
     # tolerance after Newton), since numpy's products take other kernels
     # for other row counts.  For p in {1, inf} and 2 <= k <= n - 2 the
-    # solver's foot is the LP's optimal vertex, so the distance is the LP
-    # optimum to rounding.
+    # solver's foot is a vertex of the piecewise linear objective, where the
+    # LP's optimum also sits, so the distance is that optimum to rounding.
     s = NormedSpace(n, p)
     rng = np.random.default_rng([n, k, 7])
     pl = affine_plane(s, rng.standard_normal(n), rng.standard_normal((k, n)))
@@ -290,6 +290,123 @@ def test_line_golden_matches_exact_breakpoint_oracle(p, n):
         d, _ = _dists_to_flat_batch(s, base, v[None, :], base + W)
         exact = _exact_line_distances(s, v, W)
         assert (d <= exact * (1.0 + 1e-12)).all()
+
+
+def _breakpoint_lines(space, bases, rows, Z):
+    """The line solver that `_dists_vertex` replaced, as it stood: all
+    breakpoints w_i / v_i (and at p = inf (w_i -+ w_j) / (v_i -+ v_j)) in
+    one stacked table, a zero denominator giving 0, the first least one
+    taken."""
+    v, W = rows[:, 0, :], Z[None, :, :] - bases[:, None, :]
+    n = v.shape[1]
+    C = np.eye(n)
+    if space.p == math.inf:
+        i, j = np.triu_indices(n, 1)
+        C = np.vstack([C, (C[i, None] - [[1.0], [-1.0]] * C[j, None]).reshape(-1, n)])
+    num, den = W @ C.T, (v @ C.T)[:, None, :]
+    lam = np.divide(num, den, out=np.zeros_like(num), where=den != 0.0)
+    f = space.norms(W[:, :, None, :] - lam[..., None] * v[:, None, None, :])
+    lam = np.take_along_axis(lam, np.argmin(f, axis=-1)[..., None], axis=-1)
+    feet = bases[:, None, :] + lam * v[:, None, :]
+    return space.norms(Z[None, :, :] - feet), feet
+
+
+def _odd_entries(rng, shape):
+    """Gaussian entries with zeros, -0.0, 6.1e-17 and small integers (ties)
+    mixed in."""
+    X = rng.standard_normal(shape)
+    u = rng.random(shape)
+    X[u < 0.15] = 0.0
+    X[(u >= 0.15) & (u < 0.2)] = -0.0
+    X[(u >= 0.2) & (u < 0.25)] = 6.1e-17
+    ints = (u >= 0.25) & (u < 0.35)
+    X[ints] = rng.integers(-2, 3, ints.sum())
+    return X
+
+
+@pytest.mark.parametrize("p", [1.0, math.inf])
+def test_vertex_solver_keeps_the_breakpoint_line_bits(p):
+    # lines: distances and feet equal the old breakpoint solver's in bytes,
+    # on stacks of 1-3 lines in R^2 .. R^6, with points on the line
+    from betareif.geometry import _dists_vertex
+    rng = np.random.default_rng(int(p == 1.0))
+    for case in range(600):
+        n, D, m = int(rng.integers(2, 7)), int(rng.integers(1, 4)), int(rng.integers(1, 6))
+        s = NormedSpace(n, p)
+        bases, rows, Z = _odd_entries(rng, (D, n)), _odd_entries(rng, (D, 1, n)), _odd_entries(rng, (m, n))
+        if case % 5 == 0:
+            Z[0] = bases[0] + rng.standard_normal() * rows[0, 0]
+        want, got = _breakpoint_lines(s, bases, rows, Z), _dists_vertex(s, bases, rows, Z)
+        assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
+    # a -0.0 base coordinate under a foot offset of -0.0 stays -0.0 (a
+    # BLAS sum lam @ rows would start at +0 and give +0.0)
+    s = NormedSpace(3, p)
+    bases, rows, Z = np.array([[-0.0, 0.0, 0.0]]), np.array([[[0.0, 1.0, 1.0]]]), np.array([[0.0, -2.0, -2.0]])
+    (d, feet), (want_d, want_feet) = _dists_vertex(s, bases, rows, Z), _breakpoint_lines(s, bases, rows, Z)
+    assert d.tobytes() == want_d.tobytes() and feet.tobytes() == want_feet.tobytes()
+    assert math.copysign(1.0, feet[0, 0, 0]) == -1.0
+
+
+def _assert_lp_optimum(s, pl, Z, rng):
+    """The distances from Z to pl are never above the test-only LP's
+    optimum by more than rounding (nor below by more than its tolerance),
+    and each is the norm at its foot, in bits."""
+    d, feet = _dists_to_flat_batch(s, pl.base, pl.basis, Z)
+    assert s.norms(Z - feet).tobytes() == d.tobytes()
+    for z, dz in zip(Z, d):
+        lp = _brute_distance(s, pl, z, rng)
+        assert lp * (1 - 1e-9) <= dz <= lp * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("p", [1.0, math.inf])
+@pytest.mark.parametrize("n,k", [(4, 2), (5, 2), (5, 3), (6, 2), (6, 3), (6, 4)])
+def test_vertex_solver_attains_the_lp_optimum(p, n, k):
+    s = NormedSpace(n, p)
+    rng = np.random.default_rng([n, k, int(p == 1.0)])
+    for _ in range(3):
+        pl = affine_plane(s, rng.standard_normal(n), rng.standard_normal((k, n)))
+        _assert_lp_optimum(s, pl, 2.0 * rng.standard_normal((6, n)), rng)
+
+
+@pytest.mark.parametrize("p", [1.0, math.inf])
+def test_vertex_solver_degenerate_flats(p):
+    s = NormedSpace(5, p)
+    rng = np.random.default_rng(int(p == 1.0))
+    # w on the flat: an integer flat through a coordinate block, whose
+    # first system is the identity, gives 0 exactly
+    base = np.array([1.0, -2.0, 0.0, 3.0, 1.0])
+    rows = np.array([[1.0, 0.0, 0.0, 2.0, -1.0], [0.0, 1.0, 0.0, 1.0, 1.0]])
+    Z = base + np.array([[2.0, -1.0], [0.0, 3.0], [-4.0, 0.5]]) @ rows
+    d, feet = _dists_to_flat_batch(s, base, rows, Z)
+    assert d.tolist() == [0.0, 0.0, 0.0]
+    assert np.array_equal(feet, Z)
+    # random flats: points on them are at rounding distance
+    rows = rng.standard_normal((3, 5))
+    Z = base + rng.standard_normal((4, 3)) @ rows
+    d, _ = _dists_to_flat_batch(s, base, rows, Z)
+    assert (d <= 1e-14 * (1.0 + s.norms(Z))).all()
+    # M = rows.T with two equal rows, and with a zero row (a zero column
+    # of the basis), make many of the vertex systems singular
+    equal = rng.standard_normal((2, 5))
+    equal[:, 3] = equal[:, 1]
+    zero = rng.standard_normal((3, 5))
+    zero[:, 2] = 0.0
+    for rows in (equal, zero):
+        pl = affine_plane(s, rng.standard_normal(5), rows)
+        _assert_lp_optimum(s, pl, 2.0 * rng.standard_normal((6, 5)), rng)
+
+
+@pytest.mark.parametrize("p", [1.0, math.inf])
+@pytest.mark.parametrize("n,k", [(4, 2), (5, 3)])
+def test_vertex_solver_stack_matches_each_flat(p, n, k):
+    s = NormedSpace(n, p)
+    rng = np.random.default_rng([n, k, 3])
+    bases, rows = rng.standard_normal((5, n)), rng.standard_normal((5, k, n))
+    Z = 2.0 * rng.standard_normal((7, n))
+    d, feet = _dists_to_flats(s, bases, rows, Z)
+    for i in range(len(bases)):
+        di, fi = _dists_to_flat_batch(s, bases[i], rows[i], Z)
+        assert d[i].tobytes() == di.tobytes() and feet[i].tobytes() == fi.tobytes()
 
 
 # -- hausdorff / grassmann ----------------------------------------------------
@@ -1113,9 +1230,9 @@ def test_extension_at_p_1_inf_is_the_least_l2_minimizer(p, w, want):
 
 
 def test_hahn_banach_projection_runs_without_linprog(monkeypatch):
-    # at p in {1, inf} the extension solves no linear program: the flat maps
-    # and the projections of (R^3, l^p) with k in {1, 2} never call linprog
-    # (geometry imports it from scipy.optimize on each use)
+    # at p in {1, inf} neither the extension nor a distance solves a linear
+    # program: distances to 2- and 3-flats, the flat maps and the
+    # projections of (R^3, l^p) with k in {1, 2} never call linprog
     import scipy.optimize
     from betareif import geometry
 
@@ -1123,8 +1240,11 @@ def test_hahn_banach_projection_runs_without_linprog(monkeypatch):
         raise AssertionError("linprog was called")
 
     monkeypatch.setattr(scipy.optimize, "linprog", never)
-    with pytest.raises(AssertionError, match="linprog was called"):   # the patch reaches it
-        geometry._dist_lp_linprog(NormedSpace(4, 1.0), np.eye(4)[:, :2], np.ones(4))
+    rng = np.random.default_rng(5)
+    for n, k, p in ((4, 2, 1.0), (4, 2, math.inf), (5, 3, 1.0)):   # the vertex solver
+        d, _ = geometry._dists_to_flat_batch(NormedSpace(n, p), np.zeros(n),
+                                             rng.standard_normal((k, n)), rng.standard_normal((3, n)))
+        assert np.isfinite(d).all()
     basis = np.array([[1.0, 0.2, -0.1], [0.3, 1.0, 0.4]])
     S = snowflake_sample([0.08] * 12, 4, 2200)
     for p in (1.0, math.inf):

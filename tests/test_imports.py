@@ -42,6 +42,7 @@ print(json.dumps(doc))
 
 CALL = """
 import json, sys
+import numpy as np
 ARGS = json.loads(sys.argv[1])
 from betareif import cli, cover
 from betareif.spaces import NormedSpace
@@ -55,6 +56,10 @@ elif ARGS["call"] == "cover":
 elif ARGS["call"] == "nopowergain":
     argv = ["nopowergain", "--eps", "0.02", "--out", ARGS["out"]]
     call = lambda: cli.run(argv)
+elif ARGS["call"] == "plane":
+    from betareif.geometry import AffinePlane, distances_to_affine
+    plane = AffinePlane(np.zeros(4), np.array([[1.0, 0.5, -0.2, 0.3], [0.1, 1.0, 0.4, -0.6]]))
+    call = lambda: distances_to_affine(NormedSpace(4, 1.0), plane, [[1.0, 2.0, -1.0, 0.5]])
 else:
     S = json.loads(open(ARGS["flake"]).read())
     call = lambda: cover.reifenberg_flat_map(NormedSpace(2, 2), S, 1, chi=1 / 3, delta=0.2,
@@ -103,10 +108,11 @@ def test_import_path_loads_no_scipy_module(tmp_path):
     assert doc["same_file"]
 
 
-@pytest.mark.parametrize("call", ["pack", "cover", "flatmap", "nopowergain"])
+@pytest.mark.parametrize("call", ["pack", "cover", "flatmap", "nopowergain", "plane"])
 def test_a_call_imports_no_module(tmp_path, call):
     # after `import betareif.cli`, a first l^2 pack, l^4 cover, depth-4
-    # flat map or no-power-gain witness imports nothing: the modules that
+    # flat map, no-power-gain witness or 2-plane distance in (R^4, l^1)
+    # (the exact vertex solver, no linear program) imports nothing: the modules that
     # numpy and argparse load on first use (numpy.random for default_rng,
     # locale for gettext) load with the package.  numpy.ma (which
     # np.median and np.unique import) and numpy.polynomial load neither

@@ -6,8 +6,10 @@ every orthogonal map for p = 2, and translations.  On the exact paths the
 change is rounding only, at most 1e-12 * (1 + |value|):
 
 - the PCA `best_plane` at p = 2, also under a random orthogonal map;
-- distances to hyperplanes for p in {1, 1.5, 4, inf}, and to lines in R^3
-  at p in {1, inf} (the exact breakpoint minimum);
+- distances to hyperplanes for p in {1, 1.5, 4, inf}, and at p in {1, inf}
+  to lines in R^3 and to 2- and 3-flats in R^4 and R^5 (the exact vertex
+  minimum), also under zero-padding R^n -> R^(n+1) for lines, planes and
+  hyperplanes (a padded hyperplane is a flat of codimension 2);
 - the planar hull-walk `beta_inf` (lines in R^2) for p in {1, 1.5, 2, 4, inf};
 - the dual side: a signed permutation T is an isometry of l^q too, so it
   keeps the dual norms, and the duality map moves with it, J(Tx) = T J(x),
@@ -17,9 +19,8 @@ Left out, because they are not invariant today: the descent `best_plane`
 (every non-Hilbert fit that is not exact; up to 6.3% under a signed
 permutation at p = inf, n = 3, k = 1) and the Nelder-Mead `beta_inf` (every
 (n, k) but (2, 1); up to 6.0% at p = 1, n = 3, k = 1).  The Newton distances
-to flats of codimension >= 2 at 1 < p < inf and the LP distances at
-p in {1, inf} with 2 <= k <= n - 2 stop at a tolerance, so they are left out
-too.
+to flats of codimension >= 2 at 1 < p < inf stop at a tolerance, so they
+are left out too.
 """
 
 import itertools
@@ -82,6 +83,40 @@ def test_exact_distances_are_invariant(n, k, p):
         for T in _signed_permutations(n):
             d1 = distances_to_affine(space, AffinePlane(T @ base + t, basis @ T.T), Z @ T.T + t)
             assert all(_close(a, b) for a, b in zip(d0, d1)), (T, d0, d1)
+
+
+@pytest.mark.parametrize("p", [1.0, math.inf])
+@pytest.mark.parametrize("n,k", [(4, 2), (5, 2), (5, 3)])
+def test_vertex_distances_are_invariant(n, k, p):
+    # 2- and 3-flats at p in {1, inf}, under 48 random signed permutations
+    # with translations (R^5 has 3,840 signed permutations)
+    space = NormedSpace(n, p)
+    rng = np.random.default_rng([n, k, int(p == 1.0)])
+    for _ in range(3):
+        Z = rng.uniform(-1, 1, (20, n))
+        base, basis = rng.uniform(-1, 1, n), rng.normal(size=(k, n))
+        d0 = distances_to_affine(space, AffinePlane(base, basis), Z)
+        for _ in range(48):
+            T = np.eye(n)[rng.permutation(n)] * rng.choice([1.0, -1.0], n)[:, None]
+            t = rng.uniform(-1, 1, n)
+            d1 = distances_to_affine(space, AffinePlane(T @ base + t, basis @ T.T), Z @ T.T + t)
+            assert all(_close(a, b) for a, b in zip(d0, d1)), (T, d0, d1)
+
+
+@pytest.mark.parametrize("p", [1.0, math.inf])
+@pytest.mark.parametrize("n,k", [(2, 1), (3, 1), (3, 2), (4, 1), (4, 2), (4, 3)])
+def test_zero_padding_keeps_distances(n, k, p):
+    # R^n as the hyperplane x_(n+1) = 0 of R^(n+1): lines, planes and
+    # hyperplanes; a padded hyperplane leaves `_dists_hyperplane` for the
+    # vertex solver
+    rng = np.random.default_rng([n, k, int(p == 1.0), 9])
+    pad = lambda X: np.concatenate([X, np.zeros(X.shape[:-1] + (1,))], axis=-1)
+    for _ in range(4):
+        Z = rng.uniform(-1, 1, (20, n))
+        base, basis = rng.uniform(-1, 1, n), rng.normal(size=(k, n))
+        d0 = distances_to_affine(NormedSpace(n, p), AffinePlane(base, basis), Z)
+        d1 = distances_to_affine(NormedSpace(n + 1, p), AffinePlane(pad(base), pad(basis)), pad(Z))
+        assert all(_close(a, b) for a, b in zip(d0, d1)), (d0, d1)
 
 
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 4.0, math.inf])
