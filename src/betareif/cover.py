@@ -506,6 +506,21 @@ def _plane_grid(plane: AffinePlane, radius: float, per_side: int = 9):
     return plane.points(coeffs)
 
 
+def _radii(mu, r_s):
+    """r_s as a float array, checked: one radius per atom of mu, each in
+    [0, 1), the radius of the unit ball that the covering runs on."""
+    rs = np.asarray(r_s, dtype=float).reshape(-1)
+    if len(rs) != len(mu):
+        raise ValueError("r_s must align with mu")
+    if not np.isfinite(rs).all():
+        raise ValueError("r_s must be finite")
+    if (rs < 0).any():
+        raise ValueError("r_s must be >= 0")
+    if (rs >= 1.0).any():
+        raise ValueError("r_s < ball radius required")
+    return rs
+
+
 def covering_lemma(space: NormedSpace, mu: PointMeasure, r_s, k: int,
                    cfg: CoverConfig | None = None) -> CoverResult:
     """Run the multiscale covering construction on B_1(0).
@@ -523,15 +538,7 @@ def covering_lemma(space: NormedSpace, mu: PointMeasure, r_s, k: int,
     does for its sub-coverings.
     """
     cfg = cfg or CoverConfig()
-    rs = np.asarray(r_s, dtype=float).reshape(-1)
-    if len(rs) != len(mu):
-        raise ValueError("r_s must align with mu")
-    if not np.isfinite(rs).all():
-        raise ValueError("r_s must be finite")
-    if (rs < 0).any():
-        raise ValueError("r_s must be >= 0")
-    if (rs >= 1.0).any():
-        raise ValueError("r_s < ball radius required")
+    rs = _radii(mu, r_s)
     chi = cfg.chi
     alpha = cfg.resolve_alpha(space)
     ledger = cfg.ledger(space, k)
@@ -747,7 +754,8 @@ def main_packing(space: NormedSpace, mu: PointMeasure, r_s, k: int,
     """Rescale mu by _DELTA0^2/M, run the covering lemma, and refine bad
     balls recursively per the inductive packing/measure claims; each level
     asserts claim A (measure) and claim B (packing) with the explicit
-    constants.  Raises nothing on claim failure: results are flagged."""
+    constants.  r_s is checked as `covering_lemma` checks it, at every M.
+    Raises nothing on claim failure: results are flagged."""
     if not 0 <= M < math.inf:
         raise ValueError(f"M must be a finite number >= 0, got {M}")
     scale = _DELTA0**2 / M if M > 0 else 1.0
@@ -758,7 +766,7 @@ def main_packing(space: NormedSpace, mu: PointMeasure, r_s, k: int,
     # the rescaled measure
     cfg = replace(cfg, delta=cfg.delta if cfg.delta is not None else _DELTA0)
     chi = cfg.chi
-    rs = np.asarray(r_s, dtype=float).reshape(-1)
+    rs = _radii(mu, r_s)
     flags = []
     mu_s = PointMeasure(mu.points, mu.weights * scale)
     pts = mu_s.points
@@ -777,15 +785,11 @@ def main_packing(space: NormedSpace, mu: PointMeasure, r_s, k: int,
         flags.append("configured chi violates c5*c_B*chi < 1/2 (proof-chain constants); "
                      "claims asserted with measured sums")
 
-    lab = classify_ball(space, mu_s, np.zeros(space.dim), 1.0, k, chi, cfg.theta)
-    kept_all = []
-    if lab.kind == "good":
-        res = covering_lemma(space, mu_s, rs, k, cfg)
-        kept_all.extend(res.kept_originals)
-        bads = res.bad_balls
-        flags.extend(f"level 0: {f}" for f in res.flags)
-    else:
-        bads = [lab]
+    # level 0: a bad top ball comes back as the lemma's one bad ball
+    res = covering_lemma(space, mu_s, rs, k, cfg)
+    kept_all = list(res.kept_originals)
+    bads = res.bad_balls
+    flags.extend(f"level 0: {f}" for f in res.flags)
     levels = [_packing_level(space, mu_s, rs, 0, kept_all, bads, k)]
     for level in range(1, budget + 1):
         if not bads:
@@ -808,15 +812,14 @@ def main_packing(space: NormedSpace, mu: PointMeasure, r_s, k: int,
             V = best_plane(space, mu_s.subset(rs < r), c, r, k, seed=cfg.seed + level).plane
             # original balls with chi r <= r_s < r near V (Vitali)
             d_to_V = distances_to_affine(space, V, pts)
-            cand = np.where((rs >= chi * r) & (rs < r)
-                            & (space.norms(pts - c[None, :]) <= 2 * r)
+            d_to_c = space.norms(pts - c[None, :])
+            cand = np.where((rs >= chi * r) & (rs < r) & (d_to_c <= 2 * r)
                             & (d_to_V < chi * r / 30.0))[0]
             S_b = [(pts[cand[j]], rs[cand[j]]) for j in _vitali_keep(space, pts[cand], rs[cand])]
             kept_all.extend(S_b)
             # net near the witness (k-1)-plane, one sub-covering per net point
             d_to_L = distances_to_affine(space, b.witness_plane, pts)
-            nm = ((space.norms(pts - c[None, :]) <= r)
-                  & (d_to_L <= 10 * chi * r) & (d_to_V <= chi * r / 30.0)
+            nm = ((d_to_c <= r) & (d_to_L <= 10 * chi * r) & (d_to_V <= chi * r / 30.0)
                   & ~_in_any_ball(space, pts, S_b))
             net_pts = pts[nm]
             net = _farthest_net(space, net_pts, 2 * chi * r / 5.0)

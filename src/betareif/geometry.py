@@ -78,12 +78,16 @@ def _euclid_orthonormal(rows: np.ndarray) -> np.ndarray:
         return rows.reshape(0, rows.shape[-1] if rows.ndim == 2 else 0)
     u, s, vt = np.linalg.svd(rows, full_matrices=False)
     rank = int((s > s[0] * 1e-12).sum()) if len(s) else 0
-    q = vt[:rank]
-    for i in range(rank):           # sign fix: largest-magnitude entry positive
-        j = int(np.argmax(np.abs(q[i])))
-        if q[i, j] < 0:
-            q[i] = -q[i]
-    return q
+    return _lead_positive(vt[:rank])
+
+
+def _lead_positive(rows: np.ndarray) -> np.ndarray:
+    """rows with each row's sign flipped, in place, so that its first
+    largest-magnitude entry is positive: a deterministic sign per row."""
+    for row in rows:
+        if row[np.argmax(np.abs(row))] < 0:
+            row *= -1.0
+    return rows
 
 
 def general_position_margin(vectors, space: NormedSpace) -> float:
@@ -356,7 +360,7 @@ def _dist_newton_batch(space, M, W, lam):
         for _bt in range(40):
             Rn = Ws - lam_new @ M.T
             fn[moved] = (np.abs(Rn[moved]) ** p).sum(axis=1)
-            bad = fn > f0 - 1e-18
+            bad = fn > f0
             moved = bad
             if not bad.any():
                 break

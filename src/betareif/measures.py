@@ -14,7 +14,7 @@ from numpy.linalg import _umath_linalg
 
 from .constants import norm_equivalence
 from .geometry import (AffinePlane, _dists_to_flat_batch, _dists_to_flats,
-                       distances_to_affine)
+                       _lead_positive, distances_to_affine)
 from .spaces import NormedSpace, real_number
 
 __all__ = [
@@ -159,11 +159,7 @@ def _weighted_l2_plane(pts, w, k):
     vals, vecs = np.linalg.eigh(Mom)
     order = np.argsort(vals)[::-1]
     vals, vecs = vals[order], vecs[:, order]
-    basis = vecs[:, :k].T.copy()
-    for i in range(len(basis)):   # deterministic sign
-        j = int(np.argmax(np.abs(basis[i])))
-        if basis[i, j] < 0:
-            basis[i] = -basis[i]
+    basis = _lead_positive(vecs[:, :k].T.copy())
     resid = float(max(vals[k:].sum(), 0.0))
     return c, basis, resid
 
@@ -203,14 +199,12 @@ def _fit_seeds(space, pts, w, x, r, k, seeds, starts=4, iters=60):
         plane = AffinePlane(c2, basis2)
         betaval = math.sqrt(max(resid2, 0.0) / r ** (k + 2))
         return [BetaResult(betaval, plane, 1.0, resid2) for _ in seeds]
+    F0 = _objective(space, c2, basis2, pts, w)
     if resid2 <= 1e-24 * (1.0 + w.sum() * r * r):
         # the atoms fit a k-plane exactly; it is optimal under every norm
-        F0 = _objective(space, c2, basis2, pts, w)
         plane = AffinePlane(c2, basis2 / space.norms(basis2)[:, None])
         return [BetaResult(math.sqrt(max(F0, 0.0) / r ** (k + 2)), plane, 1.0, F0)
                 for _ in seeds]
-
-    F0 = _objective(space, c2, basis2, pts, w)
     # per seed, the candidates in best_plane's order: the l^2 plane (key
     # -1), then its starts' descents, keyed by their row j of the lockstep
     # stack (row 0, the unrotated start, is shared by all seeds)

@@ -326,6 +326,39 @@ def test_main_packing_graph_measure():
         assert lv.claim_A_ok and lv.claim_B_S_ok and lv.claim_B_bad_ok
 
 
+def _six_atoms():
+    """Unit atoms at +-0.15 e_i in R^3: no plane fits them, so B_1(0) is bad."""
+    return PointMeasure(np.concatenate([0.15 * np.eye(3), -0.15 * np.eye(3)]), np.ones(6))
+
+
+@pytest.mark.parametrize("M,flagged", [(1e-4, True), (0.01, False)])
+def test_main_packing_bad_top_ball_keeps_the_dini_precheck(M, flagged):
+    # a bad top ball is the lemma's one bad ball at level 0, and its
+    # precheck tests the M-hypothesis on the rescaled measure
+    res = main_packing(NormedSpace(3, 2), _six_atoms(), np.zeros(6), 2, M=M,
+                       cfg=CoverConfig(max_depth=3), budget=1)
+    assert res.levels[0].n_bad == 1 and res.levels[0].sum_bad == 1.0
+    assert res.kept_originals == [] and not res.valid
+    precheck = "level 0: dini precheck: measured delta 0.805 exceeds configured 0.1"
+    assert (precheck in res.flags) == flagged
+
+
+@pytest.mark.parametrize("r_s,message", [
+    ([2.0, 2.0, 2.0], "r_s < ball radius required"),
+    ([1.0, 0.1, 0.1], "r_s < ball radius required"),
+    ([math.nan, 0.1, 0.1], "r_s must be finite"),
+    ([-1.0, 0.1, 0.1], "r_s must be >= 0"),
+    ([0.1, 0.1], "r_s must align with mu"),
+], ids=["two", "one", "nan", "negative", "short"])
+@pytest.mark.parametrize("M", [0.0, 0.01])
+def test_main_packing_checks_r_s_at_every_M(r_s, message, M):
+    # the M = 0 Vitali path took r_s unchecked: a valid report for radii
+    # of 2, or built from the first two atoms of three
+    mu = PointMeasure([[0.0, 0.0], [0.3, 0.1], [-0.2, 0.4]], np.ones(3))
+    with pytest.raises(ValueError, match=message):
+        main_packing(NormedSpace(2, 2), mu, r_s, 1, M=M)
+
+
 # -- reifenberg flat maps -----------------------------------------------------
 
 def test_reifenberg_plane_identity(l2_plane):
@@ -498,6 +531,17 @@ def test_pack_cli_exit_three(tmp_path):
     code = cli_run(["pack", str(path), "--k", "1", "--M", "0.0",
                     "--budget", "2", "--max-depth", "2"])
     assert code == 3
+
+
+def test_pack_cli_bad_top_ball_names_the_precheck(tmp_path):
+    import json as _json
+    path, out = tmp_path / "six.json", tmp_path / "pack.json"
+    path.write_text(_json.dumps(_six_atoms().to_json(NormedSpace(3, 2))))
+    code = run(["pack", str(path), "--k", "2", "--M", "1e-4", "--max-depth", "3",
+                "--budget", "1", "--out", str(out)])
+    assert code == 3
+    flags = _json.loads(out.read_text())["flags"]
+    assert "level 0: dini precheck: measured delta 0.805 exceeds configured 0.1" in flags
 
 
 @pytest.mark.parametrize("M,code", [(5e-324, 2), (1e-310, 3), (1e-309, 3), (3e-309, 3)])

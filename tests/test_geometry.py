@@ -1,5 +1,6 @@
 import math
 import warnings
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -961,7 +962,7 @@ def _dist_newton_batch_full(space, M, W, lam, tol=1e-9, halvings=None):
         for _bt in range(40):
             Rn = W[still] - lam_new @ M.T
             fn = (np.abs(Rn) ** p).sum(axis=1)
-            bad = fn > f0 - 1e-18
+            bad = fn > f0
             if not bad.any():
                 break
             t[bad] *= 0.5
@@ -1018,9 +1019,12 @@ def test_newton_batch_matches_full_backtrack_oracle(p, n, k):
             want = _dist_newton_batch_full(space, M, W, lam0.copy(), halvings=halvings)
         assert got.tobytes() == want.tobytes()
         assert len(got_warned) == len(want_warned)
-    # the row at 1e-7 from the flat cannot descend: its round halves all
-    # 40 times while the other rows of its batch converge
-    assert max(halvings) == 40
+    # a converged row stops halving once its trial value equals its value:
+    # no round halves all 40 times (with the rule fn > f0 - 1e-18, 5 to 200
+    # rounds per case did).  For k >= 2 a round's residual product over its
+    # rows can round off the stored residual by an ulp, so one converged
+    # row may still see a larger value: at most one round does
+    assert halvings.count(40) <= (1 if k >= 2 else 0)
 
 
 @pytest.mark.parametrize("p,n,k", [(4.0, 3, 1), (3.0, 5, 2), (4 / 3, 4, 2)])
@@ -1128,22 +1132,26 @@ def test_stacked_constraint_extension_matches_per_row_constraints(q, k):
     from betareif.geometry import _min_dual_norm_extension
     rng = np.random.default_rng(int(10 * q) + k)
     statuses = []
-    for n in range(max(3, k + 1), 6):
-        space = NormedSpace(n, q / (q - 1.0))
-        assert space.q == pytest.approx(q)
-        bases = [riesz_basis(space, rng.standard_normal((k, n))) for _ in range(4)]
-        bases += [rng.standard_normal((k, n)) * 10.0 ** rng.uniform(-3, 3, (k, 1))
-                  for _ in range(2)]
-        if (k, n) == (2, 3):      # nearly dependent rows: SLSQP hits maxiter, phi0 stays
-            bases.append(np.array([[1.0, 2.0, 3.0], [1.0, 2.0, 3.001]]))
-        for W in bases:
-            for target in np.eye(k):
-                want, res, phi0 = _per_row_extension(space, W, target)
-                statuses.append(res.status)
-                got = _min_dual_norm_extension(space, W, target)
-                assert got.tobytes() == want.tobytes()
-                if res.status == 9:
-                    assert got.tobytes() == phi0.tobytes()
+    # in (R^n, l^1.5) the Newton line searches of riesz_basis hit their
+    # iteration cap for k in {3, 4} (ROADMAP item 4)
+    cap_hits = q == 3.0 and k >= 3
+    with pytest.warns(RuntimeWarning, match="iteration cap") if cap_hits else nullcontext():
+        for n in range(max(3, k + 1), 6):
+            space = NormedSpace(n, q / (q - 1.0))
+            assert space.q == pytest.approx(q)
+            bases = [riesz_basis(space, rng.standard_normal((k, n))) for _ in range(4)]
+            bases += [rng.standard_normal((k, n)) * 10.0 ** rng.uniform(-3, 3, (k, 1))
+                      for _ in range(2)]
+            if (k, n) == (2, 3):      # nearly dependent rows: SLSQP hits maxiter, phi0 stays
+                bases.append(np.array([[1.0, 2.0, 3.0], [1.0, 2.0, 3.001]]))
+            for W in bases:
+                for target in np.eye(k):
+                    want, res, phi0 = _per_row_extension(space, W, target)
+                    statuses.append(res.status)
+                    got = _min_dual_norm_extension(space, W, target)
+                    assert got.tobytes() == want.tobytes()
+                    if res.status == 9:
+                        assert got.tobytes() == phi0.tobytes()
     if k == 2:
         assert 9 in statuses
 

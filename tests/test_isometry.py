@@ -13,14 +13,23 @@ change is rounding only, at most 1e-12 * (1 + |value|):
 - the planar hull-walk `beta_inf` (lines in R^2) for p in {1, 1.5, 2, 4, inf};
 - the dual side: a signed permutation T is an isometry of l^q too, so it
   keeps the dual norms, and the duality map moves with it, J(Tx) = T J(x),
-  for p in {1, 1.5, 2, 4}.
+  for p in {1, 1.5, 2, 4};
+- whole reports: `main_packing` on the 68-atom l^2 graph keeps every
+  level's bad-ball count and sum, the leftover mass and the packing sum,
+  and `covering_lemma` on the 21-atom l^4 saddle keeps its stage counts,
+  packing sum, leftover and excess mass and measured delta, under three
+  signed permutations (and, for the saddle, the three quarter turns of
+  its (u, v) plane).
 
 Left out, because they are not invariant today: the descent `best_plane`
 (every non-Hilbert fit that is not exact; up to 6.3% under a signed
 permutation at p = inf, n = 3, k = 1) and the Nelder-Mead `beta_inf` (every
 (n, k) but (2, 1); up to 6.0% at p = 1, n = 3, k = 1).  The Newton distances
 to flats of codimension >= 2 at 1 < p < inf stop at a tolerance, so they
-are left out too.
+are left out too.  So are two fields of the l^4 saddle's cover report,
+which rest on the Hahn-Banach projections and the sigma maps: over all 48
+signed permutations of R^3, `distortion` runs from 1.0000000000095 to
+1.0000053 and `item2_graph_height` from 3.2e-5 to 2.4e-4.
 """
 
 import itertools
@@ -29,9 +38,12 @@ import math
 import numpy as np
 import pytest
 
+from betareif.cover import CoverConfig, covering_lemma, main_packing
 from betareif.geometry import AffinePlane, distances_to_affine
 from betareif.measures import PointMeasure, best_plane, beta_inf
 from betareif.spaces import NormedSpace
+
+from conftest import l4_saddle_21
 
 P_LIST = [1.0, 1.5, 4.0, math.inf]
 
@@ -144,3 +156,70 @@ def test_dual_norms_and_duality_map_are_equivariant(p):
             d1, J1 = space.dual_norms(X @ T.T), space.duality_map(X @ T.T)
             assert all(_close(a, b) for a, b in zip(d0, d1)), (T, d0, d1)
             assert all(_close(a, b) for a, b in zip((J0 @ T.T).ravel(), J1.ravel())), (T, J0, J1)
+
+
+# -- whole reports ----------------------------------------------------------
+
+_E = np.eye(3)
+PERMUTATIONS = {
+    "swap": _E[[1, 0, 2]],
+    "cycle": _E[[2, 0, 1]] * np.array([-1.0, 1.0, -1.0])[:, None],
+    "flip": _E[[0, 2, 1]] * np.array([1.0, 1.0, -1.0])[:, None],
+}
+QUARTER_TURNS = {"turn1": _E[[1, 0, 2]] * np.array([-1.0, 1.0, 1.0])[:, None],
+                 "turn2": np.diag([-1.0, -1.0, 1.0]),
+                 "turn3": _E[[1, 0, 2]] * np.array([1.0, -1.0, 1.0])[:, None]}
+
+
+def _graph68():
+    """68 equal atoms of total mass 0.85^2 pi on the paraboloid
+    0.01(u^2 + v^2)/2: 22 golden-angle triples of side 0.09 and two atoms
+    off the lattice (the measure of `betareif pack` in the benchmark)."""
+    idx = np.arange(22) + 0.5
+    rr, th = 0.85 * np.sqrt(idx / 22), idx * (math.pi * (3 - math.sqrt(5)))
+    offs = np.array([[0.0, 0.09 / math.sqrt(3)], [0.045, -0.09 / (2 * math.sqrt(3))],
+                     [-0.045, -0.09 / (2 * math.sqrt(3))]])
+    U = np.concatenate([(rr * np.cos(th))[:, None] + offs[None, :, 0], [[0.02, -0.05]]], axis=None)
+    V = np.concatenate([(rr * np.sin(th))[:, None] + offs[None, :, 1], [[0.03, -0.04]]], axis=None)
+    pts = np.stack([U, V, 0.01 * (U * U + V * V) / 2.0], axis=1)
+    return PointMeasure(pts, np.full(len(pts), math.pi * 0.85 * 0.85 / len(pts)))
+
+
+def _pack(T):
+    mu = _graph68()
+    res = main_packing(NormedSpace(3, 2), PointMeasure(mu.points @ T.T, mu.weights),
+                       np.zeros(len(mu)), 2, M=0.01,
+                       cfg=CoverConfig(chi=0.1, delta=0.1, max_depth=3), budget=2)
+    return ([lv.n_bad for lv in res.levels],
+            [lv.sum_bad for lv in res.levels] + [res.leftover_mass, res.packing_sum])
+
+
+def _cover(T):
+    mu = l4_saddle_21()
+    res = covering_lemma(NormedSpace(3, 4), PointMeasure(mu.points @ T.T, mu.weights),
+                         np.zeros(len(mu)), 2, CoverConfig(chi=0.1, delta=0.15, max_depth=2))
+    return ([(s.n_good, s.n_bad, s.n_original) for s in res.stages],
+            [res.packing_sum, res.leftover_mass, res.excess_mass, res.measured_delta])
+
+
+@pytest.fixture(scope="module")
+def unmoved():
+    return {"pack": _pack(_E), "cover": _cover(_E)}
+
+
+@pytest.mark.parametrize("name", list(PERMUTATIONS))
+def test_pack_report_is_invariant(unmoved, name):
+    counts, values = _pack(PERMUTATIONS[name])
+    counts0, values0 = unmoved["pack"]
+    assert len(counts0) == 3 and counts0[0] > 0
+    assert counts == counts0
+    assert all(_close(a, b) for a, b in zip(values0, values)), (values0, values)
+
+
+@pytest.mark.parametrize("name", [*PERMUTATIONS, *QUARTER_TURNS])
+def test_cover_report_is_invariant(unmoved, name):
+    counts, values = _cover({**PERMUTATIONS, **QUARTER_TURNS}[name])
+    counts0, values0 = unmoved["cover"]
+    assert counts == counts0
+    assert values0[-1] > 0
+    assert all(_close(a, b) for a, b in zip(values0, values)), (values0, values)
