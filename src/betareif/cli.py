@@ -1,7 +1,8 @@
 """Command-line front end: ingest measures/sets, run analyses, emit reports.
 
 Exit codes: 0 success, 2 validation error (malformed JSON, bad flags,
-a path that cannot be read or written), 3 estimate-violated runs.
+a value that an entry point of the library refuses with ValueError, a path
+that cannot be read or written), 3 estimate-violated runs.
 """
 
 from __future__ import annotations
@@ -35,17 +36,13 @@ def _load_measure(path: str):
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
     except json.JSONDecodeError as e:
-        raise _ValidationError(f"{path}: invalid JSON at line {e.lineno} column {e.colno}")
+        raise ValueError(f"{path}: invalid JSON at line {e.lineno} column {e.colno}")
     except UnicodeDecodeError as e:
-        raise _ValidationError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})")
+        raise ValueError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})")
     try:
         return PointMeasure.from_json(doc)
     except (KeyError, ValueError) as e:
-        raise _ValidationError(f"{path}: {e}")
-
-
-class _ValidationError(Exception):
-    pass
+        raise ValueError(f"{path}: {e}")
 
 
 # argparse types: a bad value exits 2 with argparse's error line
@@ -176,14 +173,14 @@ def _parse_eta(spec_text: str, depth: int):
         try:
             v = float(val)
         except ValueError:
-            raise _ValidationError(f"eta spec {spec_text!r} needs a number after ':'")
+            raise ValueError(f"eta spec {spec_text!r} needs a number after ':'")
     if kind == "const":
         return tuple([v] * max(depth - 1, 1))
     if kind == "geom":
         return tuple(0.1 * v ** (i + 1) for i in range(max(depth - 1, 1)))
     if kind == "invsqrt":
         return tuple(0.1 / math.sqrt(i + 1) for i in range(max(depth - 1, 1)))
-    raise _ValidationError(f"unknown eta spec {spec_text!r}")
+    raise ValueError(f"unknown eta spec {spec_text!r}")
 
 
 def _space_from_args(args, default_space):
@@ -191,11 +188,11 @@ def _space_from_args(args, default_space):
         return default_space
     try:
         space = NormedSpace.from_descriptor(json.loads(args.space))
-    except (json.JSONDecodeError, ValueError, KeyError) as e:
-        raise _ValidationError(f"--space: {e}")
+    except (ValueError, KeyError) as e:     # json.JSONDecodeError is a ValueError
+        raise ValueError(f"--space: {e}")
     if space.dim != default_space.dim:
-        raise _ValidationError(f"--space: dim {space.dim} does not match "
-                               f"the measure's dim {default_space.dim}")
+        raise ValueError(f"--space: dim {space.dim} does not match "
+                         f"the measure's dim {default_space.dim}")
     return space
 
 
@@ -205,40 +202,8 @@ def _parse_center(text: str, dim: int) -> np.ndarray:
     except (TypeError, ValueError):     # json.JSONDecodeError is a ValueError
         c = None
     if c is None or c.shape != (dim,) or not np.isfinite(c).all():
-        raise _ValidationError(f"--center must be a JSON list of {dim} finite numbers, got {text!r}")
+        raise ValueError(f"--center must be a JSON list of {dim} finite numbers, got {text!r}")
     return c
-
-
-def _check_args(args, space):
-    """Bounds that argparse's types do not give, of each flag the command
-    has.  Returns the resolved alpha (None without --alpha)."""
-    alpha = None
-    if hasattr(args, "alpha"):
-        try:
-            alpha = CoverConfig(alpha=args.alpha).resolve_alpha(space)
-        except ValueError:
-            raise _ValidationError(f"alpha must be 'auto' or a finite number > 0, got {args.alpha!r}")
-    for name in ("delta", "theta"):
-        value = getattr(args, name, None)
-        if value is not None and not (math.isfinite(value) and value > 0):
-            raise _ValidationError(f"{name} must be a finite number > 0, got {value}")
-    if not (0 <= args.k < space.dim):
-        raise _ValidationError(f"k must satisfy 0 <= k < dim = {space.dim}, got {args.k}")
-    if not (0 < args.chi < 1):
-        raise _ValidationError(f"chi must lie in (0, 1), got {args.chi}")
-    if args.command != "beta" and args.chi > 0.1:
-        # classify_ball's good-ball conditions need chi <= 1/10
-        raise _ValidationError(f"{args.command} needs chi in (0, 1/10], got {args.chi}")
-    if hasattr(args, "max_depth") and args.max_depth < 0:
-        raise _ValidationError(f"max-depth must be >= 0, got {args.max_depth}")
-    if hasattr(args, "max_depth") and not args.chi ** args.max_depth > 0:
-        # the precheck's floor scale chi^max_depth must not underflow to 0
-        raise _ValidationError(f"chi ** max-depth must be > 0, got {args.chi} ** {args.max_depth}")
-    if hasattr(args, "r_lo") and not (0 < args.r_lo < args.r_hi < math.inf):
-        raise _ValidationError(f"need 0 < r_lo < r_hi < inf, got r_lo={args.r_lo}, r_hi={args.r_hi}")
-    if hasattr(args, "budget") and args.budget < 0:
-        raise _ValidationError(f"budget must be >= 0, got {args.budget}")
-    return alpha
 
 
 def run(argv) -> int:
@@ -249,10 +214,7 @@ def run(argv) -> int:
         return 2 if e.code not in (0, None) else 0
     try:
         return _dispatch(args)
-    except _ValidationError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:       # an input or --out path that cannot be read or written
+    except (ValueError, OSError) as e:     # a value out of range, or a path that fails
         print(f"error: {e}", file=sys.stderr)
         return 2
 
@@ -264,12 +226,12 @@ def _dispatch(args) -> int:
     if hasattr(args, "input"):      # the measure commands
         space0, mu, rs = _load_measure(args.input)
         space = _space_from_args(args, space0)
-        alpha = _check_args(args, space)
 
     if cmd == "beta":
+        alpha = CoverConfig(alpha=args.alpha).resolve_alpha(space)
         if args.atom is not None:
             if not 0 <= args.atom < len(mu):
-                raise _ValidationError(f"atom must satisfy 0 <= atom < {len(mu)}, got {args.atom}")
+                raise ValueError(f"atom must satisfy 0 <= atom < {len(mu)}, got {args.atom}")
             prof = dini_profile(space, mu, mu.points[args.atom], args.r_lo,
                                 args.r_hi, args.k, alpha, args.chi, seed=args.seed)
             _write(args.out, emit_report(prof, args.format))
@@ -284,21 +246,13 @@ def _dispatch(args) -> int:
         return 0
 
     if cmd in ("cover", "pack"):
-        bad = rs[~((0 <= rs) & (rs < 1))]       # NaN fails both tests
-        if len(bad):
-            # the covering runs on the unit ball, whose radius bounds r_s
-            raise _ValidationError(f"per-atom r_s must satisfy 0 <= r_s < 1, got {bad[0]}")
         cfg = CoverConfig(chi=args.chi, delta=args.delta, alpha=args.alpha,
                           theta=args.theta, max_depth=args.max_depth, seed=args.seed)
         if cmd == "cover":
             res = covering_lemma(space, mu, rs, args.k, cfg)
             _write(args.out, emit_report(res, "json"))
             return 3 if res.estimate_violated else 0
-        try:
-            res = main_packing(space, mu, rs, args.k,
-                               M=args.M, cfg=cfg, budget=args.budget)
-        except ValueError as e:     # M out of range, or too small for the measure's mass
-            raise _ValidationError(str(e))
+        res = main_packing(space, mu, rs, args.k, M=args.M, cfg=cfg, budget=args.budget)
         _write(args.out, emit_report(res, "json"))
         return 3 if not res.valid else 0
 
@@ -306,10 +260,7 @@ def _dispatch(args) -> int:
         p = args.p
         etas = _parse_eta(args.eta, args.depth)
         mode = "rademacher" if args.mode == "rademacher" else "plane_bump"
-        try:
-            spec = SnowflakeSpec(mode, p, etas, args.depth)
-        except ValueError as e:
-            raise _ValidationError(str(e))
+        spec = SnowflakeSpec(mode, p, etas, args.depth)
         verts = snowflake(spec)
         lengths = []
         for d in range(2, args.depth + 1):
@@ -350,7 +301,7 @@ def _dispatch(args) -> int:
                 except OverflowError:
                     emp = bnd = math.inf
                 if not (math.isfinite(emp) and math.isfinite(bnd)):
-                    raise _ValidationError(f"--t-list: t = {t:g} overflows the modulus at "
+                    raise ValueError(f"--t-list: t = {t:g} overflows the modulus at "
                                            f"p = {ptag}; take a smaller t")
                 lines.append(f"{ptag},{t:.12g},{emp:.12g},{bnd:.12g}")
         _write(args.out, ("\n".join(lines) + "\n").encode())
@@ -374,7 +325,7 @@ def _dispatch(args) -> int:
         _write(args.out, emit_report(doc, "json"))
         return 0
 
-    raise _ValidationError(f"unknown command {cmd}")
+    raise ValueError(f"unknown command {cmd}")
 
 
 def main():

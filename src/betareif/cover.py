@@ -9,6 +9,7 @@ randomness is seeded per (stage, ball index); runs are deterministic.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -17,8 +18,8 @@ from . import constants as C
 from .geometry import (AffinePlane, AlmostProjection, _euclid_orthonormal,
                        distances_to_affine,
                        grassmann_distance, graph_check, make_projection)
-from .measures import (PointMeasure, _distance_blocks, best_plane, beta,
-                       beta_inf, dini_profile)
+from .measures import (PointMeasure, _check_chi, _check_cover_chi, _check_k, _check_positive,
+                       _check_radius, _distance_blocks, best_plane, beta, beta_inf, dini_profile)
 from .spaces import NormedSpace
 
 __all__ = [
@@ -119,10 +120,13 @@ def classify_ball(space: NormedSpace, mu: PointMeasure, x, r: float, k: int,
     previous witnesses.  Success through k+1 witnesses => good; a step with
     no candidate escaping the 7 chi r neighborhood => bad, with the hull
     (padded to dimension k-1) as the witness plane."""
-    if not (0 < chi <= 0.1):
-        raise ValueError("need 0 < chi <= 1/10")
+    _check_k(space, k)
+    _check_radius(r)
+    _check_cover_chi(chi)
     if theta is None:
         theta = default_theta(k)
+    else:
+        _check_positive("theta", theta)
     x = np.asarray(x, dtype=float)
     d_atoms = space.norms(mu.points - x[None, :])
     in_ball = d_atoms <= r
@@ -345,15 +349,27 @@ class CoverConfig:
     max_depth: int = 6
     seed: int = 0
 
+    def __post_init__(self):
+        _check_cover_chi(self.chi)
+        for name in ("delta", "theta"):
+            if getattr(self, name) is not None:
+                _check_positive(name, getattr(self, name))
+        if self.alpha != "auto":
+            try:
+                alpha = float(self.alpha)
+            except (TypeError, ValueError):
+                alpha = math.nan
+            if not 0 < alpha < math.inf:
+                raise ValueError(f"alpha must be 'auto' or a finite number > 0, got {self.alpha!r}")
+        if not (isinstance(self.max_depth, numbers.Integral) and self.max_depth >= 0):
+            raise ValueError(f"max-depth must be an integer >= 0, got {self.max_depth}")
+        if not self.chi ** self.max_depth > 0:
+            # the precheck's floor scale chi^max_depth must not underflow to 0
+            raise ValueError(f"chi ** max-depth must be > 0, got {self.chi} ** {self.max_depth}")
+
     def resolve_alpha(self, space: NormedSpace) -> float:
-        """alpha, or the space's smoothness power for "auto"; anything but
-        "auto" or a finite number > 0 raises ValueError."""
-        if self.alpha == "auto":
-            return space.smoothness_power()
-        alpha = float(self.alpha)
-        if not (math.isfinite(alpha) and alpha > 0):
-            raise ValueError(f"alpha must be 'auto' or a finite number > 0, got {self.alpha!r}")
-        return alpha
+        """alpha, or the space's smoothness power for "auto"."""
+        return space.smoothness_power() if self.alpha == "auto" else float(self.alpha)
 
     def ledger(self, space: NormedSpace, k: int) -> dict:
         return {
@@ -511,13 +527,13 @@ def _radii(mu, r_s):
     [0, 1), the radius of the unit ball that the covering runs on."""
     rs = np.asarray(r_s, dtype=float).reshape(-1)
     if len(rs) != len(mu):
-        raise ValueError("r_s must align with mu")
+        raise ValueError("per-atom r_s must align with mu")
     if not np.isfinite(rs).all():
-        raise ValueError("r_s must be finite")
+        raise ValueError("per-atom r_s must be finite")
     if (rs < 0).any():
-        raise ValueError("r_s must be >= 0")
+        raise ValueError("per-atom r_s must be >= 0")
     if (rs >= 1.0).any():
-        raise ValueError("r_s < ball radius required")
+        raise ValueError("per-atom r_s < ball radius required")
     return rs
 
 
@@ -537,6 +553,7 @@ def covering_lemma(space: NormedSpace, mu: PointMeasure, r_s, k: int,
     Another ball is reached by rescaling it to B_1(0), as `main_packing`
     does for its sub-coverings.
     """
+    _check_k(space, k)
     cfg = cfg or CoverConfig()
     rs = _radii(mu, r_s)
     chi = cfg.chi
@@ -758,6 +775,9 @@ def main_packing(space: NormedSpace, mu: PointMeasure, r_s, k: int,
     Raises nothing on claim failure: results are flagged."""
     if not 0 <= M < math.inf:
         raise ValueError(f"M must be a finite number >= 0, got {M}")
+    _check_k(space, k)
+    if not budget >= 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
     scale = _DELTA0**2 / M if M > 0 else 1.0
     if not math.isfinite(scale * mu.total_mass):
         raise ValueError(f"M = {M} is too small: the rescaled mass delta0^2/M * mu(R^n) overflows")
@@ -883,12 +903,10 @@ def reifenberg_flat_map(space: NormedSpace, Spts, k: int, chi: float = 0.01,
     anchored at the net points, and the interpolated projection map.
 
     Returns (tau stages, ReifenbergReport).  chi must lie in (0, 1) and
-    delta be finite and positive; certification failure (some sampled
+    delta be a finite number > 0; certification failure (some sampled
     beta_inf above delta) raises ValueError too."""
-    if not (0 < chi < 1):
-        raise ValueError(f"chi must lie in (0, 1), got {chi}")
-    if not (0 < delta < math.inf):
-        raise ValueError(f"delta must be finite and positive, got {delta}")
+    _check_chi(chi)
+    _check_positive("delta", delta)
     S = np.atleast_2d(np.asarray(Spts, dtype=float))
     alpha = space.smoothness_power()
     in_unit = space.norms(S) <= 1.0

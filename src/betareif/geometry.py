@@ -360,7 +360,8 @@ def _dist_newton_batch(space, M, W, lam):
         for _bt in range(40):
             Rn = Ws - lam_new @ M.T
             fn[moved] = (np.abs(Rn[moved]) ** p).sum(axis=1)
-            bad = fn > f0
+            # a trial at the row's own lam (f0 + an ulp) ends its backtrack, untaken
+            bad = (fn > f0) & (lam_new != lam_s).any(axis=1)
             moved = bad
             if not bad.any():
                 break

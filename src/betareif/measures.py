@@ -128,10 +128,39 @@ class DiniProfile:
         return out
 
 
+# the range rules that more than one entry point of measures and cover
+# applies, each with its one message
+
+def _check_k(space: NormedSpace, k):
+    if not 0 <= k < space.dim:
+        raise ValueError(f"k must satisfy 0 <= k < dim = {space.dim}, got {k}")
+
+
+def _check_radius(r):
+    if not 0 < r < math.inf:
+        raise ValueError(f"r must be finite and positive, got {r}")
+
+
+def _check_positive(name, value):
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be a finite number > 0, got {value}")
+
+
+def _check_chi(chi):
+    """The scale ratio of a geometric grid."""
+    if not 0 < chi < 1:
+        raise ValueError(f"chi must lie in (0, 1), got {chi}")
+
+
+def _check_cover_chi(chi):
+    """The good-ball conditions of classify_ball need chi <= 1/10."""
+    if not 0 < chi <= 0.1:
+        raise ValueError(f"chi must lie in (0, 1/10], got {chi}")
+
+
 def restrict(mu: PointMeasure, center, r: float, space: NormedSpace) -> PointMeasure:
     """mu restricted to the open ball B_r(center): atoms with ||z-c|| < r."""
-    if r <= 0:
-        raise ValueError("r must be positive")
+    _check_radius(r)
     c = np.asarray(center, dtype=float)
     d = space.norms(mu.points - c[None, :])
     return mu.subset(d < r)
@@ -177,10 +206,8 @@ def best_plane(space: NormedSpace, mu: PointMeasure, x, r: float, k: int,
     envelope-gradient descent on (base, basis) with backtracking and
     seeded multi-start, the starts descending in lockstep; certified
     against the l^2 lower bound through the norm-equivalence constant."""
-    if k >= space.dim:
-        raise ValueError("k must be < dim")
-    if r <= 0:
-        raise ValueError("r must be positive")
+    _check_k(space, k)
+    _check_radius(r)
     x = np.asarray(x, dtype=float)
     pts, w = _ball_atoms(space, mu, x, r)
     return _fit_seeds(space, pts, w, x, r, k, [seed], starts, iters)[0]
@@ -352,10 +379,8 @@ def beta_inf(space: NormedSpace, S, x, r: float, k: int):
     x is one center, giving a BetaInfResult, or an (m, n) stack of centers,
     giving a list of m results; a stacked center gets the same result, to
     the bit, as a call with that center alone."""
-    if k >= space.dim:
-        raise ValueError("k must be < dim")
-    if not (0 < r < math.inf):
-        raise ValueError(f"r must be finite and positive, got {r}")
+    _check_k(space, k)
+    _check_radius(r)
     X = np.asarray(x, dtype=float)
     centers = np.atleast_2d(X)
     S = np.atleast_2d(np.asarray(S, dtype=float))
@@ -535,15 +560,15 @@ def dini_profile(space: NormedSpace, mu: PointMeasure, x, r_lo, r_hi: float,
     fit a plane, with seed + 1000 j at scale j.  Balls of one scale that
     hold the same atoms are fitted once, all their seeds together (see
     `_fit_seeds`), so each distinct ball's starts descend in lockstep."""
+    _check_k(space, k)
+    _check_chi(chi)
     X = np.asarray(x, dtype=float)
     centers = np.atleast_2d(X)
     m = len(centers)
     lo = np.broadcast_to(np.asarray(r_lo, dtype=float), (m,))
     seeds = np.broadcast_to(np.asarray(seed), (m,))
     if not (math.isfinite(r_hi) and ((0 < lo) & (lo < r_hi)).all()):
-        raise ValueError("need 0 < r_lo < r_hi < inf")
-    if not (0 < chi < 1):
-        raise ValueError("need 0 < chi < 1")
+        raise ValueError(f"need 0 < r_lo < r_hi < inf, got r_lo={r_lo}, r_hi={r_hi}")
     if m == 0:
         return []
     floors = lo * (1 - 1e-12)

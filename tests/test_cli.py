@@ -11,10 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from betareif.cli import run
-from betareif.cover import BallLabel, CoverConfig, covering_lemma
+from betareif.cli import _build_parser, run
+from betareif.cover import BallLabel, CoverConfig, classify_ball, covering_lemma, main_packing
 from betareif.curves import dirac_example
-from betareif.measures import PointMeasure
+from betareif.measures import PointMeasure, best_plane, beta_inf, dini_profile, restrict
 from betareif.report import emit_report, profile_csv, to_jsonable
 from betareif.spaces import NormedSpace
 
@@ -178,6 +178,128 @@ def test_exit_code_on_out_of_range_flag(planar_json, argv, capsys):
     code = run([argv[0], planar_json] + argv[1:])
     assert code == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+_O = np.zeros(3)
+_K = "k must satisfy 0 <= k < dim = 3, got {}"
+_R = "r must be finite and positive, got {}"
+
+
+def _k_rows(k):
+    """k out of range for each of the six entry points that take it."""
+    return [
+        (f"best_plane-k{k}", None, lambda s, mu, rs: best_plane(s, mu, _O, 1.0, k)),
+        (f"beta_inf-k{k}", None, lambda s, mu, rs: beta_inf(s, mu.points, _O, 1.0, k)),
+        (f"dini_profile-k{k}", ["beta", "--k", str(k)],
+         lambda s, mu, rs: dini_profile(s, mu, mu.points, 1 / 16, 2.0, k, 2.0, 0.1)),
+        (f"classify_ball-k{k}", ["goodball", "--k", str(k)],
+         lambda s, mu, rs: classify_ball(s, mu, _O, 1.0, k, 0.1)),
+        (f"covering_lemma-k{k}", ["cover", "--k", str(k)],
+         lambda s, mu, rs: covering_lemma(s, mu, rs, k, CoverConfig())),
+        (f"main_packing-M0-k{k}", ["pack", "--k", str(k), "--M", "0"],
+         lambda s, mu, rs: main_packing(s, mu, rs, k, M=0.0, cfg=CoverConfig())),
+        (f"main_packing-k{k}", ["pack", "--k", str(k)],
+         lambda s, mu, rs: main_packing(s, mu, rs, k, M=0.01, cfg=CoverConfig())),
+    ]
+
+
+def _r_rows(r):
+    """A radius out of range for each entry point that takes one; no
+    command passes it on (goodball's --r is an argparse type)."""
+    return [
+        (f"best_plane-r{r}", None, lambda s, mu, rs: best_plane(s, mu, _O, r, 1)),
+        (f"beta_inf-r{r}", None, lambda s, mu, rs: beta_inf(s, mu.points, _O, r, 1)),
+        (f"classify_ball-r{r}", None, lambda s, mu, rs: classify_ball(s, mu, _O, r, 1, 0.1)),
+        (f"restrict-r{r}", None, lambda s, mu, rs: restrict(mu, _O, r, s)),
+    ]
+
+
+# (id, the CLI's argv or None, the library call that takes the value) and
+# the message both give: the library raises ValueError with it, and the CLI
+# prints it as its one error line
+_OUT_OF_RANGE = [
+    # the rows of test_exit_code_on_out_of_range_flag (its cover --k 3 and
+    # --k -1 are rows of the k table below)
+    *[(f"beta-r-lo-{lo}", ["beta", "--r-lo", lo],
+       lambda s, mu, rs, lo=lo: dini_profile(s, mu, mu.points, float(lo), 2.0, 1, 2.0, 0.1),
+       f"need 0 < r_lo < r_hi < inf, got r_lo={float(lo)}, r_hi=2.0") for lo in ("0", "3")],
+    ("beta-chi", ["beta", "--chi", "1.5"],
+     lambda s, mu, rs: dini_profile(s, mu, mu.points, 1 / 16, 2.0, 1, 2.0, 1.5),
+     "chi must lie in (0, 1), got 1.5"),
+    *[(f"pack-M{M}", ["pack", "--M", M],
+       lambda s, mu, rs, M=M: main_packing(s, mu, rs, 1, M=float(M), cfg=CoverConfig()),
+       f"M must be a finite number >= 0, got {float(M)}") for M in ("-1", "inf")],
+    *[(f"{cmd}-chi{chi}", [cmd, "--k", "2", "--chi", chi],
+       lambda s, mu, rs, chi=chi: CoverConfig(chi=float(chi)),
+       f"chi must lie in (0, 1/10], got {chi}") for cmd, chi in (("cover", "0.5"), ("pack", "0.11"))],
+    ("goodball-chi", ["goodball", "--k", "2", "--chi", "0.5"],
+     lambda s, mu, rs: classify_ball(s, mu, _O, 1.0, 2, 0.5), "chi must lie in (0, 1/10], got 0.5"),
+    *[(f"{cmd}-max-depth-1", [cmd, "--k", "2", "--max-depth", "-1"],
+       lambda s, mu, rs: CoverConfig(max_depth=-1), "max-depth must be an integer >= 0, got -1")
+      for cmd in ("cover", "pack")],
+    ("beta-r-hi", ["beta", "--r-hi", "inf"],
+     lambda s, mu, rs: dini_profile(s, mu, mu.points, 1 / 16, math.inf, 1, 2.0, 0.1),
+     "need 0 < r_lo < r_hi < inf, got r_lo=0.0625, r_hi=inf"),
+    ("pack-budget", ["pack", "--budget", "-1"],
+     lambda s, mu, rs: main_packing(s, mu, rs, 1, M=0.01, cfg=CoverConfig(), budget=-1),
+     "budget must be >= 0, got -1"),
+    *[(f"{cmd}-max-depth400", [cmd, "--k", "2", "--max-depth", "400"],
+       lambda s, mu, rs: CoverConfig(max_depth=400), "chi ** max-depth must be > 0, got 0.1 ** 400")
+      for cmd in ("cover", "pack")],
+    # the values the library took unchecked: k in {-1, dim}, a radius
+    # that is not finite and positive, theta <= 0, and budget -1 at M = 0
+    *[(name, argv, call, _K.format(k)) for k in (-1, 3) for name, argv, call in _k_rows(k)],
+    *[(name, argv, call, _R.format(r)) for r in (0.0, -1.0, math.nan, math.inf)
+      for name, argv, call in _r_rows(r)],
+    *[(f"goodball-theta{theta}", ["goodball", "--theta", theta],
+       lambda s, mu, rs, theta=theta: classify_ball(s, mu, _O, 1.0, 1, 0.1, float(theta)),
+       f"theta must be a finite number > 0, got {float(theta)}") for theta in ("0", "-1", "nan")],
+    ("pack-M0-budget", ["pack", "--M", "0", "--budget", "-1"],
+     lambda s, mu, rs: main_packing(s, mu, rs, 1, M=0.0, cfg=CoverConfig(), budget=-1),
+     "budget must be >= 0, got -1"),
+]
+
+
+@pytest.mark.parametrize("name,argv,call,message", _OUT_OF_RANGE,
+                         ids=[row[0] for row in _OUT_OF_RANGE])
+def test_library_refuses_out_of_range(planar_json, name, argv, call, message):
+    # the entry point that takes the value refuses it, with the CLI's text
+    space, mu, rs = PointMeasure.from_json(json.loads(Path(planar_json).read_text()))
+    with pytest.raises(ValueError) as e:
+        call(space, mu, rs)
+    assert str(e.value) == message
+
+
+@pytest.mark.parametrize("name,argv,call,message", [row for row in _OUT_OF_RANGE if row[1]],
+                         ids=[row[0] for row in _OUT_OF_RANGE if row[1]])
+def test_cli_refuses_out_of_range(planar_json, tmp_path, capsys, name, argv, call, message):
+    # the CLI passes the value on and prints the library's message as its
+    # one error line: exit 2 and no report
+    out = tmp_path / "out"
+    assert run([argv[0], planar_json, *argv[1:], "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_each_command_keeps_its_options():
+    # 51 options in all; a new one fails here until this pin is updated
+    want = {
+        "beta": ["--space", "--k", "--chi", "--out", "--alpha", "--seed", "--atom", "--r-lo",
+                 "--r-hi", "--format"],
+        "cover": ["--space", "--k", "--chi", "--out", "--alpha", "--delta", "--theta",
+                  "--max-depth", "--seed"],
+        "pack": ["--space", "--k", "--chi", "--out", "--alpha", "--delta", "--theta",
+                 "--max-depth", "--seed", "--M", "--budget"],
+        "snowflake": ["--p", "--mode", "--eta", "--depth", "--out", "--format"],
+        "smoothness": ["--p-list", "--t-list", "--dim", "--samples", "--seed", "--out"],
+        "nopowergain": ["--eps", "--out"],
+        "goodball": ["--space", "--k", "--chi", "--out", "--theta", "--center", "--r"],
+    }
+    commands = _build_parser()._subparsers._group_actions[0].choices
+    got = {name: [flag for a in sp._actions if a.dest != "help" for flag in a.option_strings]
+           for name, sp in commands.items()}
+    assert got == want
+    assert sum(map(len, got.values())) == 51
 
 
 @pytest.mark.parametrize("argv", [

@@ -5,7 +5,9 @@ must leave them unchanged: the signed coordinate permutations for every p,
 every orthogonal map for p = 2, and translations.  On the exact paths the
 change is rounding only, at most 1e-12 * (1 + |value|):
 
-- the PCA `best_plane` at p = 2, also under a random orthogonal map;
+- the PCA `best_plane` at p = 2, also under a random orthogonal map, and
+  its beta and the Dini sums under zero-padding R^3 -> R^N for N in
+  {4, 8, 50};
 - distances to hyperplanes for p in {1, 1.5, 4, inf}, and at p in {1, inf}
   to lines in R^3 and to 2- and 3-flats in R^4 and R^5 (the exact vertex
   minimum), also under zero-padding R^n -> R^(n+1) for lines, planes and
@@ -40,7 +42,7 @@ import pytest
 
 from betareif.cover import CoverConfig, covering_lemma, main_packing
 from betareif.geometry import AffinePlane, distances_to_affine
-from betareif.measures import PointMeasure, best_plane, beta_inf
+from betareif.measures import PointMeasure, best_plane, beta_inf, dini_profile
 from betareif.spaces import NormedSpace
 
 from conftest import l4_saddle_21
@@ -79,6 +81,25 @@ def test_pca_best_plane_is_invariant(n, k):
         for T in [*_signed_permutations(n), Q]:
             b1 = best_plane(space, PointMeasure(pts @ T.T + t, w), T @ x + t, 1.3, k).beta
             assert _close(b0, b1), (T, b0, b1)
+
+
+@pytest.mark.parametrize("N", [4, 8, 50])
+@pytest.mark.parametrize("k", [1, 2])
+def test_zero_padding_keeps_hilbert_fits(k, N):
+    # (R^3, l^2) as the first coordinates of (R^N, l^2): the PCA best plane's
+    # beta and the Dini sums of every atom stay, as the Hilbert results hold
+    # with no condition on the dimension
+    rng = np.random.default_rng([k, 3])
+    pad = lambda X: np.concatenate([X, np.zeros(X.shape[:-1] + (N - 3,))], axis=-1)
+    for _ in range(4):
+        pts, w, x = _ball(rng, 3, 15)
+        mu3, muN = PointMeasure(pts, w), PointMeasure(pad(pts), w)
+        b3 = best_plane(NormedSpace(3, 2.0), mu3, x, 1.3, k).beta
+        bN = best_plane(NormedSpace(N, 2.0), muN, pad(x), 1.3, k).beta
+        assert b3 > 0 and _close(b3, bN), (b3, bN)
+        for p3, pN in zip(dini_profile(NormedSpace(3, 2.0), mu3, pts, 0.05, 2.0, k, 2.0, 0.5),
+                          dini_profile(NormedSpace(N, 2.0), muN, pad(pts), 0.05, 2.0, k, 2.0, 0.5)):
+            assert _close(p3.dini_sum, pN.dini_sum), (p3.dini_sum, pN.dini_sum)
 
 
 @pytest.mark.parametrize("n,k,p", [*[(n, n - 1, p) for n in (2, 3) for p in P_LIST],
