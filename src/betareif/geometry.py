@@ -532,10 +532,12 @@ def _min_dual_norm_extension(space: NormedSpace, Wrows: np.ndarray, target: np.n
     loop of scipy's own `_minimize_slsqp` for this one problem: no bounds,
     the k equations and an analytic gradient, with maxiter 500 and ftol
     1e-16.  It skips the wrapper's per-evaluation checks and copies, so
-    the iterates are the same bits as `minimize(..., method="SLSQP")`.  The constraint rows stay
-    one `float(Wrows[j] @ phi - target[j])` each: `Wrows @ phi - target`
-    rounds differently, and that changes the SLSQP path.  When SLSQP does
-    not exit with mode 0, phi0 is returned."""
+    the iterates are the same bits as `minimize(..., method="SLSQP")`.
+    The callbacks run in place; the constraints are
+    `np.vecdot(Wrows, phi) - target`, one BLAS `ddot` per row as in
+    `Wrows[j] @ phi`, while `Wrows @ phi` goes through `gemv`, rounds
+    differently and changes the SLSQP path.  When SLSQP does not exit
+    with mode 0, phi0 is returned."""
     q = space.q
     k, n = Wrows.shape
     phi0, *_ = np.linalg.lstsq(Wrows, target, rcond=None)
@@ -550,9 +552,10 @@ def _min_dual_norm_extension(space: NormedSpace, Wrows: np.ndarray, target: np.n
         N = np.linalg.svd(Wrows)[2][k:]                  # null(W)
         _, foot = _dists_to_flat_batch(NormedSpace(n, q), np.zeros(n), N, phi0)
         return phi0 - foot[0]
-    obj = lambda phi: float((np.abs(phi) ** q).sum())
+    a, d = np.empty(n), np.empty(k)
+    obj = lambda phi: np.add.reduce(np.power(np.absolute(phi, out=a), q, out=a))
     jac = lambda phi: q * np.sign(phi) * np.abs(phi) ** (q - 1.0)
-    cons = lambda phi: [float(Wrows[j] @ phi - target[j]) for j in range(k)]
+    cons = lambda phi: np.subtract(np.vecdot(Wrows, phi), target, out=d)
     state = {"acc": 1e-16, "alpha": 0.0, "f0": 0.0, "gs": 0.0, "h1": 0.0, "h2": 0.0,
              "h3": 0.0, "h4": 0.0, "t": 0.0, "t0": 0.0, "tol": 1e-15,
              "exact": 0, "inconsistent": 0, "reset": 0, "iter": 0, "itermax": 500,
@@ -564,7 +567,7 @@ def _min_dual_norm_extension(space: NormedSpace, Wrows: np.ndarray, target: np.n
     indices = np.zeros(k + 2 * n + 2, dtype=np.int32)
     xl, xu = np.full(n, np.nan), np.full(n, np.nan)
     x = phi0.copy()
-    fx, g, d = obj(x), jac(x), np.array(cons(x))
+    fx, g, d = obj(x), jac(x), cons(x)
     C = np.array(Wrows, dtype=np.float64, order="F")
     slsqp = _slsqp_kernel().slsqp
     while True:
@@ -572,7 +575,7 @@ def _min_dual_norm_extension(space: NormedSpace, Wrows: np.ndarray, target: np.n
         mode = state["mode"]
         if mode == 1:
             fx = obj(x)
-            d[:] = cons(x)
+            cons(x)
         elif mode == -1:
             g = jac(x)
             C[:] = Wrows

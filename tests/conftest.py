@@ -32,7 +32,9 @@ def gamma2_sample(eps, m=121):
 def graph_measure_200(kappa=0.01, n_clusters=66, side=0.09, R=0.85):
     """200 atoms on the paraboloid graph g = kappa(u^2+v^2)/2 over a disk,
     grouped in equilateral triples so balls at scale 1/10 carry spread
-    witnesses; Lip(g) = kappa*R <= 0.05."""
+    witnesses; Lip(g) = kappa*R <= 0.05.  The weights, of total pi R^2,
+    follow the atom count: 22 clusters give the 68-atom measure of the
+    perfbench `pack-l2-graph68` workload at seed 0."""
     golden = math.pi * (3 - math.sqrt(5))
     idx = np.arange(n_clusters) + 0.5
     rr = R * np.sqrt(idx / n_clusters)
@@ -47,7 +49,8 @@ def graph_measure_200(kappa=0.01, n_clusters=66, side=0.09, R=0.85):
     V = np.concatenate([V, [0.03, -0.04]])
     g = kappa * (U * U + V * V) / 2.0
     pts = np.stack([U, V, g], axis=1)
-    return PointMeasure(pts, np.ones(200) * (math.pi * R * R / 200))
+    n = len(U)
+    return PointMeasure(pts, np.ones(n) * (math.pi * R * R / n))
 
 
 def snowflake_sample(etas, depth, max_pts):

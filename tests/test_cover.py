@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -324,6 +325,35 @@ def test_main_packing_graph_measure():
                        cfg=CoverConfig(chi=0.1, delta=0.1, max_depth=3), budget=2)
     for lv in res.levels:
         assert lv.claim_A_ok and lv.claim_B_S_ok and lv.claim_B_bad_ok
+
+
+# The bad balls of every covering_lemma call that main_packing makes on the
+# pack workload's 68-atom measure, in call order: "call index, centre, radius"
+# lines at 12 significant digits.  The pack report holds only counts and sums.
+PACK_L2_GRAPH68_CALLS = 155
+PACK_L2_GRAPH68_BAD_BALLS_SHA256 = "3af83cbf3afec0e012fdc099b0e797a8318b93d7b26a692dbbdc82e47e95dd38"
+
+
+def test_main_packing_pins_where_it_refines(monkeypatch):
+    kept = []
+    covering_lemma = cover.covering_lemma
+
+    def keeping(*args, **kwargs):
+        res = covering_lemma(*args, **kwargs)
+        kept.append(res.bad_balls)
+        return res
+
+    monkeypatch.setattr(cover, "covering_lemma", keeping)
+    mu = graph_measure_200(n_clusters=22)
+    assert len(mu) == 68
+    main_packing(NormedSpace(3, 2), mu, np.zeros(68), 2, M=0.01,
+                 cfg=CoverConfig(chi=0.1, delta=0.1, max_depth=3), budget=2)
+    # main_packing maps each sub-covering's bad balls back in place, so they
+    # hold original-frame centres and radii here
+    text = "".join(f"{i} " + " ".join(f"{v:.12g}" for v in (*b.center, b.radius)) + "\n"
+                   for i, balls in enumerate(kept) for b in balls)
+    assert len(kept) == PACK_L2_GRAPH68_CALLS        # the top ball and 154 sub-coverings
+    assert hashlib.sha256(text.encode()).hexdigest() == PACK_L2_GRAPH68_BAD_BALLS_SHA256
 
 
 def _six_atoms():

@@ -1128,7 +1128,8 @@ def _per_row_extension(space, Wrows, target):
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_stacked_constraint_extension_matches_per_row_constraints(q, k):
     # the kernel loop's workspace sizes depend on n and k: every k < n for
-    # n in {3, 4, 5}, the n = 3 bases drawn first
+    # n in {3, 4, 5}, the n = 3 bases drawn first; k in {1, 2} also at
+    # n in {6, 8}, whose np.vecdot rows are longer than 5
     from betareif.geometry import _min_dual_norm_extension
     rng = np.random.default_rng(int(10 * q) + k)
     statuses = []
@@ -1136,7 +1137,7 @@ def test_stacked_constraint_extension_matches_per_row_constraints(q, k):
     # iteration cap for k in {3, 4} (ROADMAP item 4)
     cap_hits = q == 3.0 and k >= 3
     with pytest.warns(RuntimeWarning, match="iteration cap") if cap_hits else nullcontext():
-        for n in range(max(3, k + 1), 6):
+        for n in [*range(max(3, k + 1), 6), *([6, 8] if k <= 2 else [])]:
             space = NormedSpace(n, q / (q - 1.0))
             assert space.q == pytest.approx(q)
             bases = [riesz_basis(space, rng.standard_normal((k, n))) for _ in range(4)]
